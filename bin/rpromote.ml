@@ -279,7 +279,6 @@ let cmd_workloads () =
 (* ------------------------------------------------------------------ *)
 (* Compile service *)
 
-module Server = Rp_serve.Server
 module Client = Rp_serve.Client
 module Mux = Rp_serve.Mux
 module Proto = Rp_serve.Protocol

@@ -3,7 +3,7 @@
 
     A client wraps one {!Protocol.conn} — either a Unix-domain socket
     ({!connect}) or any established connection such as
-    {!Server.loopback} ({!of_conn}) — and exposes one call per request
+    {!Mux.loopback} ({!of_conn}) — and exposes one call per request
     kind. Calls are synchronous: send one request, read one response.
     A client value is not thread-safe; give each thread its own. *)
 
@@ -13,7 +13,7 @@ type t
     Raises [Unix.Unix_error] if the daemon is not there. *)
 val connect : path:string -> t
 
-(** Wrap an established connection (e.g. {!Server.loopback}). *)
+(** Wrap an established connection (e.g. {!Mux.loopback}). *)
 val of_conn : Protocol.conn -> t
 
 val close : t -> unit

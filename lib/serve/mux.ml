@@ -26,7 +26,12 @@
    closes once flushed); well-framed garbage is answered and the
    session continues.  Requests whose deadline expires while queued
    are answered [Timeout] and the abandoned future still populates the
-   cache, exactly like the threaded server.
+   cache.
+
+   Descriptor pressure never ends the loop: an accept error (EMFILE,
+   ENFILE, ECONNABORTED, ...) parks the listener for a short back-off,
+   and connections beyond [max_conns] are refused with [Busy] so no
+   descriptor handed to [Unix.select] reaches FD_SETSIZE.
 
    In router mode ([~shards]) the mux owns no pipeline at all: compile
    requests are routed by the leading bits of their content digest to
@@ -66,9 +71,26 @@ let default_config =
     max_pipeline = 64;
   }
 
+(* [Unix.select] works on fd_sets, which cannot hold a descriptor >=
+   FD_SETSIZE (1024): one such fd in a set makes select fail with
+   EINVAL.  The kernel hands out the lowest free numbers, so capping the
+   connection count keeps every selected fd below the limit as long as
+   the headroom covers the process's other descriptors: stdio, the wake
+   pipe, the listener, one link per shard in router mode, files the
+   persistent store opens on worker domains, and a refused connection
+   between its accept and its close. *)
+let max_conns = 960
+
+(* how long the listener sits out of the read set after an accept
+   error, unless a connection closes first: a listener with a pending
+   connection stays readable, so retrying at once would spin the loop *)
+let accept_backoff_s = 0.05
+
 type counters = {
   mutable accepted : int;
   mutable closed : int;
+  mutable accept_errors : int;
+  mutable refused : int;  (* connections over [max_conns] *)
   mutable req_compile : int;
   mutable req_ping : int;
   mutable req_stats : int;
@@ -142,6 +164,8 @@ let create ?(config = default_config) ?(shards = [||]) () =
       {
         accepted = 0;
         closed = 0;
+        accept_errors = 0;
+        refused = 0;
         req_compile = 0;
         req_ping = 0;
         req_stats = 0;
@@ -271,10 +295,16 @@ let stats_doc t : J.t =
                ("deadline_s", J.Float t.cfg.deadline_s);
                ("wq_high_water", J.Int t.cfg.wq_high_water);
                ("max_pipeline", J.Int t.cfg.max_pipeline);
+               ("max_conns", J.Int max_conns);
              ] );
-         ( "conns",
+         ( "connections",
            J.Obj
-             [ ("accepted", J.Int c.accepted); ("closed", J.Int c.closed) ] );
+             [
+               ("accepted", J.Int c.accepted);
+               ("closed", J.Int c.closed);
+               ("accept_errors", J.Int c.accept_errors);
+               ("refused", J.Int c.refused);
+             ] );
          ( "requests",
            J.Obj
              [
@@ -578,6 +608,7 @@ type cstate = {
   mutable out_bytes : int;
   mutable closing : bool;  (* no more reads; close once drained *)
   mutable blocked_w : bool;  (* last write hit EAGAIN *)
+  mutable wr_ready : bool;  (* select reported it writable this tick *)
   mutable paused : bool;  (* excluded from the read set (stat only) *)
 }
 
@@ -762,6 +793,10 @@ let run t ?(listen : Unix.file_descr option) () =
   in
   let conns : (Unix.file_descr, cstate) Hashtbl.t = Hashtbl.create 64 in
   let scratch = Bytes.create 65536 in
+  (* after an accept error the listener is left out of the read set
+     until this time; a closing connection frees a descriptor and ends
+     the back-off early *)
+  let listen_paused_until = ref 0.0 in
   let adopt fd =
     (try Unix.set_nonblock fd with Unix.Unix_error _ -> ());
     Hashtbl.replace conns fd
@@ -774,14 +809,61 @@ let run t ?(listen : Unix.file_descr option) () =
         out_bytes = 0;
         closing = false;
         blocked_w = false;
+        wr_ready = false;
         paused = false;
       };
     locked t (fun () -> t.counters.accepted <- t.counters.accepted + 1)
   in
+  (* over the cap: one structured [Busy] frame, written without
+     blocking (a fresh socket's buffer takes it whole), then close *)
+  let refuse fd =
+    let f =
+      frame
+        (payload_of_response t
+           (Protocol.Error
+              {
+                kind = Protocol.Busy;
+                message =
+                  Printf.sprintf "connection limit (%d) reached, connection refused"
+                    max_conns;
+              }))
+    in
+    locked t (fun () -> t.counters.refused <- t.counters.refused + 1);
+    (try
+       Unix.set_nonblock fd;
+       ignore (Unix.write_substring fd f 0 (String.length f))
+     with Unix.Unix_error _ -> ());
+    try Unix.close fd with Unix.Unix_error _ -> ()
+  in
+  let admit fd =
+    if Hashtbl.length conns >= max_conns then refuse fd else adopt fd
+  in
   let destroy c =
     Hashtbl.remove conns c.fd;
     (try Unix.close c.fd with Unix.Unix_error _ -> ());
+    listen_paused_until := 0.0;
     locked t (fun () -> t.counters.closed <- t.counters.closed + 1)
+  in
+  let accept_pending lfd =
+    let accepting = ref true in
+    while !accepting do
+      match Unix.accept lfd with
+      | cfd, _ ->
+          if Atomic.get t.stopping then (
+            try Unix.close cfd with Unix.Unix_error _ -> ())
+          else admit cfd
+      | exception
+          Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
+        ->
+          accepting := false
+      | exception Unix.Unix_error _ ->
+          (* EMFILE, ENFILE, ECONNABORTED, ...: keep serving the
+             connections we have and retry after the back-off *)
+          locked t (fun () ->
+              t.counters.accept_errors <- t.counters.accept_errors + 1);
+          listen_paused_until := Unix.gettimeofday () +. accept_backoff_s;
+          accepting := false
+    done
   in
   let read_conn c =
     match
@@ -806,18 +888,20 @@ let run t ?(listen : Unix.file_descr option) () =
   let finished = ref false in
   while not !finished do
     (* adopt loopback registrations *)
-    List.iter adopt
+    List.iter admit
       (locked t (fun () ->
            let l = t.pending_conns in
            t.pending_conns <- [];
            List.rev l));
     let stopping = Atomic.get t.stopping in
+    let tick_start = Unix.gettimeofday () in
     if stopping && !drain_deadline = infinity then
-      drain_deadline := Unix.gettimeofday () +. 30.0;
+      drain_deadline := tick_start +. 30.0;
     (* read set: listener + wake pipe + unpaused open connections *)
     let rds = ref [ t.wake_r ] in
     (match listen with
-    | Some fd when not stopping -> rds := fd :: !rds
+    | Some fd when (not stopping) && tick_start >= !listen_paused_until ->
+        rds := fd :: !rds
     | _ -> ());
     let have_pending = ref false in
     Hashtbl.iter
@@ -845,57 +929,65 @@ let run t ?(listen : Unix.file_descr option) () =
         conns []
     in
     let timeout = if !have_pending then 0.002 else 0.2 in
+    (* a parked listener must be retried when its back-off ends *)
+    let timeout =
+      if !listen_paused_until > tick_start then
+        Float.min timeout (!listen_paused_until -. tick_start)
+      else timeout
+    in
     let readable, writable, _ =
       try Unix.select !rds wrs [] timeout
       with Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
     in
+    (* mark readiness in one pass over each list, so the per-connection
+       work below never searches them: O(connections) per tick *)
+    let wake_ready = ref false and listen_ready = ref false in
+    let to_read = ref [] in
+    List.iter
+      (fun fd ->
+        if fd = t.wake_r then wake_ready := true
+        else if Some fd = listen then listen_ready := true
+        else
+          match Hashtbl.find_opt conns fd with
+          | Some c -> to_read := c :: !to_read
+          | None -> ())
+      readable;
+    List.iter
+      (fun fd ->
+        match Hashtbl.find_opt conns fd with
+        | Some c -> c.wr_ready <- true
+        | None -> ())
+      writable;
     (* wake pipe: drain and discard *)
-    if List.mem t.wake_r readable then begin
+    if !wake_ready then begin
       try
         while Unix.read t.wake_r scratch 0 64 > 0 do
           ()
         done
       with Unix.Unix_error _ -> ()
     end;
-    (* accept *)
-    (match listen with
-    | Some lfd when List.mem lfd readable ->
-        let accepting = ref true in
-        while !accepting do
-          match Unix.accept lfd with
-          | cfd, _ ->
-              if Atomic.get t.stopping then Unix.close cfd else adopt cfd
-          | exception
-              Unix.Unix_error
-                ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->
-              accepting := false
-        done
-    | _ -> ());
-    (* reads *)
-    List.iter
-      (fun fd ->
-        match Hashtbl.find_opt conns fd with
-        | None -> ()
-        | Some c -> (
-            try read_conn c with Conn_dead -> destroy c))
-      readable;
+    if !listen_ready then Option.iter accept_pending listen;
+    List.iter (fun c -> try read_conn c with Conn_dead -> destroy c) !to_read;
     (* futures, deadlines, ordered flush, then writes *)
     let now = Unix.gettimeofday () in
     let dead = ref [] in
     Hashtbl.iter
       (fun _ c ->
         advance_slots t c ~now;
-        if not (Queue.is_empty c.outq) && (not c.blocked_w || List.mem c.fd writable)
-        then begin
-          try try_write c
-          with Unix.Unix_error _ -> dead := c :: !dead
-        end;
+        let write_failed =
+          (not (Queue.is_empty c.outq))
+          && (not c.blocked_w || c.wr_ready)
+          && match try_write c with
+             | () -> false
+             | exception Unix.Unix_error _ -> true
+        in
+        c.wr_ready <- false;
         (* a draining daemon retires idle connections *)
         if stopping && Queue.is_empty c.slots && Queue.is_empty c.outq then
           c.closing <- true;
         if
-          c.closing && Queue.is_empty c.slots && Queue.is_empty c.outq
-          && not (List.memq c !dead)
+          write_failed
+          || (c.closing && Queue.is_empty c.slots && Queue.is_empty c.outq)
         then dead := c :: !dead)
       conns;
     List.iter destroy !dead;

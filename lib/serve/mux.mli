@@ -24,9 +24,33 @@
     response bytes verbatim.  The invariant: the shard index is a pure
     function of the cache key, so cache residency partitions cleanly.
 
-    Like the threaded {!Server}, reports served deterministically are
-    byte-identical to one-shot [Pipeline.run_fresh_json] output; only
-    deterministic reports are cached. *)
+    Reports served deterministically are byte-identical to one-shot
+    [Pipeline.run_fresh_json] output: compile execution is serialised
+    by {!Obs_guard} around the process-global observability registries,
+    so cross-request throughput comes from the cache and the loop, not
+    from overlapping compiles.  Only deterministic reports are cached;
+    a non-deterministic request asks for fresh wall-clock measurements
+    and bypasses the cache on both lookup and fill.  A pipeline
+    exception is captured in its future and answered as a structured
+    error: no client input can kill the daemon.
+
+    {2 Degradation under load}
+
+    - [max_inflight]: compiles beyond this many running futures are
+      shed at once with a [Busy] error; the daemon never queues
+      unboundedly.
+    - Deadlines: a request whose deadline passes is answered
+      [Timeout]; the compile finishes in the background and still
+      fills the cache.
+    - Descriptors: connections beyond a fixed cap below FD_SETSIZE are
+      refused with a [Busy] error and closed; an accept error such as
+      EMFILE leaves the listener out of the read set until a
+      connection closes or a short back-off passes.  Both are counted
+      in the stats document's [connections] section.
+    - Shutdown (SIGINT/SIGTERM on {!serve_unix}, a [Shutdown] request,
+      or {!request_shutdown}): the listener closes, in-flight work is
+      drained and answered, further compile requests get a
+      [Shutting_down] error, and idle connections are closed. *)
 
 type config = {
   jobs : int;  (** compile pool size (forced to at least 2 so the

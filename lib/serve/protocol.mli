@@ -9,10 +9,10 @@
     caller to turn into an error response — never an exception, never
     a dead daemon.
 
-    The transport is abstract ({!conn}): the server wraps Unix-domain
-    sockets and the test suite an in-process loopback pipe
-    ({!Server.loopback}) in the same record, so every protocol and
-    server path is exercised without touching the network. *)
+    The transport is abstract ({!conn}): the daemon's Unix-domain
+    sockets and the in-process loopback socketpairs the tests use
+    ({!Mux.loopback}) share the same record, so every protocol and
+    daemon path is exercised without touching the network. *)
 
 (** Protocol version spoken by this build: 1. Carried in every
     request and response as ["v"]; a request with a different version

@@ -1,11 +1,13 @@
-(* End-to-end tests of the compile daemon over the loopback transport:
-   the full server surface — concurrent clients, cache rounds,
-   byte-identity with direct pipeline runs, poisoned requests,
-   malformed frames, shedding, deadlines, shutdown — without a
-   socket. *)
+(* End-to-end tests of the compile daemon ([Mux]) over its loopback
+   transport, a socketpair into the select loop: concurrent clients,
+   cache rounds, byte-identity with direct pipeline runs, poisoned
+   requests, malformed frames, shedding, deadlines, shutdown, frame
+   reassembly, pipelining order, single-flight dedup, the persistent
+   store across restarts, and the shard router — without a socket
+   path. *)
 
 module Proto = Rp_serve.Protocol
-module Server = Rp_serve.Server
+module Mux = Rp_serve.Mux
 module Client = Rp_serve.Client
 module Cache = Rp_serve.Cache
 module P = Rp_core.Pipeline
@@ -17,13 +19,40 @@ let options = { P.default_options with trace = true }
 let request (w : R.workload) =
   { Proto.target = `Workload w.R.name; options; deterministic = true; deadline_s = None }
 
-let with_server ?config f =
-  let srv = Server.create ?config () in
-  Fun.protect ~finally:(fun () -> Server.stop srv) (fun () -> f srv)
+(* small deterministic compile requests; [options] (trace on) is
+   reserved for the byte-identity checks *)
+let mux_options = { P.default_options with P.trace = false; fuel = 10_000_000 }
 
-let with_client srv f =
-  let c = Client.of_conn (Server.loopback srv) in
+let mk_compile ?deadline_s ?(options = mux_options) target =
+  { Proto.target; options; deterministic = true; deadline_s }
+
+let with_mux ?config ?shards f =
+  let mx = Mux.create ?config ?shards () in
+  Mux.start mx;
+  Fun.protect ~finally:(fun () -> Mux.stop mx) (fun () -> f mx)
+
+let with_client mx f =
+  let c = Client.of_conn (Mux.loopback mx) in
   Fun.protect ~finally:(fun () -> Client.close c) (fun () -> f c)
+
+let with_tmp_dir f =
+  let dir =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "rp_mux_test_%d_%d" (Unix.getpid ()) (Random.int 1_000_000))
+  in
+  Unix.mkdir dir 0o700;
+  Fun.protect
+    ~finally:(fun () ->
+      let rec rm p =
+        if Sys.is_directory p then begin
+          Array.iter (fun e -> rm (Filename.concat p e)) (Sys.readdir p);
+          Unix.rmdir p
+        end
+        else Sys.remove p
+      in
+      try rm dir with Sys_error _ | Unix.Unix_error _ -> ())
+    (fun () -> f dir)
 
 let response_label = function
   | Proto.Report { cached; _ } ->
@@ -34,8 +63,32 @@ let response_label = function
   | Proto.Stats_reply _ -> "Stats_reply"
   | Proto.Shutdown_ack -> "Shutdown_ack"
 
+let framed_label = function
+  | Proto.Msg r -> response_label r
+  | Proto.End -> "End"
+  | Proto.Garbled m -> "Garbled " ^ m
+
+(* one request as its wire bytes: length prefix + JSON payload *)
+let frame_bytes (r : Proto.request) =
+  let payload = J.to_string ~minify:true (Proto.request_to_json r) in
+  let frame = Bytes.create (4 + String.length payload) in
+  Bytes.set_int32_be frame 0 (Int32.of_int (String.length payload));
+  Bytes.blit_string payload 0 frame 4 (String.length payload);
+  frame
+
+(* an integer at [path] under the stats document's "serve" section *)
+let serve_stat mx path =
+  match
+    List.fold_left
+      (fun o k -> Option.bind o (fun o -> J.member o k))
+      (J.member (Mux.stats_doc mx) "serve")
+      path
+  with
+  | Some (J.Int n) -> n
+  | _ -> Alcotest.failf "stats: no serve.%s" (String.concat "." path)
+
 (* ------------------------------------------------------------------ *)
-(* The headline test: N concurrent clients over the 8 seed workloads.
+(* The headline test: 4 concurrent clients over every named workload.
    Round 1 (cold) must return fresh reports byte-identical to direct
    [Pipeline.run_fresh_json] runs; round 2 (warm) must serve the same
    bytes from the cache. *)
@@ -53,7 +106,7 @@ let test_rounds () =
         (w.R.name, s))
       R.all
   in
-  with_server @@ fun srv ->
+  with_mux @@ fun mx ->
   let clients = 4 in
   (* partition the workloads round-robin over the clients *)
   let parts = Array.make clients [] in
@@ -66,7 +119,7 @@ let test_rounds () =
       List.init clients (fun i ->
           Thread.create
             (fun () ->
-              with_client srv @@ fun c ->
+              with_client mx @@ fun c ->
               results.(i) <-
                 List.map
                   (fun (w : R.workload) ->
@@ -96,15 +149,15 @@ let test_rounds () =
   in
   check_round ~name:"round1" ~want_cached:false (round ());
   check_round ~name:"round2" ~want_cached:true (round ());
-  let s = Cache.stats (Server.cache srv) in
+  let s = Cache.stats (Mux.cache mx) in
   Alcotest.(check int) "round2 all hits" (List.length R.all) s.Cache.hits;
   Alcotest.(check int) "round1 all misses" (List.length R.all) s.Cache.misses
 
 (* ------------------------------------------------------------------ *)
 
 let test_poisoned () =
-  with_server @@ fun srv ->
-  with_client srv @@ fun c ->
+  with_mux @@ fun mx ->
+  with_client mx @@ fun c ->
   (* a lexer error must come back as a structured Bad_input response *)
   (match
      Client.compile c
@@ -124,8 +177,8 @@ let test_poisoned () =
   Alcotest.(check bool) "ping after poison" true (Client.ping c)
 
 let test_fuel_exhausted () =
-  with_server @@ fun srv ->
-  with_client srv @@ fun c ->
+  with_mux @@ fun mx ->
+  with_client mx @@ fun c ->
   (* an infinite loop under a tiny budget: a structured fuel_exhausted
      error, distinct from Bad_input, naming the budget *)
   (match
@@ -152,8 +205,8 @@ let test_fuel_exhausted () =
   Alcotest.(check bool) "ping after fuel exhaustion" true (Client.ping c)
 
 let test_unknown_workload () =
-  with_server @@ fun srv ->
-  with_client srv @@ fun c ->
+  with_mux @@ fun mx ->
+  with_client mx @@ fun c ->
   match
     Client.compile c
       { Proto.target = `Workload "no-such-workload"; options;
@@ -163,41 +216,35 @@ let test_unknown_workload () =
   | r -> Alcotest.failf "unknown workload: %s" (response_label r)
 
 let test_malformed_frame () =
-  with_server @@ fun srv ->
-  let conn = Server.loopback srv in
+  with_mux @@ fun mx ->
+  let conn = Mux.loopback mx in
   Fun.protect ~finally:(fun () -> conn.Proto.close ()) @@ fun () ->
-  (* a length prefix beyond max_frame: answered with a protocol error,
-     then the connection is closed (the stream is desynchronised) *)
+  (* a negative length prefix: answered with a protocol error, then
+     the connection is closed (the stream is desynchronised); the
+     oversized prefix is "mux oversized frame poisons stream" *)
   let hdr = Bytes.create 4 in
-  Bytes.set_int32_be hdr 0 (Int32.of_int (Proto.max_frame + 1));
+  Bytes.set_int32_be hdr 0 (-1l);
   conn.Proto.output hdr 0 4;
   (match Proto.recv_response conn with
   | Proto.Msg (Proto.Error { kind = Proto.Protocol_error; _ }) -> ()
-  | Proto.Msg r -> Alcotest.failf "bad frame: %s" (response_label r)
-  | Proto.End -> Alcotest.fail "bad frame: closed without an error response"
-  | Proto.Garbled m -> Alcotest.failf "bad frame: garbled reply: %s" m);
+  | r -> Alcotest.failf "bad frame: %s" (framed_label r));
   (match Proto.recv_response conn with
   | Proto.End -> ()
   | _ -> Alcotest.fail "connection not closed after framing violation");
   (* the daemon survived: a fresh connection works *)
-  with_client srv @@ fun c ->
+  with_client mx @@ fun c ->
   Alcotest.(check bool) "ping after bad frame" true (Client.ping c)
 
 let test_garbled_json () =
-  with_server @@ fun srv ->
-  let conn = Server.loopback srv in
+  with_mux @@ fun mx ->
+  let conn = Mux.loopback mx in
   Fun.protect ~finally:(fun () -> conn.Proto.close ()) @@ fun () ->
   (* well-framed garbage: an error response, and the same connection
      keeps working *)
   Proto.write_frame conn "this is not json";
   (match Proto.recv_response conn with
   | Proto.Msg (Proto.Error { kind = Proto.Protocol_error; _ }) -> ()
-  | r ->
-      Alcotest.failf "garbage payload: %s"
-        (match r with
-        | Proto.Msg m -> response_label m
-        | Proto.End -> "End"
-        | Proto.Garbled m -> "Garbled " ^ m));
+  | r -> Alcotest.failf "garbage payload: %s" (framed_label r));
   Proto.send_request conn Proto.Ping;
   match Proto.recv_response conn with
   | Proto.Msg Proto.Pong -> ()
@@ -205,20 +252,20 @@ let test_garbled_json () =
 
 let test_busy_shedding () =
   (* max_inflight 0: every uncached compile is shed immediately *)
-  with_server
-    ~config:{ Server.default_config with Server.max_inflight = 0 }
-  @@ fun srv ->
-  with_client srv @@ fun c ->
+  with_mux
+    ~config:{ Mux.default_config with Mux.max_inflight = 0 }
+  @@ fun mx ->
+  with_client mx @@ fun c ->
   (match Client.compile c (request (List.hd R.all)) with
   | Proto.Error { kind = Proto.Busy; _ } -> ()
   | r -> Alcotest.failf "expected Busy, got %s" (response_label r));
   Alcotest.(check bool) "ping while shedding" true (Client.ping c)
 
 let test_deadline () =
-  with_server
-    ~config:{ Server.default_config with Server.deadline_s = 0.005 }
-  @@ fun srv ->
-  with_client srv @@ fun c ->
+  with_mux
+    ~config:{ Mux.default_config with Mux.deadline_s = 0.005 }
+  @@ fun mx ->
+  with_client mx @@ fun c ->
   let w = List.hd R.all in
   (* a full pipeline run takes far longer than 5 ms *)
   (match Client.compile c (request w) with
@@ -228,17 +275,18 @@ let test_deadline () =
   Alcotest.(check bool) "ping during background compile" true (Client.ping c);
   (* the background worker finishes into the cache *)
   let deadline = Unix.gettimeofday () +. 60.0 in
-  while Server.inflight srv > 0 && Unix.gettimeofday () < deadline do
+  while serve_stat mx [ "inflight" ] > 0 && Unix.gettimeofday () < deadline do
     Thread.delay 0.01
   done;
-  Alcotest.(check int) "background compile drained" 0 (Server.inflight srv);
+  Alcotest.(check int) "background compile drained" 0
+    (serve_stat mx [ "inflight" ]);
   match Client.compile c (request w) with
   | Proto.Report { cached = true; _ } -> ()
   | r -> Alcotest.failf "expected cached Report, got %s" (response_label r)
 
 let test_nondet_bypasses_cache () =
-  with_server @@ fun srv ->
-  with_client srv @@ fun c ->
+  with_mux @@ fun mx ->
+  with_client mx @@ fun c ->
   let req =
     { Proto.target = `Source "int main() { return 0; }";
       options; deterministic = false; deadline_s = None }
@@ -252,7 +300,7 @@ let test_nondet_bypasses_cache () =
       | r -> Alcotest.failf "%s: %s" name (response_label r))
     [ "first non-det compile"; "second non-det compile" ];
   Alcotest.(check int) "cache untouched" 0
-    (Cache.stats (Server.cache srv)).Cache.entries;
+    (Cache.stats (Mux.cache mx)).Cache.entries;
   (* the same source requested deterministically is cached as usual *)
   (match Client.compile c { req with Proto.deterministic = true; deadline_s = None } with
   | Proto.Report { cached = false; _ } -> ()
@@ -262,8 +310,8 @@ let test_nondet_bypasses_cache () =
   | r -> Alcotest.failf "det recompile: %s" (response_label r)
 
 let test_stats () =
-  with_server @@ fun srv ->
-  with_client srv @@ fun c ->
+  with_mux @@ fun mx ->
+  with_client mx @@ fun c ->
   Alcotest.(check bool) "ping" true (Client.ping c);
   let doc = Client.stats c in
   (match J.member doc "schema_version" with
@@ -276,35 +324,72 @@ let test_stats () =
     | Some s -> s
     | None -> Alcotest.fail "stats: no serve section"
   in
-  match J.member serve "cache" with
+  (match J.member serve "cache" with
   | Some _ -> ()
-  | None -> Alcotest.fail "stats: no cache stats"
+  | None -> Alcotest.fail "stats: no cache stats");
+  (* descriptor pressure is counted, and an idle daemon has seen none *)
+  List.iter
+    (fun k ->
+      Alcotest.(check int) ("connections." ^ k) 0
+        (serve_stat mx [ "connections"; k ]))
+    [ "accept_errors"; "refused" ]
 
 let test_shutdown () =
-  with_server @@ fun srv ->
-  with_client srv @@ fun c ->
-  Alcotest.(check bool) "shutdown acked" true (Client.shutdown c);
-  Alcotest.(check bool) "flag set" true (Server.shutting_down srv);
-  (* a connection opened during the drain is refused new compile work *)
-  with_client srv @@ fun c2 ->
-  match
-    Client.compile c2
-      { Proto.target = `Source "int main() { return 0; }";
-        options; deterministic = true; deadline_s = None }
-  with
-  | Proto.Error { kind = Proto.Shutting_down; _ } -> ()
-  | r -> Alcotest.failf "compile during drain: %s" (response_label r)
+  with_mux @@ fun mx ->
+  let busy = Mux.loopback mx and ctl = Mux.loopback mx in
+  Fun.protect
+    ~finally:(fun () ->
+      busy.Proto.close ();
+      ctl.Proto.close ())
+  @@ fun () ->
+  (* a compile still running when the shutdown lands: its cache miss
+     shows the loop has dispatched it, and the loop finishes that
+     dispatch before it can read the Shutdown below *)
+  Proto.send_request busy
+    (Proto.Compile (mk_compile (`Workload (R.generated 240).R.name)));
+  let deadline = Unix.gettimeofday () +. 10.0 in
+  while
+    (Cache.stats (Mux.cache mx)).Cache.misses = 0
+    && Unix.gettimeofday () < deadline
+  do
+    Thread.delay 0.001
+  done;
+  (* Shutdown and a compile in one write, so the loop reads both in
+     one pass: the compile is decoded after the drain has begun *)
+  let frames =
+    Bytes.cat (frame_bytes Proto.Shutdown)
+      (frame_bytes
+         (Proto.Compile (mk_compile (`Source "int main() { return 0; }"))))
+  in
+  ctl.Proto.output frames 0 (Bytes.length frames);
+  let next name conn want =
+    let r = Proto.recv_response conn in
+    if not (want r) then Alcotest.failf "%s: %s" name (framed_label r)
+  in
+  next "shutdown ack" ctl (function
+    | Proto.Msg Proto.Shutdown_ack -> true
+    | _ -> false);
+  Alcotest.(check bool) "flag set" true (Mux.shutting_down mx);
+  next "compile during drain" ctl (function
+    | Proto.Msg (Proto.Error { kind = Proto.Shutting_down; _ }) -> true
+    | _ -> false);
+  next "idle connection retired" ctl (function Proto.End -> true | _ -> false);
+  (* the in-flight compile is drained and answered, then retired *)
+  next "in-flight compile answered" busy (function
+    | Proto.Msg (Proto.Report { cached = false; _ }) -> true
+    | _ -> false);
+  next "drained connection retired" busy (function
+    | Proto.End -> true
+    | _ -> false)
 
 let test_stop_idempotent () =
-  with_server @@ fun srv ->
-  with_client srv @@ fun c ->
+  with_mux @@ fun mx ->
+  with_client mx @@ fun c ->
   Alcotest.(check bool) "ping" true (Client.ping c);
-  (* explicit stop, then the with_server finally stops again: the
+  (* explicit stop, then the with_mux finally stops again: the
      teardown must be claimed exactly once, never drained twice *)
-  Server.stop srv;
-  Server.stop srv
-
-(* ------------------------------------------------------------------ *)
+  Mux.stop mx;
+  Mux.stop mx
 
 (* ------------------------------------------------------------------ *)
 (* The register budget is part of the cache key: requests differing
@@ -313,15 +398,15 @@ let test_stop_idempotent () =
 
 let test_regs_splits_cache () =
   let w = Option.get (R.find "compr") in
-  (* oracle for the budgeted report, computed before the server owns
+  (* oracle for the budgeted report, computed before the daemon owns
      the process-global obs state *)
   let _, direct6 =
     P.run_fresh_json ~label:w.R.name ~deterministic:true
       ~options:{ options with P.regs = Some 6 }
       w.R.source
   in
-  with_server @@ fun srv ->
-  with_client srv @@ fun c ->
+  with_mux @@ fun mx ->
+  with_client mx @@ fun c ->
   let req regs =
     {
       Proto.target = `Workload w.R.name;
@@ -357,83 +442,9 @@ let test_regs_splits_cache () =
     (expect "regs 8 warm" true (Client.compile c (req (Some 8))))
 
 (* ------------------------------------------------------------------ *)
-(* The event-driven mux daemon: the same loopback discipline over a
-   real socketpair into the select loop — frame reassembly, pipelining
-   order, deadlines, single-flight dedup, stream poisoning, the
-   persistent store across restarts, and the shard router. *)
-
-module Mux = Rp_serve.Mux
-
-let with_mux ?config ?shards f =
-  let mx = Mux.create ?config ?shards () in
-  Mux.start mx;
-  Fun.protect ~finally:(fun () -> Mux.stop mx) (fun () -> f mx)
-
-let with_mux_client mx f =
-  let c = Client.of_conn (Mux.loopback mx) in
-  Fun.protect ~finally:(fun () -> Client.close c) (fun () -> f c)
-
-let with_tmp_dir f =
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "rp_mux_test_%d_%d" (Unix.getpid ()) (Random.int 1_000_000))
-  in
-  Unix.mkdir dir 0o700;
-  Fun.protect
-    ~finally:(fun () ->
-      let rec rm p =
-        if Sys.is_directory p then begin
-          Array.iter (fun e -> rm (Filename.concat p e)) (Sys.readdir p);
-          Unix.rmdir p
-        end
-        else Sys.remove p
-      in
-      try rm dir with Sys_error _ | Unix.Unix_error _ -> ())
-    (fun () -> f dir)
-
-(* small deterministic compile requests for the mux tests; [options]
-   (trace on) is reserved for the byte-identity checks *)
-let mux_options = { P.default_options with P.trace = false; fuel = 10_000_000 }
-
-let mk_compile ?deadline_s ?(options = mux_options) target =
-  { Proto.target; options; deterministic = true; deadline_s }
-
-let test_mux_rounds () =
-  let ws = [ Option.get (R.find "compr"); Option.get (R.find "go") ] in
-  (* oracle first: direct runs own the process-global obs state *)
-  let expected =
-    List.map
-      (fun (w : R.workload) ->
-        let _, s =
-          P.run_fresh_json ~label:w.R.name ~deterministic:true ~options
-            w.R.source
-        in
-        (w.R.name, s))
-      ws
-  in
-  with_mux @@ fun mx ->
-  with_mux_client mx @@ fun c ->
-  List.iter
-    (fun (w : R.workload) ->
-      match Client.compile c (request w) with
-      | Proto.Report { cached = false; report } ->
-          Alcotest.(check string)
-            (w.R.name ^ ": cold byte-identical to direct run")
-            (List.assoc w.R.name expected)
-            report
-      | r -> Alcotest.failf "%s cold: %s" w.R.name (response_label r))
-    ws;
-  List.iter
-    (fun (w : R.workload) ->
-      match Client.compile c (request w) with
-      | Proto.Report { cached = true; report } ->
-          Alcotest.(check string)
-            (w.R.name ^ ": warm bytes stable")
-            (List.assoc w.R.name expected)
-            report
-      | r -> Alcotest.failf "%s warm: %s" w.R.name (response_label r))
-    ws
+(* The event loop itself: frame reassembly, pipelining order,
+   deadlines, single-flight dedup, stream poisoning, the persistent
+   store across restarts, and the shard router. *)
 
 let test_mux_pipelined_order () =
   with_mux @@ fun mx ->
@@ -458,10 +469,7 @@ let test_mux_slow_loris () =
   with_mux @@ fun mx ->
   let conn = Mux.loopback mx in
   Fun.protect ~finally:(fun () -> conn.Proto.close ()) @@ fun () ->
-  let payload = J.to_string ~minify:true (Proto.request_to_json Proto.Ping) in
-  let frame = Bytes.create (4 + String.length payload) in
-  Bytes.set_int32_be frame 0 (Int32.of_int (String.length payload));
-  Bytes.blit_string payload 0 frame 4 (String.length payload);
+  let frame = frame_bytes Proto.Ping in
   (* dribble half the frame a byte at a time; the daemon must buffer
      the fragments without blocking anyone else *)
   let half = Bytes.length frame / 2 in
@@ -470,7 +478,7 @@ let test_mux_slow_loris () =
     if i mod 5 = 0 then Thread.delay 0.001
   done;
   (* other clients are served while the loris holds its half-frame *)
-  with_mux_client mx (fun c ->
+  with_client mx (fun c ->
       Alcotest.(check bool) "ping during partial frame" true (Client.ping c));
   for i = half to Bytes.length frame - 1 do
     conn.Proto.output frame i 1
@@ -490,7 +498,7 @@ let test_mux_hangup_mid_response () =
   conn.Proto.close ();
   (* give the abandoned response time to be computed and written *)
   Thread.delay 0.3;
-  with_mux_client mx @@ fun c ->
+  with_client mx @@ fun c ->
   Alcotest.(check bool) "ping after hangup" true (Client.ping c);
   match
     Client.compile c (mk_compile (`Source "int main() { return 42; }"))
@@ -500,7 +508,7 @@ let test_mux_hangup_mid_response () =
 
 let test_mux_per_request_deadline () =
   with_mux @@ fun mx ->
-  with_mux_client mx @@ fun c ->
+  with_client mx @@ fun c ->
   (* a 1 ms budget on a generated workload: expired long before the
      compile lands, overriding the (huge) server default *)
   (match
@@ -561,18 +569,8 @@ let test_mux_dedup_single_flight () =
   let r1 = report_of "first" in
   let r2 = report_of "second" in
   Alcotest.(check string) "joined twin serves identical bytes" r1 r2;
-  let joins =
-    match J.member (Mux.stats_doc mx) "serve" with
-    | Some serve -> (
-        match J.member serve "responses" with
-        | Some responses -> (
-            match J.member responses "dedup_joins" with
-            | Some (J.Int n) -> n
-            | _ -> Alcotest.fail "stats: no dedup_joins")
-        | None -> Alcotest.fail "stats: no responses section")
-    | None -> Alcotest.fail "stats: no serve section"
-  in
-  Alcotest.(check int) "exactly one dedup join" 1 joins
+  Alcotest.(check int) "exactly one dedup join" 1
+    (serve_stat mx [ "responses"; "dedup_joins" ])
 
 let test_mux_oversized_poisons () =
   with_mux @@ fun mx ->
@@ -589,7 +587,7 @@ let test_mux_oversized_poisons () =
   (match Proto.recv_response conn with
   | Proto.End -> ()
   | _ -> Alcotest.fail "stream not poisoned after oversized frame");
-  with_mux_client mx @@ fun c ->
+  with_client mx @@ fun c ->
   Alcotest.(check bool) "daemon survives" true (Client.ping c)
 
 let test_mux_store_restart () =
@@ -598,7 +596,7 @@ let test_mux_store_restart () =
   let req = mk_compile (`Source "int main() { return 40 + 2; }") in
   let report1 =
     with_mux ~config @@ fun mx ->
-    with_mux_client mx @@ fun c ->
+    with_client mx @@ fun c ->
     match Client.compile c req with
     | Proto.Report { cached = false; report } -> report
     | r -> Alcotest.failf "first daemon: %s" (response_label r)
@@ -606,7 +604,7 @@ let test_mux_store_restart () =
   (* a fresh daemon over the same directory: warm from request one,
      byte-identical across the restart *)
   with_mux ~config @@ fun mx ->
-  with_mux_client mx @@ fun c ->
+  with_client mx @@ fun c ->
   match Client.compile c req with
   | Proto.Report { cached = true; report } ->
       Alcotest.(check string) "bytes survive the restart" report1 report
@@ -636,7 +634,7 @@ let test_mux_shard_router () =
       Mux.stop router;
       Array.iter Thread.join shard_threads)
   @@ fun () ->
-  with_mux_client router @@ fun c ->
+  with_client router @@ fun c ->
   let srcs =
     List.init 6 (fun i -> Printf.sprintf "int main() { return %d; }" i)
   in
@@ -688,7 +686,6 @@ let suite =
     Alcotest.test_case "stats document" `Quick test_stats;
     Alcotest.test_case "shutdown drain" `Quick test_shutdown;
     Alcotest.test_case "stop idempotent" `Quick test_stop_idempotent;
-    Alcotest.test_case "mux rounds byte-identical" `Slow test_mux_rounds;
     Alcotest.test_case "mux pipelined responses ordered" `Slow
       test_mux_pipelined_order;
     Alcotest.test_case "mux slow-loris partial frames" `Quick
