@@ -184,7 +184,9 @@ let evaluate ~(allow_store_removal : bool) (f : Func.t) (dom : Dom.t)
   end
   else begin
     let la = loads_added w in
-    let sa = stores_added f dom w in
+    (* both halves of stores_added start from store-defined resources:
+       a web without singleton stores adds none *)
+    let sa = if w.Web_info.stores = [] then [] else stores_added f dom w in
     let removable_loads =
       List.filter
         (fun (_, r) -> Web_info.store_defined w r || Web_info.phi_defined w r)

@@ -19,27 +19,22 @@ let check_func (tab : Resource.table) (f : Func.t) : error list =
   ignore tab;
   let errors = ref [] in
   let add e = errors := e :: !errors in
-  let live bid =
-    bid >= 0 && bid < Func.num_blocks f && not (Func.block f bid).Block.dead
-  in
+  let nblocks = Func.num_blocks f in
+  let live bid = bid >= 0 && bid < nblocks && not (Func.block f bid).Block.dead in
   if not (live f.entry) then
     add (err f.fname "entry block b%d is dead or out of range" f.entry);
-  (* compute fresh preds to compare against the cache *)
-  let fresh_preds = Hashtbl.create 16 in
+  (* compute fresh preds to compare against the cache; only blocks in
+     range are ever compared *)
+  let fresh_preds = Array.make nblocks [] in
   Func.iter_blocks
     (fun b ->
       List.iter
         (fun s ->
-          let cur =
-            match Hashtbl.find_opt fresh_preds s with
-            | Some l -> l
-            | None -> []
-          in
-          if not (List.mem b.Block.bid cur) then
-            Hashtbl.replace fresh_preds s (b.Block.bid :: cur))
+          if s >= 0 && s < nblocks && not (List.mem b.Block.bid fresh_preds.(s))
+          then fresh_preds.(s) <- b.Block.bid :: fresh_preds.(s))
         (Block.succs b))
     f;
-  let seen_iids = Hashtbl.create 64 in
+  let seen_iids = Id_table.create f.next_iid ~default:0 in
   Func.iter_blocks
     (fun b ->
       let where = Printf.sprintf "%s/b%d" f.fname b.bid in
@@ -49,16 +44,12 @@ let check_func (tab : Resource.table) (f : Func.t) : error list =
           if not (live s) then add (err where "branch target b%d is dead" s))
         (Block.succs b);
       (* preds cache *)
-      let expect =
-        match Hashtbl.find_opt fresh_preds b.bid with
-        | Some l -> List.sort Int.compare l
-        | None -> []
-      in
-      let got = List.sort Int.compare b.preds in
-      if expect <> got then
+      let expect = List.sort Int.compare fresh_preds.(b.bid) in
+      let preds = List.sort Int.compare b.preds in
+      if not (List.equal Int.equal expect preds) then
         add
           (err where "stale predecessor cache: cached {%s} actual {%s}"
-             (String.concat "," (List.map string_of_int got))
+             (String.concat "," (List.map string_of_int preds))
              (String.concat "," (List.map string_of_int expect)));
       (* phi placement and arity *)
       Iseq.iter
@@ -72,10 +63,8 @@ let check_func (tab : Resource.table) (f : Func.t) : error list =
             add (err where "phi instruction in body (iid %d)" i.iid))
         b.body;
       let check_phi_srcs srcs =
-        let src_bids = List.map fst srcs in
-        let sorted = List.sort Int.compare src_bids in
-        let preds = List.sort Int.compare b.preds in
-        if sorted <> preds then
+        let sorted = List.sort Int.compare (List.map fst srcs) in
+        if not (List.equal Int.equal sorted preds) then
           add
             (err where "phi sources {%s} do not match preds {%s}"
                (String.concat "," (List.map string_of_int sorted))
@@ -91,9 +80,9 @@ let check_func (tab : Resource.table) (f : Func.t) : error list =
       (* iid uniqueness *)
       Block.iter_instrs
         (fun (i : Instr.t) ->
-          if Hashtbl.mem seen_iids i.iid then
+          if Id_table.get seen_iids i.iid <> 0 then
             add (err where "duplicate instruction id %d" i.iid)
-          else Hashtbl.add seen_iids i.iid ())
+          else Id_table.set seen_iids i.iid 1)
         b)
     f;
   List.rev !errors

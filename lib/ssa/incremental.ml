@@ -54,36 +54,30 @@ let engine_of_string = function
    -infinity (represented -max_int), phis occupy negative positions in
    list order so a later phi shadows an earlier one, body instructions
    count 0,1,2,...  A virtual use at the end of a block has position
-   max_int. *)
+   max_int.  Positions are taken during the scans that need them. *)
 
-type def_info = { dpos : int; dres : Resource.t; dinstr : Instr.t option }
+type def_info = { dpos : int; dres : Resource.t }
 
 type ctx = {
   dom : Dom.t;
-  block_defs : (Ids.bid, def_info list) Hashtbl.t;
-      (** per block: defs of the variable, sorted by decreasing pos *)
+  block_defs : def_info list array;
+      (** per block id: defs of the variable, sorted by decreasing pos *)
 }
 
 let add_block_def ctx bid info =
-  let cur =
-    match Hashtbl.find_opt ctx.block_defs bid with Some l -> l | None -> []
-  in
   let rec ins = function
     | [] -> [ info ]
     | x :: rest when x.dpos <= info.dpos -> info :: x :: rest
     | x :: rest -> x :: ins rest
   in
-  Hashtbl.replace ctx.block_defs bid (ins cur)
+  ctx.block_defs.(bid) <- ins ctx.block_defs.(bid)
 
 let compute_reaching_def ctx ~(bid : Ids.bid) ~(pos : int) :
     Resource.t option =
   let find_in b ~before =
-    match Hashtbl.find_opt ctx.block_defs b with
+    match List.find_opt (fun d -> d.dpos < before) ctx.block_defs.(b) with
+    | Some d -> Some d.dres
     | None -> None
-    | Some defs -> (
-        match List.find_opt (fun d -> d.dpos < before) defs with
-        | Some d -> Some d.dres
-        | None -> None)
   in
   match find_in bid ~before:pos with
   | Some r -> Some r
@@ -98,21 +92,16 @@ let compute_reaching_def ctx ~(bid : Ids.bid) ~(pos : int) :
       in
       walk bid
 
-let use_counts (f : Func.t) : (Resource.t, int) Hashtbl.t =
-  let counts = Hashtbl.create 64 in
-  let bump r =
-    let c = match Hashtbl.find_opt counts r with Some c -> c | None -> 0 in
-    Hashtbl.replace counts r (c + 1)
-  in
-  Func.iter_blocks
-    (fun b ->
-      Block.iter_instrs
-        (fun i ->
-          List.iter bump (Instr.mem_uses i.op);
-          List.iter (fun (_, r) -> bump r) (Instr.mphi_srcs i.op))
-        b)
-    f;
-  counts
+(* The role of each version of the updated variable.  Every resource
+   the updater touches is a version of one variable, so per-resource
+   facts are arrays indexed by the version number. *)
+let absent = 0 (* not in the function, or another variable *)
+
+let old = 1
+
+let cloned = 2
+
+let placed = 3
 
 (* [protect] lists resources whose definitions must survive step 4 even
    when they currently have no uses — the per-definition baseline
@@ -147,33 +136,52 @@ let update_for_cloned_resources ?(engine = Cytron)
       Resource.ResSet.for_all
         (fun (r : Resource.t) -> r.base = base)
         cloned_res);
-    (* complete the old set: every resource of this variable in [f] *)
-    let old_res = ref Resource.ResSet.empty in
+    let top () =
+      match Hashtbl.find_opt f.Func.mver base with Some v -> v | None -> 0
+    in
+    let top0 = top () in
+    (* a version past [mver] did not come from [Func.fresh_ver]: refuse
+       it rather than let it share another version's slot *)
+    let ver_of (r : Resource.t) =
+      if r.ver < 0 || r.ver > top0 then
+        invalid_arg
+          (Format.asprintf "Incremental.update: %a is past the variable's \
+                            last version"
+             Resource.pp_raw r)
+      else r.ver
+    in
+    (* complete the old set — every resource of this variable in [f] —
+       and note the block defining each version (-1: entry) *)
+    let kind = Array.make (top0 + 1) absent in
+    let def_block = Array.make (top0 + 1) (-1) in
+    Resource.ResSet.iter (fun r -> kind.(ver_of r) <- cloned) cloned_res;
     let note (r : Resource.t) =
-      if r.base = base && not (Resource.ResSet.mem r cloned_res) then
-        old_res := Resource.ResSet.add r !old_res
+      if r.base = base then begin
+        let v = ver_of r in
+        if kind.(v) = absent then kind.(v) <- old
+      end
     in
     Func.iter_blocks
       (fun b ->
         Block.iter_instrs
           (fun i ->
-            List.iter note (Instr.mem_defs i.op);
+            List.iter
+              (fun (r : Resource.t) ->
+                note r;
+                if r.base = base then def_block.(r.ver) <- b.bid)
+              (Instr.mem_defs i.op);
             List.iter note (Instr.mem_uses i.op);
             List.iter (fun (_, r) -> note r) (Instr.mphi_srcs i.op))
           b)
       f;
-    let old_res = !old_res in
     (* --- Step 1: place phis at the IDF of all definition blocks --- *)
-    let index = Ssa_index.build_for_base f ~base in
-    let def_bb r =
-      match Ssa_index.def_of index r with
-      | Ssa_index.Def_entry -> f.entry
-      | Ssa_index.Def_at { bid; _ } -> bid
-    in
     let init_def_bbs = Bitset.empty () in
-    Resource.ResSet.iter
-      (fun r -> Bitset.add init_def_bbs (def_bb r))
-      (Resource.ResSet.union old_res cloned_res);
+    Array.iteri
+      (fun v k ->
+        if k <> absent then
+          Bitset.add init_def_bbs
+            (if def_block.(v) < 0 then f.entry else def_block.(v)))
+      kind;
     let idf_set =
       match engine with
       | Cytron ->
@@ -183,12 +191,7 @@ let update_for_cloned_resources ?(engine = Cytron)
           let dj = Djgraph.build f dom in
           Djgraph.idf dj init_def_bbs
     in
-    let phi_targets = ref Resource.ResSet.empty in
-    (* placed phi lookup: by target resource and by iid *)
-    let placed_by_res : (Resource.t, Instr.t * Ids.bid) Hashtbl.t =
-      Hashtbl.create 16
-    in
-    let placed : (Ids.iid, Ids.bid) Hashtbl.t = Hashtbl.create 16 in
+    let placed_phis = ref [] in
     Bitset.iter
       (fun bid ->
         let b = Func.block f bid in
@@ -198,72 +201,62 @@ let update_for_cloned_resources ?(engine = Cytron)
            comes later in scan order and shadows the new one, which then
            dies in step 4 — the paper's "inserted redundant phi" *)
         Block.add_phi b i;
-        Hashtbl.replace placed_by_res dst (i, bid);
-        Hashtbl.replace placed i.iid bid;
-        phi_targets := Resource.ResSet.add dst !phi_targets)
+        placed_phis := (dst.Resource.ver, i, bid) :: !placed_phis)
       idf_set;
     Rp_obs.Trace.add_attr "phis_placed"
       (string_of_int (Bitset.cardinal idf_set));
     Rp_obs.Metrics.add "ssa.update.phis_placed" (Bitset.cardinal idf_set);
-    let all_def =
-      Resource.ResSet.union
-        (Resource.ResSet.union old_res cloned_res)
-        !phi_targets
+    (* per-version tables over every version that now exists *)
+    let nv = top () + 1 in
+    let kind =
+      let k = Array.make nv absent in
+      Array.blit kind 0 k 0 (top0 + 1);
+      k
     in
-    (* positions and per-block def lists *)
-    let ctx = { dom; block_defs = Hashtbl.create 32 } in
-    let pos_of : (Ids.iid, int) Hashtbl.t = Hashtbl.create 64 in
+    let kind_of (r : Resource.t) =
+      if r.base = base && r.ver >= 0 && r.ver < nv then kind.(r.ver)
+      else absent
+    in
+    let placed_instr = Array.make nv None and placed_bid = Array.make nv (-1) in
+    List.iter
+      (fun (v, i, bid) ->
+        kind.(v) <- placed;
+        placed_instr.(v) <- Some i;
+        placed_bid.(v) <- bid)
+      !placed_phis;
+    (* per-block def lists of every old, cloned and placed resource *)
+    let ctx = { dom; block_defs = Array.make (Func.num_blocks f) [] } in
+    let add_defs b ~pos (i : Instr.t) =
+      List.iter
+        (fun r ->
+          if kind_of r <> absent then
+            add_block_def ctx b.Block.bid { dpos = pos; dres = r })
+        (Instr.mem_defs i.op)
+    in
     Func.iter_blocks
       (fun b ->
         let nphis = Iseq.length b.phis in
-        Iseq.iteri
-          (fun k (i : Instr.t) -> Hashtbl.replace pos_of i.iid (k - nphis))
-          b.phis;
-        Iseq.iteri
-          (fun k (i : Instr.t) -> Hashtbl.replace pos_of i.iid k)
-          b.body)
-      f;
-    Func.iter_blocks
-      (fun b ->
-        Block.iter_instrs
-          (fun i ->
-            List.iter
-              (fun r ->
-                if Resource.ResSet.mem r all_def then
-                  add_block_def ctx b.bid
-                    {
-                      dpos = Hashtbl.find pos_of i.iid;
-                      dres = r;
-                      dinstr = Some i;
-                    })
-              (Instr.mem_defs i.op))
-          b)
+        Iseq.iteri (fun k i -> add_defs b ~pos:(k - nphis) i) b.phis;
+        Iseq.iteri (fun k i -> add_defs b ~pos:k i) b.body)
       f;
     (* the entry definition, if this variable has one.  Only the old
-       resources can be entry-defined: the index predates phi placement,
-       so the placed phi targets (and any cloned resource) would look
-       "entry-defined" to it — their real definitions are picked up by
-       the instruction scan above. *)
-    Resource.ResSet.iter
-      (fun r ->
-        match Ssa_index.def_of index r with
-        | Ssa_index.Def_entry ->
-            add_block_def ctx f.entry
-              { dpos = -max_int; dres = r; dinstr = None }
-        | Ssa_index.Def_at _ -> ())
-      old_res;
+       resources can be entry-defined: the def scan above predates phi
+       placement, so the placed phi targets (and any cloned resource)
+       would look "entry-defined" to it — their real definitions are
+       picked up by the instruction scan. *)
+    for v = 0 to top0 do
+      if kind.(v) = old && def_block.(v) < 0 then
+        add_block_def ctx f.entry
+          { dpos = -max_int; dres = { Resource.base; ver = v } }
+    done;
     (* --- Step 2: rename uses of old resources --- *)
     let phi_work : Instr.t Queue.t = Queue.create () in
-    let in_work : (Ids.iid, unit) Hashtbl.t = Hashtbl.create 16 in
-    let live_phi : (Ids.iid, unit) Hashtbl.t = Hashtbl.create 16 in
+    let in_work = Array.make nv false and live_phi = Array.make nv false in
     let enqueue_if_placed_phi (r : Resource.t) =
-      match Hashtbl.find_opt placed_by_res r with
-      | Some (i, _) ->
-          if not (Hashtbl.mem in_work i.iid) then begin
-            Hashtbl.add in_work i.iid ();
-            Queue.add i phi_work
-          end
-      | None -> ()
+      if kind_of r = placed && not in_work.(r.ver) then begin
+        in_work.(r.ver) <- true;
+        Queue.add (Option.get placed_instr.(r.ver)) phi_work
+      end
     in
     let reach ~bid ~pos (r : Resource.t) =
       match compute_reaching_def ctx ~bid ~pos with
@@ -276,30 +269,30 @@ let update_for_cloned_resources ?(engine = Cytron)
              minimum the entry version) reaches every real use *)
           r
     in
+    let is_old r = kind_of r = old in
     Func.iter_blocks
       (fun b ->
-        Iseq.iter
-          (fun (i : Instr.t) ->
-            let p = Hashtbl.find pos_of i.iid in
-            i.op <-
-              Instr.map_mem_uses
-                (fun r ->
-                  if Resource.ResSet.mem r old_res then
-                    reach ~bid:b.bid ~pos:p r
-                  else r)
-                i.op)
+        (* only the instructions that use an old resource are rewritten *)
+        Iseq.iteri
+          (fun p (i : Instr.t) ->
+            if List.exists is_old (Instr.mem_uses i.op) then
+              i.op <-
+                Instr.map_mem_uses
+                  (fun r -> if is_old r then reach ~bid:b.bid ~pos:p r else r)
+                  i.op)
           b.body;
         (* phi-source uses of pre-existing phis: virtual use at the end
            of the predecessor *)
         Iseq.iter
           (fun (i : Instr.t) ->
             match i.op with
-            | Instr.Mphi { dst; srcs } when not (Hashtbl.mem placed i.iid) ->
+            | Instr.Mphi { dst; srcs }
+              when kind_of dst <> placed
+                   && List.exists (fun (_, r) -> is_old r) srcs ->
                 let srcs =
                   List.map
                     (fun (p, r) ->
-                      if Resource.ResSet.mem r old_res then
-                        (p, reach ~bid:p ~pos:max_int r)
+                      if is_old r then (p, reach ~bid:p ~pos:max_int r)
                       else (p, r))
                     srcs
                 in
@@ -310,68 +303,81 @@ let update_for_cloned_resources ?(engine = Cytron)
     (* --- Step 3: fill in the sources of live placed phis --- *)
     while not (Queue.is_empty phi_work) do
       let phi = Queue.pop phi_work in
-      Hashtbl.replace live_phi phi.iid ();
-      let bid = Hashtbl.find placed phi.iid in
-      let b = Func.block f bid in
-      let srcs =
-        List.map
-          (fun p ->
-            let rd =
-              match compute_reaching_def ctx ~bid:p ~pos:max_int with
-              | Some rd -> rd
-              | None ->
-                  invalid_arg
-                    "Incremental.update: no definition reaches a live phi \
-                     source"
-            in
-            enqueue_if_placed_phi rd;
-            (p, rd))
-          b.preds
-      in
       match phi.op with
-      | Instr.Mphi { dst; _ } -> phi.op <- Instr.Mphi { dst; srcs }
+      | Instr.Mphi { dst; _ } ->
+          live_phi.(dst.Resource.ver) <- true;
+          let b = Func.block f placed_bid.(dst.Resource.ver) in
+          let srcs =
+            List.map
+              (fun p ->
+                let rd =
+                  match compute_reaching_def ctx ~bid:p ~pos:max_int with
+                  | Some rd -> rd
+                  | None ->
+                      invalid_arg
+                        "Incremental.update: no definition reaches a live \
+                         phi source"
+                in
+                enqueue_if_placed_phi rd;
+                (p, rd))
+              b.preds
+          in
+          phi.op <- Instr.Mphi { dst; srcs }
       | _ -> assert false
     done;
     (* delete placed phis that never became live (they still have empty
        source lists and would be structurally invalid) *)
-    Hashtbl.iter
-      (fun iid bid ->
-        if not (Hashtbl.mem live_phi iid) then
-          Block.remove_instr (Func.block f bid) ~iid)
-      placed;
+    List.iter
+      (fun (v, (i : Instr.t), bid) ->
+        if not live_phi.(v) then Block.remove_instr (Func.block f bid) ~iid:i.iid)
+      !placed_phis;
     (* --- Step 4: delete definitions with no uses, cascading --- *)
-    let counts = use_counts f in
-    let uses_of r =
-      match Hashtbl.find_opt counts r with Some c -> c | None -> 0
-    in
-    let dec r =
-      match Hashtbl.find_opt counts r with
-      | Some c -> Hashtbl.replace counts r (c - 1)
-      | None -> ()
-    in
-    let deleted = ref 0 in
-    let changed = ref true in
-    while !changed do
-      changed := false;
-      Func.iter_blocks
-        (fun b ->
-          let deletable (i : Instr.t) =
+    let counts = Array.make nv 0 in
+    let bump r = if kind_of r <> absent then counts.(r.ver) <- counts.(r.ver) + 1 in
+    (* the deletable definitions of each version: singleton stores and
+       phis of an old, cloned or placed resource *)
+    let defs = Array.make nv [] in
+    Func.iter_blocks
+      (fun b ->
+        Block.iter_instrs
+          (fun i ->
+            List.iter bump (Instr.mem_uses i.op);
+            List.iter (fun (_, r) -> bump r) (Instr.mphi_srcs i.op);
             match i.op with
             | Instr.Store { dst; _ } | Instr.Mphi { dst; _ } ->
-                Resource.ResSet.mem dst all_def
-                && uses_of dst = 0
-                && not (Resource.ResSet.mem dst protect)
-            | _ -> false
-          in
-          let doomed = List.filter deletable (Block.instrs b) in
-          List.iter
-            (fun (i : Instr.t) ->
-              List.iter (fun (_, r) -> dec r) (Instr.mphi_srcs i.op);
-              Block.remove_instr b ~iid:i.iid;
-              incr deleted;
-              changed := true)
-            doomed)
-        f
+                if kind_of dst <> absent then
+                  defs.(dst.ver) <- (b, i) :: defs.(dst.ver)
+            | _ -> ())
+          b)
+      f;
+    let swept = Array.make nv false in
+    let doomed = Stack.create () in
+    let sweep v =
+      if
+        counts.(v) = 0
+        && (not swept.(v))
+        && (match defs.(v) with [] -> false | _ :: _ -> true)
+        && not (Resource.ResSet.mem { Resource.base; ver = v } protect)
+      then begin
+        swept.(v) <- true;
+        List.iter (fun d -> Stack.push d doomed) defs.(v)
+      end
+    in
+    for v = 0 to nv - 1 do
+      sweep v
+    done;
+    let deleted = ref 0 in
+    while not (Stack.is_empty doomed) do
+      let (b : Block.t), (i : Instr.t) = Stack.pop doomed in
+      Block.remove_instr b ~iid:i.iid;
+      incr deleted;
+      List.iter
+        (fun (_, r) ->
+          if kind_of r <> absent then begin
+            counts.(r.ver) <- counts.(r.ver) - 1;
+            sweep r.ver
+          end)
+        (Instr.mphi_srcs i.op)
     done;
     Rp_obs.Trace.add_attr "defs_deleted" (string_of_int !deleted);
     Rp_obs.Metrics.add "ssa.update.defs_deleted" !deleted

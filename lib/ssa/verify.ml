@@ -20,6 +20,9 @@ type error = { where : string; what : string }
 
 let err where fmt = Format.kasprintf (fun what -> { where; what }) fmt
 
+(* "no definition seen"; -1 is the entry definition *)
+let undefined = -2
+
 let check (tab : Resource.table) (f : Func.t) : error list =
   let errors = ref [] in
   let add e = errors := e :: !errors in
@@ -33,38 +36,52 @@ let check (tab : Resource.table) (f : Func.t) : error list =
   let dom = Dom.compute f in
   (* instruction positions within their block: phis all at -1 (they are
      parallel), body instructions at 0,1,2,... *)
-  let pos : (Ids.iid, int) Hashtbl.t = Hashtbl.create 64 in
-  let block_of : (Ids.iid, Ids.bid) Hashtbl.t = Hashtbl.create 64 in
+  let pos = Id_table.create f.next_iid ~default:0
+  and block_of = Id_table.create f.next_iid ~default:0 in
   Func.iter_blocks
     (fun b ->
       Iseq.iter
         (fun (i : Instr.t) ->
-          Hashtbl.replace pos i.iid (-1);
-          Hashtbl.replace block_of i.iid b.bid)
+          Id_table.set pos i.iid (-1);
+          Id_table.set block_of i.iid b.bid)
         b.phis;
       Iseq.iteri
         (fun k (i : Instr.t) ->
-          Hashtbl.replace pos i.iid k;
-          Hashtbl.replace block_of i.iid b.bid)
+          Id_table.set pos i.iid k;
+          Id_table.set block_of i.iid b.bid)
         b.body)
     f;
   (* single assignment for registers *)
-  let reg_def_site : (Ids.reg, Ids.iid) Hashtbl.t = Hashtbl.create 64 in
-  List.iter (fun r -> Hashtbl.replace reg_def_site r (-1)) f.params;
+  let reg_def_site = Id_table.create f.next_reg ~default:undefined in
+  List.iter (fun r -> Id_table.set reg_def_site r (-1)) f.params;
   Func.iter_blocks
     (fun b ->
       Block.iter_instrs
         (fun i ->
           match Instr.reg_def i.op with
           | Some r ->
-              if Hashtbl.mem reg_def_site r then
+              if Id_table.get reg_def_site r <> undefined then
                 add (err f.fname "register %s defined more than once" (Func.reg_name f r))
-              else Hashtbl.replace reg_def_site r i.iid
+              else Id_table.set reg_def_site r i.iid
           | None -> ())
         b)
     f;
-  (* single assignment for memory resources; no version 0 *)
-  let mem_def_site : (Resource.t, Ids.iid) Hashtbl.t = Hashtbl.create 64 in
+  (* single assignment for memory resources; no version 0.  Definition
+     sites live in an array over the dense resource ids; a resource
+     outside the numbering (hand-built IR) falls back to a table. *)
+  let ids = Res_ids.of_func f in
+  let mem_def_site = Array.make (Res_ids.size ids) undefined in
+  let stray : (Resource.t, Ids.iid) Hashtbl.t = Hashtbl.create 8 in
+  let mem_def r =
+    let k = Res_ids.id ids r in
+    if k <> Res_ids.miss then mem_def_site.(k)
+    else Option.value (Hashtbl.find_opt stray r) ~default:undefined
+  in
+  let set_mem_def r iid =
+    let k = Res_ids.id ids r in
+    if k <> Res_ids.miss then mem_def_site.(k) <- iid
+    else Hashtbl.replace stray r iid
+  in
   let check_ver where (r : Resource.t) =
     if r.ver = 0 then
       add (err where "unversioned resource %s" (Format.asprintf "%a" (Resource.pp tab) r))
@@ -76,11 +93,11 @@ let check (tab : Resource.table) (f : Func.t) : error list =
           List.iter
             (fun r ->
               check_ver f.fname r;
-              if Hashtbl.mem mem_def_site r then
+              if mem_def r <> undefined then
                 add
                   (err f.fname "resource %s defined more than once"
                      (Format.asprintf "%a" (Resource.pp tab) r))
-              else Hashtbl.replace mem_def_site r i.iid)
+              else set_mem_def r i.iid)
             (Instr.mem_defs i.op);
           List.iter (check_ver f.fname) (Instr.mem_uses i.op);
           List.iter (fun (_, r) -> check_ver f.fname r) (Instr.mphi_srcs i.op))
@@ -94,30 +111,28 @@ let check (tab : Resource.table) (f : Func.t) : error list =
     match def_iid with
     | -1 -> true (* entry definition *)
     | iid ->
-        let db = Hashtbl.find block_of iid in
-        let dpos = Hashtbl.find pos iid in
+        let db = Id_table.get block_of iid in
+        let dpos = Id_table.get pos iid in
         if db = use_bid then dpos < use_pos
         else Dom.strictly_dominates dom ~a:db ~b:use_bid
   in
   let check_reg_use where r ~use_bid ~use_pos =
-    match Hashtbl.find_opt reg_def_site r with
-    | None -> add (err where "register %s used but never defined" (Func.reg_name f r))
-    | Some iid ->
-        if not (dominates_use ~def_iid:iid ~use_bid ~use_pos) then
-          add
-            (err where "use of %s not dominated by its definition"
-               (Func.reg_name f r))
+    let iid = Id_table.get reg_def_site r in
+    if iid = undefined then
+      add (err where "register %s used but never defined" (Func.reg_name f r))
+    else if not (dominates_use ~def_iid:iid ~use_bid ~use_pos) then
+      add
+        (err where "use of %s not dominated by its definition"
+           (Func.reg_name f r))
   in
   let check_mem_use where (r : Resource.t) ~use_bid ~use_pos =
-    match Hashtbl.find_opt mem_def_site r with
-    | None ->
-        (* entry version: fine, defined at entry *)
-        ()
-    | Some iid ->
-        if not (dominates_use ~def_iid:iid ~use_bid ~use_pos) then
-          add
-            (err where "use of %s not dominated by its definition"
-               (Format.asprintf "%a" (Resource.pp tab) r))
+    let iid = mem_def r in
+    (* no definition: the entry version, defined at entry *)
+    if iid <> undefined && not (dominates_use ~def_iid:iid ~use_bid ~use_pos)
+    then
+      add
+        (err where "use of %s not dominated by its definition"
+           (Format.asprintf "%a" (Resource.pp tab) r))
   in
   let max_pos = max_int in
   Func.iter_blocks
