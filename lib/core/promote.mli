@@ -74,9 +74,16 @@ val promote_in_web :
   unit
 
 (** promoteInInterval (paper Figure 2) for one interval whose children
-    were already processed. *)
+    were already processed. [arena] holds scratch arrays over resource
+    ids, shared by the intervals of one function. *)
 val promote_in_interval :
-  config -> Func.t -> Resource.table -> stats -> Intervals.t -> unit
+  ?arena:Res_ids.arena ->
+  config ->
+  Func.t ->
+  Resource.table ->
+  stats ->
+  Intervals.t ->
+  unit
 
 (** Promote a whole function. Expects it normalised (no critical edges,
     dedicated preheaders/tails), in SSA form, carrying a profile. *)
