@@ -322,6 +322,38 @@ int main() {
     (Helpers.dynamic_loads r.P.dynamic_after * 4
     < Helpers.dynamic_loads r.P.dynamic_before)
 
+(* A pointer store's weak update uses the version it may overwrite, so
+   a store-removal web whose store feeds only that use adds no clone,
+   runs no SSA update, and still must keep its store: the dead-store
+   check has to see uses in instruction bodies, not just phi operands. *)
+let test_weak_update_keeps_store () =
+  let src =
+    {|
+int g;
+int h;
+int main() {
+  int i;
+  int *p;
+  p = &h;
+  if (g > 100) { p = &g; }
+  i = 0;
+  while (i < 100) {
+    g = i;
+    *p = 7;
+    i = i + 1;
+  }
+  print(g);
+  print(h);
+  return 0;
+}
+|}
+  in
+  let r = Helpers.check_pipeline "weak update" src in
+  Helpers.check_output "g and h" [ 99; 7 ] r.P.final;
+  Alcotest.(check bool) "store removal attempted" true
+    (r.P.promote_stats.Pr.webs_store_removal >= 1);
+  Alcotest.(check int) "store kept" 0 r.P.promote_stats.Pr.stores_deleted
+
 let suite =
   [
     Alcotest.test_case "paper figure 1" `Quick test_fig1;
@@ -339,4 +371,6 @@ let suite =
     Alcotest.test_case "multi-exit loop" `Quick test_multi_exit_loop;
     Alcotest.test_case "nested loops" `Quick test_nested_loops;
     Alcotest.test_case "do-while" `Quick test_do_while;
+    Alcotest.test_case "weak update keeps store" `Quick
+      test_weak_update_keeps_store;
   ]
