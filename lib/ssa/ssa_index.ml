@@ -1,16 +1,11 @@
-(* Def/use index over memory resources of a function in SSA form.
+(* Use index over memory resources of a function in SSA form.
 
-   Promotion and the incremental updater constantly ask "where is this
-   resource defined?" and "who uses it?".  The index is rebuilt by a
-   single scan whenever the code has been transformed; at our scales a
-   rescan is cheaper than keeping the index incrementally consistent
-   through every surgical edit. *)
+   Promotion and dead-store elimination ask "who uses this resource?".
+   The index is rebuilt by a single scan whenever the code has been
+   transformed; at our scales a rescan is cheaper than keeping the index
+   incrementally consistent through every surgical edit. *)
 
 open Rp_ir
-
-type def_site =
-  | Def_entry  (** the implicit definition of a variable at function entry *)
-  | Def_at of { bid : Ids.bid; instr : Instr.t }
 
 type use_site =
   | Use_at of { bid : Ids.bid; instr : Instr.t }
@@ -19,13 +14,9 @@ type use_site =
       (** source of a memory phi in [phi_bid], flowing in from [pred];
           for dominance purposes this use happens at the end of [pred] *)
 
-type t = {
-  defs : def_site Resource.ResMap.t;
-  uses : use_site list Resource.ResMap.t;
-}
+type t = { uses : use_site list Resource.ResMap.t }
 
 let build_filtered (keep : Resource.t -> bool) (f : Func.t) : t =
-  let defs = ref Resource.ResMap.empty in
   let uses = ref Resource.ResMap.empty in
   let add_use r u =
     let cur =
@@ -38,11 +29,6 @@ let build_filtered (keep : Resource.t -> bool) (f : Func.t) : t =
       Block.iter_instrs
         (fun i ->
           List.iter
-            (fun r ->
-              if keep r then
-                defs := Resource.ResMap.add r (Def_at { bid = b.bid; instr = i }) !defs)
-            (Instr.mem_defs i.op);
-          List.iter
             (fun r -> if keep r then add_use r (Use_at { bid = b.bid; instr = i }))
             (Instr.mem_uses i.op);
           List.iter
@@ -52,21 +38,14 @@ let build_filtered (keep : Resource.t -> bool) (f : Func.t) : t =
             (Instr.mphi_srcs i.op))
         b)
     f;
-  { defs = !defs; uses = !uses }
+  { uses = !uses }
 
 let build (f : Func.t) : t = build_filtered (fun _ -> true) f
 
-(* Promotion and the incremental updater only ever query resources of
-   one variable; indexing just that base skips nearly every map
-   operation of the full build. *)
+(* Promotion only ever queries resources of one variable; indexing just
+   that base skips nearly every map operation of the full build. *)
 let build_for_base (f : Func.t) ~(base : Ids.vid) : t =
   build_filtered (fun (r : Resource.t) -> r.Resource.base = base) f
-
-(* Definition site; a resource never stored to is defined at entry. *)
-let def_of t r =
-  match Resource.ResMap.find_opt r t.defs with
-  | Some d -> d
-  | None -> Def_entry
 
 let uses_of t r =
   match Resource.ResMap.find_opt r t.uses with Some l -> l | None -> []
@@ -78,21 +57,3 @@ let has_uses t r = uses_of t r <> []
 let use_block = function
   | Use_at { bid; _ } -> bid
   | Use_phi_src { pred; _ } -> pred
-
-(* Is the resource defined by a singleton store? *)
-let defined_by_store t r =
-  match def_of t r with
-  | Def_at { instr = { op = Instr.Store _; _ }; _ } -> true
-  | Def_at _ | Def_entry -> false
-
-(* Is the resource defined by a memory phi? *)
-let defined_by_phi t r =
-  match def_of t r with
-  | Def_at { instr = { op = Instr.Mphi _; _ }; _ } -> true
-  | Def_at _ | Def_entry -> false
-
-(* Is the resource defined by an aliased store (call / pointer store)? *)
-let defined_by_aliased_store t r =
-  match def_of t r with
-  | Def_at { instr; _ } -> Instr.is_aliased_store instr.op
-  | Def_entry -> false

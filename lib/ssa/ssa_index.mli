@@ -1,11 +1,7 @@
-(** Def/use index over the memory resources of a function in SSA form.
+(** Use index over the memory resources of a function in SSA form.
     Rebuilt by a single scan wherever the code has been transformed. *)
 
 open Rp_ir
-
-type def_site =
-  | Def_entry  (** implicit definition of the variable at function entry *)
-  | Def_at of { bid : Ids.bid; instr : Instr.t }
 
 type use_site =
   | Use_at of { bid : Ids.bid; instr : Instr.t }
@@ -17,13 +13,9 @@ type t
 val build : Func.t -> t
 
 (** Index only the resources of one variable.  Same scan, but skips the
-    map bookkeeping for every other base — promotion and the
-    incremental updater query a single web's variable, so this is the
-    version they want. *)
+    map bookkeeping for every other base — promotion queries a single
+    web's variable, so this is the version it wants. *)
 val build_for_base : Func.t -> base:Ids.vid -> t
-
-(** A resource never stored to is defined at entry. *)
-val def_of : t -> Resource.t -> def_site
 
 val uses_of : t -> Resource.t -> use_site list
 
@@ -31,9 +23,3 @@ val has_uses : t -> Resource.t -> bool
 
 (** The block a use occurs in for dominance checks. *)
 val use_block : use_site -> Ids.bid
-
-val defined_by_store : t -> Resource.t -> bool
-
-val defined_by_phi : t -> Resource.t -> bool
-
-val defined_by_aliased_store : t -> Resource.t -> bool
