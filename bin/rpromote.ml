@@ -636,7 +636,11 @@ let serve_cmd =
     Arg.(
       value & opt int Rp_serve.Mux.default_config.Rp_serve.Mux.jobs
       & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:"Worker-pool parallelism for compile requests.")
+          ~doc:
+            "Compile pool size: $(docv)-1 worker domains (at least one). \
+             Compiles are serialised on the process-wide trace and \
+             metrics lock, so the daemon compiles one request at a time \
+             for any $(docv).")
   in
   let max_inflight =
     Arg.(

@@ -43,7 +43,7 @@ let loads_added (w : Web_info.t) : PointSet.t =
       List.fold_left
         (fun acc (l, x) ->
           if
-            Resource.ResSet.mem x w.Web_info.resources
+            Web_info.mem w x
             && Web_info.is_leaf w x
             && not (Web_info.store_defined w x)
           then PointSet.add (x, l) acc
@@ -52,25 +52,44 @@ let loads_added (w : Web_info.t) : PointSet.t =
         (Instr.mphi_srcs site.instr.Instr.op))
     PointSet.empty w.Web_info.phis
 
-(* The phis an aliased load transitively depends on: backward closure
-   from the aliased loads' used resources through phi operands. *)
-let dependent_phis (w : Web_info.t) : Resource.ResSet.t =
-  let phi_of : (Resource.t, Instr.t) Hashtbl.t = Hashtbl.create 8 in
+(* The phis an aliased load transitively depends on, as marks over the
+   web's slots: backward closure from the aliased loads' used resources
+   through phi operands. *)
+let needed_phis (w : Web_info.t) : Bytes.t =
+  let n = Web_info.slots w in
+  let phi_of = Array.make n [] and needed = Bytes.make n '\000' in
   List.iter
     (fun ((site : Web_info.ref_site), dst) ->
-      Hashtbl.replace phi_of dst site.instr)
+      phi_of.(Web_info.slot w dst) <- Instr.mphi_srcs site.instr.Instr.op)
     w.Web_info.phis;
-  let needed = ref Resource.ResSet.empty in
   let rec need r =
-    if Web_info.phi_defined w r && not (Resource.ResSet.mem r !needed) then begin
-      needed := Resource.ResSet.add r !needed;
-      match Hashtbl.find_opt phi_of r with
-      | Some phi -> List.iter (fun (_, x) -> need x) (Instr.mphi_srcs phi.Instr.op)
-      | None -> ()
+    if Web_info.phi_defined w r then begin
+      let k = Web_info.slot w r in
+      if Bytes.get needed k = '\000' then begin
+        Bytes.set needed k '\001';
+        List.iter (fun (_, x) -> need x) phi_of.(k)
+      end
     end
   in
   List.iter (fun (_, r) -> need r) w.Web_info.aliased_uses;
-  !needed
+  needed
+
+let dependent_phis (w : Web_info.t) : Resource.ResSet.t =
+  let needed = needed_phis w in
+  List.filter
+    (fun r -> Bytes.get needed (Web_info.slot w r) <> '\000')
+    (Web_info.members w)
+  |> Resource.ResSet.of_list
+
+(* One insertion point: the block end, or the instruction (by id). *)
+let same_point p q =
+  match (p, q) with
+  | Web_info.At_block_end b1, Web_info.At_block_end b2 -> b1 = b2
+  | Web_info.Before_instr (b1, i1), Web_info.Before_instr (b2, i2) ->
+      b1 = b2 && i1.Instr.iid = i2.Instr.iid
+  | Web_info.At_block_end _, Web_info.Before_instr _
+  | Web_info.Before_instr _, Web_info.At_block_end _ ->
+      false
 
 (* stores_added: a pair (x, point) means "insert a store of x before
    point".  Set 1: store-defined operands of phis an aliased load
@@ -79,11 +98,11 @@ let dependent_phis (w : Web_info.t) : Resource.ResSet.t =
    dominance pruning from the paper. *)
 let stores_added (f : Func.t) (dom : Dom.t) (w : Web_info.t) :
     (Resource.t * Web_info.point) list =
-  let needed = dependent_phis w in
+  let needed = needed_phis w in
   let set1 =
     List.fold_left
       (fun acc ((site : Web_info.ref_site), dst) ->
-        if Resource.ResSet.mem dst needed then
+        if Bytes.get needed (Web_info.slot w dst) <> '\000' then
           List.fold_left
             (fun acc (l, x) ->
               if Web_info.store_defined w x then
@@ -148,7 +167,7 @@ let stores_added (f : Func.t) (dom : Dom.t) (w : Web_info.t) :
       not
         (List.exists
            (fun (x', p') ->
-             Resource.equal x x' && p' <> p && dominates p' p)
+             Resource.equal x x' && (not (same_point p' p)) && dominates p' p)
            all))
     all
 
@@ -163,9 +182,9 @@ type eval = {
   sa : (Resource.t * Web_info.point) list;
 }
 
-let evaluate ~(allow_store_removal : bool) (f : Func.t) (dom : Dom.t)
-    (iv : Intervals.t) (w : Web_info.t) : eval =
-  let freq bid = Func.block_freq f bid in
+let evaluate ~(allow_store_removal : bool) ~(freq : float array) (f : Func.t)
+    (dom : Dom.t) (iv : Intervals.t) (w : Web_info.t) : eval =
+  let freq bid = freq.(bid) in
   if not (Web_info.has_defs w) then begin
     (* one load in the preheader replaces every load of the web *)
     let benefit =

@@ -70,11 +70,12 @@ type eval = {
   sa : (Resource.t * Web_info.point) list;  (** stores_added, ditto *)
 }
 
-(** Price one web against the block frequencies stored on the
-    function. [allow_store_removal] is the ablation master switch from
+(** Price one web against [freq], the block frequencies stored on the
+    function indexed by block id ({!Rp_ir.Func.freq_snapshot}). [allow_store_removal] is the ablation master switch from
     the promoter's config. *)
 val evaluate :
   allow_store_removal:bool ->
+  freq:float array ->
   Func.t ->
   Dom.t ->
   Intervals.t ->

@@ -388,8 +388,8 @@ let add_dummy (f : Func.t) (w : Web_info.t) (stats : stats) (cfg : config)
    updater renames uses and sweeps dead definitions across every
    version of the variable), so the caller uses it to invalidate
    precomputed web infos of the same base. *)
-let promote_web (cfg : config) (f : Func.t) (dom : Dom.t)
-    (iv : Intervals.t) (stats : stats)
+let promote_web (cfg : config) ~(freq : float array) (f : Func.t)
+    (dom : Dom.t) (iv : Intervals.t) (stats : stats)
     (pctx : Cost_model.pressure_ctx option) (w : Web_info.t) : bool =
   stats.webs_seen <- stats.webs_seen + 1;
   if w.Web_info.multiple_live_in then begin
@@ -398,8 +398,8 @@ let promote_web (cfg : config) (f : Func.t) (dom : Dom.t)
   end
   else begin
     let d =
-      Cost_model.evaluate ~allow_store_removal:cfg.allow_store_removal f dom
-        iv w
+      Cost_model.evaluate ~allow_store_removal:cfg.allow_store_removal ~freq f
+        dom iv w
     in
     match Cost_model.admit cfg.cost d pctx with
     | Cost_model.Skip reason ->
@@ -490,7 +490,8 @@ let promote_in_web (cfg : config) (f : Func.t) (dom : Dom.t)
     (iv : Intervals.t) (stats : stats) (resources : Resource.ResSet.t) : unit
     =
   ignore
-    (promote_web cfg f dom iv stats None (Web_info.compute f iv resources))
+    (promote_web cfg ~freq:(Func.freq_snapshot f) f dom iv stats None
+       (Web_info.compute f iv resources))
 
 (* cleanup (Figure 2): remove the dummy aliased loads inside the
    interval, i.e. the summaries its children left in their preheaders,
@@ -598,7 +599,7 @@ let spill_gate_keep (sg : spill_gate) (delta : int) : unit =
 let spill_gate_retract (sg : spill_gate) : unit =
   Rp_regalloc.Interference.clear_node sg.sg_g sg.sg_next
 
-let promote_in_interval ?(arena = Res_ids.arena ()) (cfg : config)
+let promote_in_interval ?(arena = Webs.arena ()) (cfg : config)
     (f : Func.t) (tab : Resource.table) (stats : stats) (iv : Intervals.t) :
     unit =
   (* children were already processed (the traversal is bottom-up) *)
@@ -612,22 +613,21 @@ let promote_in_interval ?(arena = Res_ids.arena ()) (cfg : config)
       ]
   @@ fun () ->
   let dom = Dom.compute_cached f in
-  (* dense resource ids for the web construction and the reference-set
-     scan; both run before this interval creates any version *)
+  let freq = Func.freq_snapshot f in
+  (* dense resource ids for the interval scan; it runs before this
+     interval creates any version *)
   let ids = Res_ids.of_func f in
-  let webs = Webs.in_blocks ~ids ~arena tab f iv.Intervals.blocks in
-  Rp_obs.Trace.add_attr "webs" (string_of_int (List.length webs));
-  (* One interval scan builds every web's reference sets.  Promoting a
-     web only touches its own resources (plus fresh clones outside any
-     web) — except when the store-removal path runs the incremental
-     updater, which renames uses and sweeps dead definitions across
-     every version of the variable.  Track those bases and rescan for
-     their later webs instead of using the stale precomputation. *)
-  let websets = List.map Resource.ResSet.of_list webs in
+  (* One interval scan builds every web and its reference sets.
+     Promoting a web only touches its own resources (plus fresh clones
+     outside any web) — except when the store-removal path runs the
+     incremental updater, which renames uses and sweeps dead definitions
+     across every version of the variable.  Track those bases and rescan
+     for their later webs instead of using the stale precomputation. *)
   let infos =
     Rp_obs.Trace.with_span "promote.webinfo" @@ fun () ->
-    Web_info.compute_all ~ids ~arena f iv websets
+    Web_info.of_interval ~ids ~arena tab f iv
   in
+  Rp_obs.Trace.add_attr "webs" (string_of_int (List.length infos));
   (* With a register budget: measure the interval's pressure (preheader
      included — that is where the promoted value's load lands) and
      order the webs by descending frequency-weighted profit, so the
@@ -652,26 +652,23 @@ let promote_in_interval ?(arena = Res_ids.arena ()) (cfg : config)
           (Cost_model.make_ctx ~budget
              ~interval_pressure:(Pressure.max_over p scope))
   in
-  let pairs = List.combine websets infos in
   let gate =
     match pctx with
-    | Some _ -> make_spill_gate cfg f (List.length pairs)
+    | Some _ -> make_spill_gate cfg f (List.length infos)
     | None -> None
   in
   let keyed_profit (w : Web_info.t) =
     if w.Web_info.multiple_live_in then neg_infinity
     else
-      (Cost_model.evaluate ~allow_store_removal:cfg.allow_store_removal f
-         dom iv w)
+      (Cost_model.evaluate ~allow_store_removal:cfg.allow_store_removal ~freq
+         f dom iv w)
         .Cost_model.profit
   in
-  let pairs =
+  let infos =
     match (pctx, gate) with
-    | None, _ -> pairs
+    | None, _ -> infos
     | Some _, None ->
-        List.map
-          (fun ((_, (w : Web_info.t)) as pair) -> (pair, keyed_profit w))
-          pairs
+        List.map (fun (w : Web_info.t) -> (w, keyed_profit w)) infos
         |> List.stable_sort (fun (_, a) (_, b) -> Float.compare b a)
         |> List.map fst
     | Some _, Some sg ->
@@ -679,7 +676,7 @@ let promote_in_interval ?(arena = Res_ids.arena ()) (cfg : config)
            spill delta (computed against the gate's initial graph),
            secondary is profit — spill-free webs first *)
         List.map
-          (fun ((_, (w : Web_info.t)) as pair) ->
+          (fun (w : Web_info.t) ->
             let d =
               if w.Web_info.multiple_live_in then 0
               else begin
@@ -688,8 +685,8 @@ let promote_in_interval ?(arena = Res_ids.arena ()) (cfg : config)
                 d
               end
             in
-            (pair, (d, keyed_profit w)))
-          pairs
+            (w, (d, keyed_profit w)))
+          infos
         |> List.stable_sort (fun (_, (d1, p1)) (_, (d2, p2)) ->
                let c = Int.compare d1 d2 in
                if c <> 0 then c else Float.compare p2 p1)
@@ -700,25 +697,25 @@ let promote_in_interval ?(arena = Res_ids.arena ()) (cfg : config)
      web of it still to come: the interval's numbering still covers their
      resources (the versions created since belong to no web), and until
      the updater runs again nothing else touches them. *)
-  let pairs = Array.of_list pairs in
+  let infos = Array.of_list infos in
   let rewritten_bases : (Ids.vid, unit) Hashtbl.t = Hashtbl.create 8 in
   let refresh base ~from =
     Hashtbl.remove rewritten_bases base;
     let later = ref [] in
-    for j = Array.length pairs - 1 downto from do
-      if (snd pairs.(j)).Web_info.base = base then later := j :: !later
+    for j = Array.length infos - 1 downto from do
+      if infos.(j).Web_info.base = base then later := j :: !later
     done;
     List.iter2
-      (fun j w -> pairs.(j) <- (fst pairs.(j), w))
+      (fun j w -> infos.(j) <- w)
       !later
-      (Web_info.compute_all ~ids ~arena f iv
-         (List.map (fun j -> fst pairs.(j)) !later))
+      (Web_info.rescan ~ids ~arena:(Webs.ints arena) f iv
+         (List.map (fun j -> infos.(j)) !later))
   in
   Array.iteri
-    (fun k (_, (w : Web_info.t)) ->
+    (fun k (w : Web_info.t) ->
       if Hashtbl.mem rewritten_bases w.Web_info.base then
         refresh w.Web_info.base ~from:k;
-      let w = snd pairs.(k) in
+      let w = infos.(k) in
       (* spill-order mode: price this web's admission with the
          allocator and hand the delta to [Cost_model.admit] *)
       let tentative =
@@ -730,7 +727,7 @@ let promote_in_interval ?(arena = Res_ids.arena ()) (cfg : config)
         | _ -> None
       in
       let promoted_before = stats.webs_promoted in
-      if promote_web cfg f dom iv stats pctx w then
+      if promote_web cfg ~freq f dom iv stats pctx w then
         Hashtbl.replace rewritten_bases w.Web_info.base ();
       (match tentative with
       | Some (sg, d) ->
@@ -740,7 +737,7 @@ let promote_in_interval ?(arena = Res_ids.arena ()) (cfg : config)
           if stats.webs_promoted > promoted_before then spill_gate_keep sg d
           else spill_gate_retract sg
       | None -> ()))
-    pairs;
+    infos;
   cleanup_dummies f iv.Intervals.blocks
 
 (* Promote one function.  Expects [f] normalised (no critical edges,
@@ -751,7 +748,7 @@ let promote_function ?(cfg = default_config) (f : Func.t)
   @@ fun () ->
   let stats = empty_stats () in
   (* scratch arrays over resource ids, shared by the function's intervals *)
-  let arena = Res_ids.arena () in
+  let arena = Webs.arena () in
   List.iter (promote_in_interval ~arena cfg f tab stats) tree.Intervals.all;
   (* the root's own dummies sit in its preheader (the entry block),
      which is inside the root's block set, so cleanup already removed

@@ -74,10 +74,10 @@ val promote_in_web :
   unit
 
 (** promoteInInterval (paper Figure 2) for one interval whose children
-    were already processed. [arena] holds scratch arrays over resource
-    ids, shared by the intervals of one function. *)
+    were already processed. [arena] holds the interval scan's scratch
+    arrays, shared by the intervals of one function. *)
 val promote_in_interval :
-  ?arena:Res_ids.arena ->
+  ?arena:Rp_ssa.Webs.arena ->
   config ->
   Func.t ->
   Resource.table ->

@@ -174,6 +174,8 @@ let block_freq f bid =
 
 let set_block_freq f bid x = Hashtbl.replace f.freq bid x
 
+let freq_snapshot f = Array.init (num_blocks f) (block_freq f)
+
 let edge_freq f ~src ~dst =
   match Hashtbl.find_opt f.efreq (src, dst) with Some x -> x | None -> 0.0
 

@@ -101,6 +101,9 @@ val block_freq : t -> Ids.bid -> float
 
 val set_block_freq : t -> Ids.bid -> float -> unit
 
+(** Every block's {!block_freq}, indexed by block id. *)
+val freq_snapshot : t -> float array
+
 val edge_freq : t -> src:Ids.bid -> dst:Ids.bid -> float
 
 val set_edge_freq : t -> src:Ids.bid -> dst:Ids.bid -> float -> unit

@@ -10,3 +10,17 @@ val create : int -> default:int -> t
 val get : t -> int -> int
 
 val set : t -> int -> int -> unit
+
+(** Tables of any value keyed by ids: the array grows to cover every
+    non-negative key set, a hash table holds the negative ones. *)
+module Poly : sig
+  type 'a t
+
+  (** [create n ~default]: room for keys [0 .. n-1] to start with;
+      every key reads [default] until set. *)
+  val create : int -> default:'a -> 'a t
+
+  val get : 'a t -> int -> 'a
+
+  val set : 'a t -> int -> 'a -> unit
+end

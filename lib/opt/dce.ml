@@ -10,32 +10,36 @@
    unused disappears.  The pipeline runs DCE *before* taking baseline
    measurements as well as after promotion, so the load/store counts
    compare promotion against a fair baseline rather than against
-   lowering artifacts. *)
+   lowering artifacts.
+
+   The definition sites and the live marks are arrays over register and
+   instruction ids ({!Id_table}), which also cover ids past the
+   function's counters. *)
 
 open Rp_ir
 
 let run (f : Func.t) : int =
   (* def site per register *)
-  let def_of : (Ids.reg, Instr.t) Hashtbl.t = Hashtbl.create 64 in
+  let def_of = Id_table.Poly.create f.Func.next_reg ~default:None in
   Func.iter_blocks
     (fun b ->
       Block.iter_instrs
         (fun i ->
           match Instr.reg_def i.op with
-          | Some r -> Hashtbl.replace def_of r i
+          | Some r -> Id_table.Poly.set def_of r (Some i)
           | None -> ())
         b)
     f;
-  let live : (Ids.iid, unit) Hashtbl.t = Hashtbl.create 64 in
+  let live = Id_table.create f.Func.next_iid ~default:0 in
   let work : Instr.t Queue.t = Queue.create () in
   let mark (i : Instr.t) =
-    if not (Hashtbl.mem live i.iid) then begin
-      Hashtbl.add live i.iid ();
+    if Id_table.get live i.iid = 0 then begin
+      Id_table.set live i.iid 1;
       Queue.add i work
     end
   in
   let mark_reg r =
-    match Hashtbl.find_opt def_of r with Some i -> mark i | None -> ()
+    match Id_table.Poly.get def_of r with Some i -> mark i | None -> ()
   in
   (* roots: effectful instructions and terminator operands *)
   let is_root (i : Instr.t) =
@@ -64,7 +68,7 @@ let run (f : Func.t) : int =
   Func.iter_blocks
     (fun b ->
       let keep (i : Instr.t) =
-        let k = Hashtbl.mem live i.iid in
+        let k = Id_table.get live i.iid <> 0 in
         if not k then incr removed;
         k
       in

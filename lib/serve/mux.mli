@@ -53,8 +53,11 @@
       [Shutting_down] error, and idle connections are closed. *)
 
 type config = {
-  jobs : int;  (** compile pool size (forced to at least 2 so the
-                   event loop never runs a compile inline) *)
+  jobs : int;
+      (** the compile pool gets [max 2 jobs - 1] worker domains, so the
+          event loop never runs a compile inline.  Compiles still run
+          one at a time whatever [jobs] is: each holds {!Obs_guard}'s
+          process-wide lock around the trace and metrics registries. *)
   max_inflight : int;  (** admission bound; beyond it requests shed [Busy] *)
   deadline_s : float;  (** default per-request deadline; [0.] = none *)
   cache_max_bytes : int;

@@ -19,7 +19,10 @@
 
    The placement sets — location liveness, definition sites, the IDF —
    are all {!Bitset}s; locations have no cheap upper bound before the
-   walk, so the sets rely on Bitset's auto-grow. *)
+   walk, so the sets rely on Bitset's auto-grow.  The per-location,
+   per-register and per-instruction tables (definition sites, rename
+   stacks, the origin of each placed phi) are {!Id_table.Poly} arrays,
+   which grow to cover ids past the function's counters. *)
 
 open Rp_ir
 open Rp_analysis
@@ -105,15 +108,19 @@ let run ?(engine = Cytron) (f : Func.t) : unit =
   let dom = Dom.compute f in
   Hashtbl.reset f.mver;
   let live_in = location_liveness f in
-  (* 1. definition sites per location *)
+  (* 1. definition sites per location.  Phis are placed in the
+     iteration order of [def_blocks], so it keeps the table; lookups go
+     through [def_sets]. *)
   let def_blocks : (int, Bitset.t) Hashtbl.t = Hashtbl.create 64 in
+  let def_sets = Id_table.Poly.create (2 * f.next_reg) ~default:None in
   let add_def l bid =
     let cur =
-      match Hashtbl.find_opt def_blocks l with
+      match Id_table.Poly.get def_sets l with
       | Some s -> s
       | None ->
           let s = Bitset.empty () in
           Hashtbl.replace def_blocks l s;
+          Id_table.Poly.set def_sets l (Some s);
           s
     in
     Bitset.add cur bid
@@ -145,7 +152,7 @@ let run ?(engine = Cytron) (f : Func.t) : unit =
   (* remember which location each placed phi stands for: once the
      target is renamed the original location is no longer recoverable
      from the instruction itself *)
-  let phi_origin : (Ids.iid, int) Hashtbl.t = Hashtbl.create 64 in
+  let phi_origin = Id_table.Poly.create f.next_iid ~default:(-1) in
   (* every placed phi, so the source lists accumulated backwards during
      renaming can be reversed once at the end *)
   let placed_phis : Instr.t list ref = ref [] in
@@ -163,52 +170,48 @@ let run ?(engine = Cytron) (f : Func.t) : unit =
                 Instr.Mphi { dst = Resource.unversioned (l / 2); srcs = [] }
             in
             let i = Func.mk_instr f op in
-            Hashtbl.replace phi_origin i.iid l;
+            Id_table.Poly.set phi_origin i.iid l;
             placed_phis := i :: !placed_phis;
             Block.add_phi b i
           end)
         targets)
     def_blocks;
   (* 3. renaming along the dominator tree *)
-  let reg_stack : (int, Ids.reg list) Hashtbl.t = Hashtbl.create 64 in
-  let mem_stack : (int, Resource.t list) Hashtbl.t = Hashtbl.create 64 in
+  let module S = Id_table.Poly in
+  let reg_stack : Ids.reg list S.t = S.create f.next_reg ~default:[] in
+  let mem_stack : Resource.t list S.t = S.create 64 ~default:[] in
   let top_reg r =
-    match Hashtbl.find_opt reg_stack r with
-    | Some (x :: _) -> x
-    | Some [] | None -> r (* use without def: leave; Verify will flag it *)
+    match S.get reg_stack r with
+    | x :: _ -> x
+    | [] -> r (* use without def: leave; Verify will flag it *)
   in
-  let push_reg r x =
-    let cur =
-      match Hashtbl.find_opt reg_stack r with Some l -> l | None -> []
-    in
-    Hashtbl.replace reg_stack r (x :: cur)
-  in
+  let push_reg r x = S.set reg_stack r (x :: S.get reg_stack r) in
   let pop_reg r =
-    match Hashtbl.find_opt reg_stack r with
-    | Some (_ :: rest) -> Hashtbl.replace reg_stack r rest
-    | Some [] | None -> ()
+    match S.get reg_stack r with
+    | _ :: rest -> S.set reg_stack r rest
+    | [] -> ()
   in
   let top_mem v =
-    match Hashtbl.find_opt mem_stack v with
-    | Some (x :: _) -> x
-    | Some [] | None ->
+    match S.get mem_stack v with
+    | x :: _ -> x
+    | [] ->
         (* first touch: the implicit entry definition *)
         let r = Func.fresh_ver f v in
-        Hashtbl.replace mem_stack v [ r ];
+        S.set mem_stack v [ r ];
         r
   in
   let push_mem v x =
     let cur =
-      match Hashtbl.find_opt mem_stack v with
-      | Some l -> l
-      | None -> [ top_mem v ] (* materialise the entry version below it *)
+      match S.get mem_stack v with
+      | [] -> [ top_mem v ] (* materialise the entry version below it *)
+      | l -> l
     in
-    Hashtbl.replace mem_stack v (x :: cur)
+    S.set mem_stack v (x :: cur)
   in
   let pop_mem v =
-    match Hashtbl.find_opt mem_stack v with
-    | Some (_ :: rest) -> Hashtbl.replace mem_stack v rest
-    | Some [] | None -> ()
+    match S.get mem_stack v with
+    | _ :: rest -> S.set mem_stack v rest
+    | [] -> ()
   in
   (* parameters keep their register ids and act as entry definitions *)
   List.iter (fun r -> push_reg r r) f.params;
@@ -267,9 +270,9 @@ let run ?(engine = Cytron) (f : Func.t) : unit =
         let sb = Func.block f s in
         Iseq.iter
           (fun (i : Instr.t) ->
-            match Hashtbl.find_opt phi_origin i.iid with
-            | None -> () (* pre-existing phi: none exist before SSA *)
-            | Some l -> (
+            match Id_table.Poly.get phi_origin i.iid with
+            | -1 -> () (* pre-existing phi: none exist before SSA *)
+            | l -> (
                 match i.op with
                 | Rphi { dst; srcs } ->
                     i.op <- Rphi { dst; srcs = (bid, top_reg (l / 2)) :: srcs }

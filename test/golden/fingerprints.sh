@@ -7,6 +7,7 @@
 #   report          rpromote promote TARGET --deterministic --json -
 #   report-scalrep  the same with --scalrep
 #   spill6          the same with --regs 6 --spill-order
+#   ssa             rpromote dump TARGET --stage ssa  (SSA form after cleanup)
 #
 # Usage: sh test/golden/fingerprints.sh [RPROMOTE]
 #   sh test/golden/fingerprints.sh | diff test/golden/fingerprints.txt -
@@ -32,4 +33,7 @@ for w in $SCALREP; do
 done
 for w in $SPILL; do
   echo "spill6 $w $("$RP" promote "$w" --regs 6 --spill-order --deterministic --json - | sum)"
+done
+for w in $SEEDS $GEN; do
+  echo "ssa $w $("$RP" dump "$w" --stage ssa | sum)"
 done

@@ -1,13 +1,15 @@
-(* Output fingerprints: the promoted IR and the deterministic JSON
-   reports of the named workloads and the generated programs must stay
-   byte-identical to the digests in golden/fingerprints.txt.
+(* Output fingerprints: the promoted IR, the SSA form before promotion
+   and the deterministic JSON reports of the named workloads and the
+   generated programs must stay byte-identical to the digests in
+   golden/fingerprints.txt.
 
    The digests were taken with the CLI (golden/fingerprints.sh); this
    suite recomputes them in process through the same entry points the
    CLI uses: [Pipeline.run_fresh_json] for
-   [rpromote promote --deterministic --json -] and the promoted program
-   of the same run for [rpromote dump].  A pure refactor of the
-   promoter must leave every line unchanged. *)
+   [rpromote promote --deterministic --json -], the promoted program of
+   the same run for [rpromote dump], and [Pipeline.prepare] for
+   [rpromote dump --stage ssa].  A pure refactor of the promoter must
+   leave every line unchanged; a moved phi fails at the SSA stage. *)
 
 module P = Rp_core.Pipeline
 
@@ -41,8 +43,13 @@ let flags_of_kind = function
   | "spill6" -> { d with P.regs = Some 6; spill_order = true }
   | k -> Alcotest.failf "unknown fingerprint kind %s" k
 
+(* [rpromote dump --stage ssa] *)
+let ssa_fingerprint target =
+  let prog, _ = P.prepare (source target) in
+  md5 (Rp_ir.Pp.prog_to_string prog)
+
 let test_golden () =
-  Alcotest.(check int) "golden lines" 39 (List.length golden);
+  Alcotest.(check int) "golden lines" 54 (List.length golden);
   let memo = Hashtbl.create 32 in
   List.iter
     (fun (kind, target, want) ->
@@ -52,7 +59,7 @@ let test_golden () =
         | "dump-scalrep" | "report-scalrep" -> "scalrep"
         | _ -> kind
       in
-      let dump, report =
+      let run () =
         match Hashtbl.find_opt memo (flags, target) with
         | Some fp -> fp
         | None ->
@@ -61,7 +68,9 @@ let test_golden () =
             fp
       in
       let got =
-        if String.starts_with ~prefix:"dump" kind then dump else report
+        if kind = "ssa" then ssa_fingerprint target
+        else if String.starts_with ~prefix:"dump" kind then fst (run ())
+        else snd (run ())
       in
       Alcotest.(check string) (kind ^ " " ^ target) want got)
     golden

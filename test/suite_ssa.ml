@@ -376,6 +376,75 @@ let prop_sequentialise_oracle =
           else Hashtbl.find env r = init r)
         (List.init k Fun.id))
 
+(* Hand-built IR whose register and instruction ids lie past the
+   function's counters (left at zero): SSA construction and DCE keep
+   their tables in arrays sized by the counters, and must still handle
+   every id.  The same program with the ids handed out by the counters
+   is the reference. *)
+let build_past_counters ~shift =
+  let prog = Func.create_prog () in
+  let x =
+    Resource.add_var prog.Func.vartab ~name:"x" ~kind:Resource.Global ~init:7
+  in
+  let f = Func.create_func ~name:"main" in
+  Func.add_func prog f;
+  let b = Array.init 4 (fun _ -> Func.add_block f) in
+  f.Func.entry <- b.(0).Block.bid;
+  let next = ref 0 in
+  let ins blk op =
+    let iid = !next + shift in
+    incr next;
+    Block.insert_at_end blk { Instr.iid; op }
+  in
+  let r k = k + shift and xr = Resource.unversioned x in
+  (* b0: r0 = 1; r1 = r0 + 2 (dead); br -> b1 | b2 *)
+  ins b.(0) (Instr.Copy { dst = r 0; src = Imm 1 });
+  ins b.(0) (Instr.Bin { dst = r 1; op = Instr.Add; l = Reg (r 0); r = Imm 2 });
+  b.(0).Block.term <- Block.Br { cond = Imm 1; t = 1; f = 2 };
+  (* b1: r0 = 5; x = r0 *)
+  ins b.(1) (Instr.Copy { dst = r 0; src = Imm 5 });
+  ins b.(1) (Instr.Store { dst = xr; src = Reg (r 0) });
+  b.(1).Block.term <- Block.Jmp 3;
+  (* b2: x = r0 *)
+  ins b.(2) (Instr.Store { dst = xr; src = Reg (r 0) });
+  b.(2).Block.term <- Block.Jmp 3;
+  (* b3: r2 = x; print r2; r3 = r0 + r2; ret r3 — joins both names *)
+  ins b.(3) (Instr.Load { dst = r 2; src = xr });
+  ins b.(3) (Instr.Print { src = Reg (r 2) });
+  ins b.(3) (Instr.Bin { dst = r 3; op = Instr.Add; l = Reg (r 0); r = Reg (r 2) });
+  b.(3).Block.term <- Block.Ret (Some (Reg (r 3)));
+  if shift = 0 then begin
+    f.Func.next_reg <- 4;
+    f.Func.next_iid <- !next
+  end;
+  Cfg.recompute_preds f;
+  (prog, f)
+
+let test_ids_past_counters () =
+  let run shift =
+    let prog, f = build_past_counters ~shift in
+    let before = Rp_interp.Interp.run prog in
+    Construct.run f;
+    Verify.assert_ok prog.Func.vartab f;
+    let phis pred = count_instrs pred f in
+    let rphis = phis (fun i -> match i.op with Instr.Rphi _ -> true | _ -> false)
+    and mphis = phis (fun i -> match i.op with Instr.Mphi _ -> true | _ -> false) in
+    let removed = Rp_opt.Dce.run f in
+    Verify.assert_ok prog.Func.vartab f;
+    let after = Rp_interp.Interp.run prog in
+    Alcotest.(check bool)
+      (Printf.sprintf "behaviour preserved (shift %d)" shift)
+      true
+      (Rp_interp.Interp.same_behaviour before after);
+    (rphis, mphis, removed, Pp.prog_to_string prog)
+  in
+  let rphis, mphis, removed, _ = run 0 in
+  Alcotest.(check (list int)) "reference: one phi per name, one dead add"
+    [ 1; 1; 1 ] [ rphis; mphis; removed ];
+  let rphis', mphis', removed', _ = run 1000 in
+  Alcotest.(check (list int)) "past the counters: the same"
+    [ rphis; mphis; removed ] [ rphis'; mphis'; removed' ]
+
 let suite =
   [
     Alcotest.test_case "construct verifies" `Quick test_construct_verifies;
@@ -391,6 +460,8 @@ let suite =
     Alcotest.test_case "destruct behaviour" `Quick test_destruct_preserves_behaviour;
     Alcotest.test_case "parallel move cycle" `Quick test_parallel_move_cycle;
     Alcotest.test_case "parallel move chain" `Quick test_parallel_move_chain;
+    Alcotest.test_case "construct + dce: ids past the counters" `Quick
+      test_ids_past_counters;
     QCheck_alcotest.to_alcotest
       ~rand:(Random.State.make [| 0x5eed |])
       prop_sequentialise_oracle;

@@ -65,9 +65,10 @@ let test_web_sets () =
   Alcotest.(check bool) "not malformed" false w.W.multiple_live_in;
   (* defs: the store version, the call's may-def version, two phi
      versions *)
-  Alcotest.(check int) "defs" 4 (Resource.ResSet.cardinal w.W.def_res);
-  Alcotest.(check int) "store-defined" 1 (Resource.ResSet.cardinal w.W.store_res);
-  Alcotest.(check int) "phi-defined" 2 (Resource.ResSet.cardinal w.W.phi_res)
+  let count p = List.length (List.filter (p w) (W.members w)) in
+  Alcotest.(check int) "defs" 4 (count W.defined);
+  Alcotest.(check int) "store-defined" 1 (count W.store_defined);
+  Alcotest.(check int) "phi-defined" 2 (count W.phi_defined)
 
 let test_loads_added () =
   let _, _, loop, w = fig7_setup () in
@@ -230,6 +231,136 @@ let test_irreducible_promotion () =
     (after.Rp_interp.Interp.counters.Rp_interp.Interp.loads
     < before.Rp_interp.Interp.counters.Rp_interp.Interp.loads)
 
+(* ------------------------------------------------------------------ *)
+(* The one-scan web records against the single-web scan *)
+
+(* [got] (from [W.of_interval] or [W.rescan]) equals [W.compute] of the
+   same members, field by field: every list in order (same instruction,
+   block and resource), the live-in, and each member's answers. *)
+let check_same ctx (got : W.t) (want : W.t) =
+  let fail what = Alcotest.failf "%s: %s differ" ctx what in
+  let refs what a b =
+    if
+      List.length a <> List.length b
+      || not
+           (List.for_all2
+              (fun ((s : W.ref_site), r) ((s' : W.ref_site), r') ->
+                s.instr == s'.instr && s.bid = s'.bid && Resource.equal r r')
+              a b)
+    then fail what
+  in
+  if got.W.base <> want.W.base then fail "bases";
+  refs "loads" got.W.loads want.W.loads;
+  refs "stores" got.W.stores want.W.stores;
+  refs "aliased uses" got.W.aliased_uses want.W.aliased_uses;
+  refs "phis" got.W.phis want.W.phis;
+  if Option.compare Resource.compare got.W.live_in want.W.live_in <> 0 then
+    fail "live-ins";
+  if got.W.multiple_live_in <> want.W.multiple_live_in then
+    fail "multiple_live_in";
+  if W.has_defs got <> W.has_defs want then fail "has_defs";
+  if not (List.equal Resource.equal (W.members got) (W.members want)) then
+    fail "members";
+  List.iter
+    (fun r ->
+      List.iter
+        (fun (what, p) -> if p got r <> p want r then fail what)
+        [
+          ("mem", W.mem);
+          ("defined", W.defined);
+          ("store_defined", W.store_defined);
+          ("phi_defined", W.phi_defined);
+          ("is_leaf", W.is_leaf);
+        ])
+    (W.members want)
+
+(* Every web of the interval, as one scan builds them, against the
+   single-web scan, and the rescan of the same webs against both; also
+   that the webs are those of [Webs.in_blocks], in its order. *)
+let check_interval ctx (tab : Resource.table) (f : Func.t) (iv : Intervals.t) =
+  let ws = W.of_interval tab f iv in
+  let webs = Rp_ssa.Webs.in_blocks tab f iv.Intervals.blocks in
+  if List.length ws <> List.length webs then Alcotest.failf "%s: web count" ctx;
+  List.iter2
+    (fun w members ->
+      let members = Resource.ResSet.of_list members in
+      if
+        not
+          (List.equal Resource.equal (W.members w)
+             (Resource.ResSet.elements members))
+      then Alcotest.failf "%s: web members or order differ" ctx;
+      check_same ctx w (W.compute f iv members))
+    ws webs;
+  List.iter2 (check_same (ctx ^ " rescan")) (W.rescan f iv ws) ws;
+  List.length ws
+
+let test_oracle_workloads () =
+  let sources =
+    List.map
+      (fun (w : Rp_workloads.Registry.workload) ->
+        (w.Rp_workloads.Registry.name, w.Rp_workloads.Registry.source))
+      Rp_workloads.Registry.all
+    @ [ ("gen60", (Rp_workloads.Registry.generated 60).Rp_workloads.Registry.source) ]
+  in
+  let intervals = ref 0 and webs = ref 0 in
+  List.iter
+    (fun (name, src) ->
+      let prog, trees = Rp_core.Pipeline.prepare src in
+      ignore (Rp_core.Pipeline.attach_profile prog trees);
+      List.iter
+        (fun (f : Func.t) ->
+          match List.assoc_opt f.Func.fname trees with
+          | None -> ()
+          | Some tree ->
+              (* check each interval in the state promotion finds it
+                 in: its children already promoted *)
+              List.iter
+                (fun (iv : Intervals.t) ->
+                  let ctx =
+                    Printf.sprintf "%s/%s interval %d" name f.Func.fname
+                      iv.Intervals.id
+                  in
+                  webs := !webs + check_interval ctx prog.Func.vartab f iv;
+                  incr intervals;
+                  Pr.promote_in_interval Pr.default_config f prog.Func.vartab
+                    (Pr.empty_stats ()) iv)
+                tree.Intervals.all)
+        prog.Func.funcs)
+    sources;
+  Alcotest.(check bool) "intervals checked" true (!intervals > 50);
+  Alcotest.(check bool) "webs checked" true (!webs > 1000)
+
+(* Random phi graphs (those of the web construction test, with calls,
+   an array variable and arbitrary versions): all blocks, and all but
+   the last as a second interval. *)
+let prop_oracle_random =
+  QCheck.Test.make ~name:"one-scan web records = single-web scan (random)"
+    ~count:300
+    (QCheck.make Suite_webs.gen_graph ~print:Suite_webs.print_graph)
+    (fun g ->
+      let tab, f, blocks = Suite_webs.build_graph g in
+      let interval blocks =
+        {
+          Intervals.id = 0;
+          entries = blocks;
+          blocks;
+          children = [];
+          preheader = 0;
+          exit_edges = [];
+          proper = true;
+          is_root = true;
+          depth = 0;
+        }
+      in
+      ignore (check_interval "random" tab f (interval blocks));
+      (match Ids.IntSet.max_elt_opt blocks with
+      | Some b when Ids.IntSet.cardinal blocks > 1 ->
+          ignore
+            (check_interval "random, one block less" tab f
+               (interval (Ids.IntSet.remove b blocks)))
+      | _ -> ());
+      true)
+
 let suite =
   [
     Alcotest.test_case "web reference sets (fig 7)" `Quick test_web_sets;
@@ -240,4 +371,8 @@ let suite =
       test_set1_through_phis;
     Alcotest.test_case "irreducible interval promotion" `Quick
       test_irreducible_promotion;
+    Alcotest.test_case "one-scan web records = single-web scan (workloads)"
+      `Quick test_oracle_workloads;
+    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5eed |])
+      prop_oracle_random;
   ]
