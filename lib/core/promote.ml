@@ -306,18 +306,21 @@ let insert_stores_at_tails (ctx : web_ctx) (dom : Dom.t) (iv : Intervals.t) :
       | Some _ | None -> acc)
     Resource.ResSet.empty iv.Intervals.exit_edges
 
-(* The resources of [rs] that some instruction uses.  In SSA an ordinary
-   use lies in a block its definition dominates, so only the bodies of
-   blocks dominated by one of [def_blocks] are scanned, plus unreachable
+(* Marks over the web's slots ({!Web_info.slot}) of its store-defined
+   resources that some instruction uses.  In SSA an ordinary use lies in
+   a block its definition dominates, so only the bodies of blocks
+   dominated by one of [def_blocks] are scanned, plus unreachable
    blocks, about which dominance says nothing.  Every block's phis are
    scanned: a phi source is used at the end of its predecessor, not in
    the phi's block. *)
-let used_among (f : Func.t) (dom : Dom.t) ~(def_blocks : Ids.bid list)
-    (rs : Resource.ResSet.t) : Resource.ResSet.t =
-  let used = ref Resource.ResSet.empty in
+let used_stored (f : Func.t) (dom : Dom.t) ~(def_blocks : Ids.bid list)
+    (w : Web_info.t) : Bytes.t =
+  let used = Bytes.make (Web_info.slots w) '\000' in
   let note r =
-    if Resource.ResSet.mem r rs then used := Resource.ResSet.add r !used
+    if Web_info.store_defined w r then
+      Bytes.set used (Web_info.slot w r) '\001'
   in
+  let def_blocks = List.sort_uniq Int.compare def_blocks in
   Func.iter_blocks
     (fun b ->
       Iseq.iter
@@ -331,20 +334,21 @@ let used_among (f : Func.t) (dom : Dom.t) ~(def_blocks : Ids.bid list)
           (fun (i : Instr.t) -> List.iter note (Instr.mem_uses i.op))
           b.Block.body)
     f;
-  !used
+  used
 
 (* deleteStores: remove the web's original stores whose resource has no
    remaining uses.  When the incremental updater ran ([updated]), its
    step 4 already deleted every unprotected definition of the variable
    left without uses, so a store still in place has uses. *)
 let delete_dead_stores (ctx : web_ctx) (dom : Dom.t) ~(updated : bool) =
-  let stores = ctx.w.Web_info.stores in
+  let w = ctx.w in
+  let stores = w.Web_info.stores in
   let used =
     lazy
-      (used_among ctx.f dom
+      (used_stored ctx.f dom
          ~def_blocks:
            (List.map (fun ((site : Web_info.ref_site), _) -> site.bid) stores)
-         (Resource.ResSet.of_list (List.map snd stores)))
+         w)
   in
   List.iter
     (fun ((site : Web_info.ref_site), dst) ->
@@ -356,7 +360,8 @@ let delete_dead_stores (ctx : web_ctx) (dom : Dom.t) ~(updated : bool) =
         (* the incremental updater's step 4 already removed it *)
         ctx.stats.stores_deleted <- ctx.stats.stores_deleted + 1
       else if
-        (not updated) && not (Resource.ResSet.mem dst (Lazy.force used))
+        (not updated)
+        && Bytes.get (Lazy.force used) (Web_info.slot w dst) = '\000'
       then begin
         Block.remove_instr b ~iid:site.instr.Instr.iid;
         ctx.stats.stores_deleted <- ctx.stats.stores_deleted + 1

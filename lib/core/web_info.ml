@@ -295,19 +295,33 @@ let compute (f : Func.t) (iv : Intervals.t) (resources : Resource.ResSet.t) :
    dedicated scan. *)
 let rescan ?ids ?(arena = Res_ids.arena ()) (f : Func.t) (iv : Intervals.t)
     (webs : t list) : t list =
-  let accs = Array.of_list (List.map (fun w -> acc_of_members (members w)) webs) in
+  let members = List.map members webs in
+  let accs = Array.of_list (List.map (fun ms -> Some (acc_of_members ms)) members) in
   let ids = match ids with Some ids -> ids | None -> Res_ids.of_func f in
   let owner = Res_ids.ints arena ids ~slot:0 ~fill:(-1) in
-  Array.iteri
-    (fun k w -> List.iter (fun r -> owner.(Res_ids.id_exn ids r) <- k) (members w))
-    (Array.of_list webs);
+  (* the webs' variables (usually one): other occurrences are skipped
+     before any id lookup *)
+  let nvars =
+    List.fold_left (List.fold_left (fun n (r : Resource.t) -> max n (r.base + 1))) 0 members
+  in
+  let has_var = Array.make nvars false in
+  List.iteri
+    (fun k ms ->
+      List.iter
+        (fun (r : Resource.t) ->
+          has_var.(r.base) <- true;
+          owner.(Res_ids.id_exn ids r) <- k)
+        ms)
+    members;
   scan_blocks f iv (fun r ->
-      let i = Res_ids.id ids r in
-      if i = Res_ids.miss then None
+      if r.base < 0 || r.base >= nvars || not has_var.(r.base) then None
       else
-        let k = owner.(i) in
-        if k < 0 then None else Some accs.(k));
-  Array.to_list (Array.map finish accs)
+        let i = Res_ids.id ids r in
+        if i = Res_ids.miss then None
+        else
+          let k = owner.(i) in
+          if k < 0 then None else accs.(k));
+  Array.to_list (Array.map (fun a -> finish (Option.get a)) accs)
 
 (* ------------------------------------------------------------------ *)
 (* Queries *)

@@ -330,15 +330,48 @@ let test_oracle_workloads () =
   Alcotest.(check bool) "intervals checked" true (!intervals > 50);
   Alcotest.(check bool) "webs checked" true (!webs > 1000)
 
-(* Random phi graphs (those of the web construction test, with calls,
-   an array variable and arbitrary versions): all blocks, and all but
-   the last as a second interval. *)
+(* Random programs: the phi graphs of the web construction test (calls,
+   an array variable, arbitrary versions) plus pointer stores and loads,
+   dummies, exit uses and phis joining versions of different variables
+   (malformed, but the scan must still agree). *)
+let gen_program =
+  let open QCheck.Gen in
+  Suite_webs.gen_graph >>= fun ((nvars, maxver, nblocks, _) as g) ->
+  let res = pair (int_range 0 (nvars - 1)) (int_range 1 maxver) in
+  let rs = list_size (int_range 0 4) res in
+  list_size (int_range 0 16)
+    (quad (int_range 0 (nblocks - 1)) (int_range 0 4) rs rs)
+  >>= fun extra -> return (g, extra)
+
+let build_program (g, extra) =
+  let tab, f, blocks = Suite_webs.build_graph g in
+  let r (base, ver) = { Resource.base; ver } in
+  List.iter
+    (fun (k, kind, defs, uses) ->
+      let defs = List.map r defs and muses = List.map r uses in
+      let op =
+        match kind with
+        | 0 -> Instr.Ptr_store { addr = Imm 0; src = Imm 0; mdefs = defs; muses }
+        | 1 -> Instr.Ptr_load { dst = Func.fresh_reg f; addr = Imm 0; muses }
+        | 2 -> Instr.Dummy_aload { muses }
+        | 3 -> Instr.Exit_use { muses }
+        | _ -> (
+            match defs with
+            | dst :: _ -> Instr.Mphi { dst; srcs = List.mapi (fun p s -> (p, s)) muses }
+            | [] -> Instr.Exit_use { muses })
+      in
+      let b = Func.block f k and i = Func.mk_instr f op in
+      match op with Instr.Mphi _ -> Block.add_phi b i | _ -> Block.insert_at_end b i)
+    extra;
+  (tab, f, blocks)
+
 let prop_oracle_random =
   QCheck.Test.make ~name:"one-scan web records = single-web scan (random)"
-    ~count:300
-    (QCheck.make Suite_webs.gen_graph ~print:Suite_webs.print_graph)
-    (fun g ->
-      let tab, f, blocks = Suite_webs.build_graph g in
+    ~count:1000
+    (QCheck.make gen_program ~print:(fun (g, extra) ->
+         Printf.sprintf "%s extra=%d" (Suite_webs.print_graph g) (List.length extra)))
+    (fun p ->
+      let tab, f, blocks = build_program p in
       let interval blocks =
         {
           Intervals.id = 0;
@@ -352,6 +385,7 @@ let prop_oracle_random =
           depth = 0;
         }
       in
+      (* all blocks, and all but the last as a second interval *)
       ignore (check_interval "random" tab f (interval blocks));
       (match Ids.IntSet.max_elt_opt blocks with
       | Some b when Ids.IntSet.cardinal blocks > 1 ->
