@@ -79,7 +79,6 @@ type arena = {
   mutable occ_what : int array;
   mutable sites : site array;
   mutable mres : Resource.t array;
-  mutable mhash : int array;
 }
 
 let arena () =
@@ -89,7 +88,6 @@ let arena () =
     occ_what = [||];
     sites = [||];
     mres = [||];
-    mhash = [||];
   }
 
 let ints a = a.ints
@@ -125,12 +123,12 @@ let scan ?ids ?(arena = arena ()) (tab : Resource.table) (f : Func.t)
   (* parent.(i) < 0: resource i is not (yet) a member *)
   let parent = Res_ids.ints a.ints ids ~slot:0 ~fill:(-1) in
   let rank = Res_ids.ints a.ints ids ~slot:1 ~fill:0 in
-  (* members in first-insertion order, with their resources and hashes *)
+  (* members in first-insertion order, with their resources *)
   let members = Res_ids.ints a.ints ids ~slot:2 ~fill:0 and nmembers = ref 0 in
   (* midx.(i): member number of resource i *)
   let midx = Res_ids.ints a.ints ids ~slot:3 ~fill:0 in
   (* the growable buffers stay in locals while the scan runs *)
-  let mres = ref a.mres and mhash = ref a.mhash in
+  let mres = ref a.mres in
   let add (r : Resource.t) =
     let i = Res_ids.id_exn ids r in
     if parent.(i) < 0 then begin
@@ -138,12 +136,8 @@ let scan ?ids ?(arena = arena ()) (tab : Resource.table) (f : Func.t)
       let m = !nmembers in
       members.(m) <- i;
       midx.(i) <- m;
-      if m >= Array.length !mres then begin
-        mres := room !mres m r;
-        mhash := room !mhash m 0
-      end;
+      if m >= Array.length !mres then mres := room !mres m r;
       !mres.(m) <- r;
-      !mhash.(m) <- Hashtbl.hash r;
       nmembers := m + 1
     end;
     i
@@ -249,9 +243,8 @@ let scan ?ids ?(arena = arena ()) (tab : Resource.table) (f : Func.t)
   a.occ_what <- !occ_what;
   a.sites <- !sites;
   a.mres <- !mres;
-  a.mhash <- !mhash;
   let n = !nmembers in
-  let hash i = a.mhash.(midx.(i)) in
+  let hash i = Hashtbl.hash a.mres.(midx.(i)) in
   let order = table_order hash (Array.sub members 0 n) in
   let web = Res_ids.ints a.ints ids ~slot:4 ~fill:(-1) in
   let roots = ref [] and nwebs = ref 0 in
@@ -295,9 +288,9 @@ let resource s i = s.mres.(s.midx.(i))
 (* All webs of the blocks in [blocks].  Each web is the list of its
    member resources.  Only resources of promotable variables are
    considered; arrays and heap names never form webs. *)
-let in_blocks ?ids ?arena (tab : Resource.table) (f : Func.t)
-    (blocks : Ids.IntSet.t) : Resource.t list list =
-  let s = scan ?ids ?arena tab f blocks in
+let in_blocks ?ids (tab : Resource.table) (f : Func.t) (blocks : Ids.IntSet.t)
+    : Resource.t list list =
+  let s = scan ?ids tab f blocks in
   let cls = Array.make s.nwebs [] in
   Array.iter
     (fun i ->

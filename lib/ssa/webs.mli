@@ -89,7 +89,6 @@ val resource : scan -> int -> Resource.t
     [ids]. *)
 val in_blocks :
   ?ids:Res_ids.t ->
-  ?arena:arena ->
   Resource.table ->
   Func.t ->
   Ids.IntSet.t ->
