@@ -71,8 +71,9 @@ type eval = {
 }
 
 (** Price one web against [freq], the block frequencies stored on the
-    function indexed by block id ({!Rp_ir.Func.freq_snapshot}). [allow_store_removal] is the ablation master switch from
-    the promoter's config. *)
+    function indexed by block id ({!Rp_ir.Func.freq_snapshot}).
+    [allow_store_removal] is the ablation master switch from the
+    promoter's config. *)
 val evaluate :
   allow_store_removal:bool ->
   freq:float array ->

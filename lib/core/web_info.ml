@@ -84,7 +84,8 @@ let make_acc ~base ~vlo ~vhi =
 let flags_of ~base ~vlo flags others (r : Resource.t) =
   if r.base = base then
     let k = r.ver - vlo in
-    if k >= 0 && k < Bytes.length flags then Char.code (Bytes.unsafe_get flags k)
+    if k >= 0 && k < Bytes.length flags then
+      Char.code (Bytes.unsafe_get flags k)
     else 0
   else
     match List.find_opt (fun (o, _) -> Resource.equal o r) others with
@@ -150,11 +151,14 @@ let finish (a : acc) : t =
     let fl = Char.code (Bytes.unsafe_get a.a_flags k) in
     if fl land f_def <> 0 then defs := true;
     if outside fl then begin
-      if !nout = 0 then live_in := Some { Resource.base = a.a_base; ver = a.a_vlo + k };
+      if !nout = 0 then
+        live_in := Some { Resource.base = a.a_base; ver = a.a_vlo + k };
       incr nout
     end
   done;
-  let others = List.sort (fun (r, _) (s, _) -> Resource.compare r s) a.a_others in
+  let others =
+    List.sort (fun (r, _) (s, _) -> Resource.compare r s) a.a_others
+  in
   List.iter
     (fun (r, fl) ->
       if fl land f_def <> 0 then defs := true;
@@ -230,8 +234,8 @@ let of_interval ?ids ?arena (tab : Resource.table) (f : Func.t)
 (* Scan the interval's blocks once, dispatching each occurrence of a
    resource to the accumulator of the web that owns it ([web_of], which
    answers [None] for the others). *)
-let scan_blocks (f : Func.t) (iv : Intervals.t) (web_of : Resource.t -> acc option)
-    =
+let scan_blocks (f : Func.t) (iv : Intervals.t)
+    (web_of : Resource.t -> acc option) =
   let each fn r = match web_of r with Some a -> fn a r | None -> () in
   Ids.IntSet.iter
     (fun bid ->
@@ -256,7 +260,8 @@ let scan_blocks (f : Func.t) (iv : Intervals.t) (web_of : Resource.t -> acc opti
                          phi is what unioned them together *)
                       List.iter
                         (fun (_, r) ->
-                          if acc_flags a r land f_member <> 0 then set a r f_used)
+                          if acc_flags a r land f_member <> 0 then
+                            set a r f_used)
                         srcs
                   | None -> ())
               | _ -> ());
@@ -264,7 +269,9 @@ let scan_blocks (f : Func.t) (iv : Intervals.t) (web_of : Resource.t -> acc opti
               if Instr.is_aliased_store i.op then
                 List.iter (each on_alias_def) (Instr.mem_defs i.op);
               if Instr.is_aliased_load i.op then
-                List.iter (each (fun a -> on_alias_use a site)) (Instr.mem_uses i.op))
+                List.iter
+                  (each (fun a -> on_alias_use a site))
+                  (Instr.mem_uses i.op))
         b)
     iv.Intervals.blocks
 
@@ -296,13 +303,17 @@ let compute (f : Func.t) (iv : Intervals.t) (resources : Resource.ResSet.t) :
 let rescan ?ids ?(arena = Res_ids.arena ()) (f : Func.t) (iv : Intervals.t)
     (webs : t list) : t list =
   let members = List.map members webs in
-  let accs = Array.of_list (List.map (fun ms -> Some (acc_of_members ms)) members) in
+  let accs =
+    Array.of_list (List.map (fun ms -> Some (acc_of_members ms)) members)
+  in
   let ids = match ids with Some ids -> ids | None -> Res_ids.of_func f in
   let owner = Res_ids.ints arena ids ~slot:0 ~fill:(-1) in
   (* the webs' variables (usually one): other occurrences are skipped
      before any id lookup *)
   let nvars =
-    List.fold_left (List.fold_left (fun n (r : Resource.t) -> max n (r.base + 1))) 0 members
+    List.fold_left
+      (List.fold_left (fun n (r : Resource.t) -> max n (r.base + 1)))
+      0 members
   in
   let has_var = Array.make nvars false in
   List.iteri
@@ -351,12 +362,15 @@ let slot w (r : Resource.t) =
   let n = Bytes.length x.flags in
   if r.base = w.base then
     let k = r.ver - x.vlo in
-    if k >= 0 && k < n && Char.code (Bytes.unsafe_get x.flags k) land f_member <> 0
+    if
+      k >= 0 && k < n
+      && Char.code (Bytes.unsafe_get x.flags k) land f_member <> 0
     then k
     else -1
   else
     let rec find j = function
       | [] -> -1
-      | (o, _) :: rest -> if Resource.equal o r then n + j else find (j + 1) rest
+      | (o, _) :: rest ->
+          if Resource.equal o r then n + j else find (j + 1) rest
     in
     find 0 x.others

@@ -60,7 +60,12 @@ val compute : Func.t -> Intervals.t -> Resource.ResSet.t -> t
     Results line up with the input list.
     @raise Invalid_argument if a web holds a resource outside [ids]. *)
 val rescan :
-  ?ids:Res_ids.t -> ?arena:Res_ids.arena -> Func.t -> Intervals.t -> t list -> t list
+  ?ids:Res_ids.t ->
+  ?arena:Res_ids.arena ->
+  Func.t ->
+  Intervals.t ->
+  t list ->
+  t list
 
 (** The members, least first. *)
 val members : t -> Resource.t list

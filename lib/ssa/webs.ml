@@ -71,7 +71,8 @@ let role_bits = 3
 
 let role_mask = (1 lsl role_bits) - 1
 
-let dummy_site = { instr = { Instr.iid = -1; op = Instr.Dummy_aload { muses = [] } }; bid = -1 }
+let dummy_site =
+  { instr = { Instr.iid = -1; op = Instr.Dummy_aload { muses = [] } }; bid = -1 }
 
 type arena = {
   ints : Res_ids.arena;
@@ -167,12 +168,14 @@ let scan ?ids ?(arena = arena ()) (tab : Resource.table) (f : Func.t)
   (* the occurrence record; an instruction's site is allocated with its
      first occurrence *)
   let nocc = ref 0 and nsites = ref 0 and site = ref (-1) and bid = ref (-1) in
-  let occ_id = ref a.occ_id and occ_what = ref a.occ_what and sites = ref a.sites in
+  let occ_id = ref a.occ_id and occ_what = ref a.occ_what in
+  let sites = ref a.sites in
   let record (ins : Instr.t) role i =
     if i <> Res_ids.miss then begin
       if !site < 0 then begin
         site := !nsites;
-        if !site >= Array.length !sites then sites := room !sites !site dummy_site;
+        if !site >= Array.length !sites then
+          sites := room !sites !site dummy_site;
         !sites.(!site) <- { instr = ins; bid = !bid };
         incr nsites
       end;

@@ -74,7 +74,12 @@ type scan = private {
     @raise Invalid_argument when a resource of a promotable variable is
     outside [ids]. *)
 val scan :
-  ?ids:Res_ids.t -> ?arena:arena -> Resource.table -> Func.t -> Ids.IntSet.t -> scan
+  ?ids:Res_ids.t ->
+  ?arena:arena ->
+  Resource.table ->
+  Func.t ->
+  Ids.IntSet.t ->
+  scan
 
 (** The resource of a member id. *)
 val resource : scan -> int -> Resource.t
