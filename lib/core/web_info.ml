@@ -10,7 +10,7 @@
    scan of {!Rp_ssa.Webs} records each memory occurrence once, and the
    occurrences are bucketed by web.  The members of a web are versions
    of one variable, so its facts are one byte per version over the
-   web's version range instead of resource sets. *)
+   web's version range. *)
 
 open Rp_ir
 open Rp_analysis

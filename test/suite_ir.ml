@@ -238,6 +238,21 @@ let test_validate_phi_sources_mismatch () =
   Alcotest.(check bool) "phi arity mismatch detected" true
     (Validate.check_func tab f <> [])
 
+(* Id tables answer every key: inside the initial range, past it and
+   below zero, for the int tables and the any-valued ones alike. *)
+let test_id_tables () =
+  let t = Id_table.create 4 ~default:(-1) in
+  List.iter (fun (k, v) -> Id_table.set t k v) [ (0, 10); (3, 13); (9, 19); (-2, 8) ];
+  Alcotest.(check (list int)) "int table" [ 10; -1; 13; 19; 8; -1 ]
+    (List.map (Id_table.get t) [ 0; 1; 3; 9; -2; 100 ]);
+  let p = Id_table.Poly.create 2 ~default:[] in
+  List.iter
+    (fun (k, v) -> Id_table.Poly.set p k (v :: Id_table.Poly.get p k))
+    [ (1, "a"); (1, "b"); (70, "c"); (-3, "d"); (5, "e") ];
+  Alcotest.(check (list (list string))) "any-valued table"
+    [ [ "b"; "a" ]; [ "c" ]; [ "d" ]; [ "e" ]; []; [] ]
+    (List.map (Id_table.Poly.get p) [ 1; 70; -3; 5; 0; 71 ])
+
 let suite =
   [
     Alcotest.test_case "instr reg defs/uses" `Quick test_reg_defs_uses;
@@ -245,6 +260,7 @@ let suite =
     Alcotest.test_case "instr rewrites" `Quick test_rewrites;
     Alcotest.test_case "phi accessors" `Quick test_phi_accessors;
     Alcotest.test_case "block surgery" `Quick test_block_surgery;
+    Alcotest.test_case "id tables past their range" `Quick test_id_tables;
     Alcotest.test_case "retarget/succs" `Quick test_retarget_succs;
     Alcotest.test_case "preds and rpo" `Quick test_preds_rpo;
     Alcotest.test_case "split edge" `Quick test_split_edge;
