@@ -75,9 +75,15 @@ val promote_in_web :
 
 (** promoteInInterval (paper Figure 2) for one interval whose children
     were already processed. [arena] holds the interval scan's scratch
-    arrays, shared by the intervals of one function. *)
+    arrays, shared by the intervals of one function. [index] is the
+    function's occurrence index, current on entry and kept current
+    through every edit (by default one is built for the call);
+    [on_edit] is called with it after each web and each run of the
+    incremental updater. *)
 val promote_in_interval :
   ?arena:Rp_ssa.Webs.arena ->
+  ?index:Rp_ssa.Occ_index.t ->
+  ?on_edit:(Rp_ssa.Occ_index.t -> unit) ->
   config ->
   Func.t ->
   Resource.table ->
@@ -86,6 +92,15 @@ val promote_in_interval :
   unit
 
 (** Promote a whole function. Expects it normalised (no critical edges,
-    dedicated preheaders/tails), in SSA form, carrying a profile. *)
+    dedicated preheaders/tails), in SSA form, carrying a profile. One
+    occurrence index is built for the function and kept current by
+    every interval; [on_edit] is called with it after each web and
+    each run of the incremental updater, for tests that check it
+    against a fresh build. *)
 val promote_function :
-  ?cfg:config -> Func.t -> Resource.table -> Intervals.tree -> stats
+  ?cfg:config ->
+  ?on_edit:(Rp_ssa.Occ_index.t -> unit) ->
+  Func.t ->
+  Resource.table ->
+  Intervals.tree ->
+  stats

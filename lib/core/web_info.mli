@@ -54,18 +54,13 @@ val of_interval :
     @raise Invalid_argument on an empty web. *)
 val compute : Func.t -> Intervals.t -> Resource.ResSet.t -> t
 
-(** The same webs' sets rebuilt from the current IR in one scan, with
-    occurrence dispatch through an array (from [arena]) over the dense
-    resource ids [ids] (by default a fresh numbering of the function).
-    Results line up with the input list.
-    @raise Invalid_argument if a web holds a resource outside [ids]. *)
+(** The same webs' sets rebuilt from the current IR. When every member
+    is a version of one variable, only that variable's entries in the
+    occurrence index (which must be current for the function) are
+    read; otherwise the interval is scanned. Results line up with the
+    input list. *)
 val rescan :
-  ?ids:Res_ids.t ->
-  ?arena:Res_ids.arena ->
-  Func.t ->
-  Intervals.t ->
-  t list ->
-  t list
+  Rp_ssa.Occ_index.t -> Func.t -> Intervals.t -> t list -> t list
 
 (** The members, least first. *)
 val members : t -> Resource.t list

@@ -24,51 +24,72 @@ let check_func (tab : Resource.table) (f : Func.t) : error list =
   if not (live f.entry) then
     add (err f.fname "entry block b%d is dead or out of range" f.entry);
   (* compute fresh preds to compare against the cache; only blocks in
-     range are ever compared *)
+     range are ever compared.  Blocks are visited in increasing id
+     order, so each list is in decreasing order and a block can only
+     repeat at its head. *)
   let fresh_preds = Array.make nblocks [] in
   Func.iter_blocks
     (fun b ->
-      List.iter
+      Block.iter_succs
         (fun s ->
-          if s >= 0 && s < nblocks && not (List.mem b.Block.bid fresh_preds.(s))
-          then fresh_preds.(s) <- b.Block.bid :: fresh_preds.(s))
-        (Block.succs b))
+          if s >= 0 && s < nblocks then
+            match fresh_preds.(s) with
+            | p :: _ when p = b.Block.bid -> ()
+            | ps -> fresh_preds.(s) <- b.Block.bid :: ps)
+        b)
     f;
+  let rec increasing = function
+    | a :: (b :: _ as rest) -> a < b && increasing rest
+    | [] | [ _ ] -> true
+  in
   let seen_iids = Id_table.create f.next_iid ~default:0 in
   Func.iter_blocks
     (fun b ->
-      let where = Printf.sprintf "%s/b%d" f.fname b.bid in
+      (* the location "fname/bN", built only for an error *)
+      let err fmt = err (Printf.sprintf "%s/b%d" f.fname b.bid) fmt in
       (* targets live *)
       List.iter
         (fun s ->
-          if not (live s) then add (err where "branch target b%d is dead" s))
+          if not (live s) then add (err "branch target b%d is dead" s))
         (Block.succs b);
       (* preds cache *)
-      let expect = List.sort Int.compare fresh_preds.(b.bid) in
-      let preds = List.sort Int.compare b.preds in
+      let expect = List.rev fresh_preds.(b.bid) in
+      let preds =
+        if increasing b.preds then b.preds else List.sort Int.compare b.preds
+      in
       if not (List.equal Int.equal expect preds) then
         add
-          (err where "stale predecessor cache: cached {%s} actual {%s}"
+          (err "stale predecessor cache: cached {%s} actual {%s}"
              (String.concat "," (List.map string_of_int preds))
              (String.concat "," (List.map string_of_int expect)));
       (* phi placement and arity *)
       Iseq.iter
         (fun (i : Instr.t) ->
           if not (Instr.is_phi i) then
-            add (err where "non-phi instruction in phi section (iid %d)" i.iid))
+            add (err "non-phi instruction in phi section (iid %d)" i.iid))
         b.phis;
       Iseq.iter
         (fun (i : Instr.t) ->
           if Instr.is_phi i then
-            add (err where "phi instruction in body (iid %d)" i.iid))
+            add (err "phi instruction in body (iid %d)" i.iid))
         b.body;
+      (* sources listed in the cached preds order match; any other
+         order is sorted and compared *)
+      let rec in_pred_order srcs preds =
+        match (srcs, preds) with
+        | [], [] -> true
+        | (p, _) :: srcs, q :: preds -> p = q && in_pred_order srcs preds
+        | _ -> false
+      in
       let check_phi_srcs srcs =
-        let sorted = List.sort Int.compare (List.map fst srcs) in
-        if not (List.equal Int.equal sorted preds) then
-          add
-            (err where "phi sources {%s} do not match preds {%s}"
-               (String.concat "," (List.map string_of_int sorted))
-               (String.concat "," (List.map string_of_int preds)))
+        if not (in_pred_order srcs b.preds) then begin
+          let sorted = List.sort Int.compare (List.map fst srcs) in
+          if not (List.equal Int.equal sorted preds) then
+            add
+              (err "phi sources {%s} do not match preds {%s}"
+                 (String.concat "," (List.map string_of_int sorted))
+                 (String.concat "," (List.map string_of_int preds)))
+        end
       in
       Iseq.iter
         (fun (i : Instr.t) ->
@@ -81,7 +102,7 @@ let check_func (tab : Resource.table) (f : Func.t) : error list =
       Block.iter_instrs
         (fun (i : Instr.t) ->
           if Id_table.get seen_iids i.iid <> 0 then
-            add (err where "duplicate instruction id %d" i.iid)
+            add (err "duplicate instruction id %d" i.iid)
           else Id_table.set seen_iids i.iid 1)
         b)
     f;

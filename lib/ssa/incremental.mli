@@ -29,10 +29,17 @@ val engine_of_string : string -> engine option
 
     [protect] lists resources whose definitions must survive the
     dead-code step even while unused — the per-definition baseline
-    updater needs it for the clones it has not wired up yet. *)
+    updater needs it for the clones it has not wired up yet.
+
+    Every walk over the variable's instructions reads [index] (by
+    default one built for the call), which must be current for [f]:
+    the cloned definitions registered with {!Occ_index.note}. The
+    phis the update places are registered in it, so it stays current
+    for the caller. *)
 val update_for_cloned_resources :
   ?engine:engine ->
   ?protect:Resource.ResSet.t ->
+  ?index:Occ_index.t ->
   Func.t ->
   cloned_res:Resource.ResSet.t ->
   unit

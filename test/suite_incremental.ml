@@ -69,7 +69,7 @@ let run_example2 engine =
     (Func.mk_instr f (Instr.Store { dst = clone2; src = Imm 7 }));
   Block.insert_before (Func.block f 3) ~iid:u3.Instr.iid
     (Func.mk_instr f (Instr.Store { dst = clone3; src = Imm 7 }));
-  Incremental.update_for_cloned_resources ~engine f
+  Helpers.update ~engine f
     ~cloned_res:(Resource.ResSet.of_list [ clone2; clone3 ]);
   Verify.assert_ok prog.Func.vartab f;
   (prog, f, x, (u3, u4, u5), store_x0, clone2, clone3)
@@ -116,7 +116,7 @@ let test_example2_store_stays_live () =
   let clone2 = Func.fresh_ver f x in
   Block.insert_at_start (Func.block f 2)
     (Func.mk_instr f (Instr.Store { dst = clone2; src = Imm 7 }));
-  Incremental.update_for_cloned_resources f
+  Helpers.update f
     ~cloned_res:(Resource.ResSet.singleton clone2);
   Verify.assert_ok prog.Func.vartab f;
   (* b3's use still reads x0, so the store in b1 must survive *)
@@ -159,7 +159,7 @@ let test_per_def_equivalent () =
     (load_res u3, load_res u4, (load_res u5).Resource.base)
   in
   let batch =
-    run_with (fun f cloned -> Incremental.update_for_cloned_resources f ~cloned_res:cloned)
+    run_with (fun f cloned -> Helpers.update f ~cloned_res:cloned)
   in
   let per_def =
     run_with (fun f cloned -> Per_def_update.update_one_at_a_time f ~cloned_res:cloned)
@@ -184,7 +184,7 @@ let test_straightline_clone () =
   Cfg.recompute_preds f;
   let clone = Func.fresh_ver f x in
   Block.insert_at_start b1 (Func.mk_instr f (Instr.Store { dst = clone; src = Imm 2 }));
-  Incremental.update_for_cloned_resources f ~cloned_res:(Resource.ResSet.singleton clone);
+  Helpers.update f ~cloned_res:(Resource.ResSet.singleton clone);
   Verify.assert_ok prog.Func.vartab f;
   Alcotest.(check bool) "use renamed to clone" true
     (Resource.equal (load_res u) clone);
@@ -193,7 +193,7 @@ let test_straightline_clone () =
 
 let test_empty_cloned_set () =
   let prog, f, _, _, _ = build_example2 () in
-  Incremental.update_for_cloned_resources f ~cloned_res:Resource.ResSet.empty;
+  Helpers.update f ~cloned_res:Resource.ResSet.empty;
   Verify.assert_ok prog.Func.vartab f
 
 (* The post-condition promotion's dead-store step relies on: after an
@@ -305,7 +305,7 @@ let test_postcondition_clone_stores engine ~protect_originals () =
             Resource.ResSet.of_list (List.map (fun (_, _, dst, _) -> dst) originals)
           else Resource.ResSet.empty
         in
-        Incremental.update_for_cloned_resources ~engine ~protect f ~cloned_res:cloned;
+        Helpers.update ~engine ~protect f ~cloned_res:cloned;
         check_no_unused (where tab f base) f ~base ~protect;
         List.iter
           (fun ((b : Block.t), (i : Instr.t), _, _) ->
@@ -344,7 +344,7 @@ let test_postcondition_cascade engine () =
               else acc)
             Resource.ResSet.empty f
         in
-        Incremental.update_for_cloned_resources ~engine f ~cloned_res:cloned;
+        Helpers.update ~engine f ~cloned_res:cloned;
         check_no_unused (where tab f base) f ~base ~protect:Resource.ResSet.empty;
         Verify.assert_ok tab f)
   in

@@ -39,7 +39,7 @@ let test_update_clone_in_loop () =
   let clone = Func.fresh_ver f x in
   Block.insert_at_end b.(2)
     (Func.mk_instr f (Instr.Store { dst = clone; src = Imm 2 }));
-  Incremental.update_for_cloned_resources f
+  Helpers.update f
     ~cloned_res:(Resource.ResSet.singleton clone);
   Verify.assert_ok prog.Func.vartab f;
   (* a phi at the header must join the original and the clone, and the
@@ -82,7 +82,7 @@ let test_update_two_clones_same_block () =
   let s2 = Func.mk_instr f (Instr.Store { dst = c2; src = Imm 2 }) in
   Block.insert_at_start b1 s1;
   Block.insert_after b1 ~iid:s1.Instr.iid s2;
-  Incremental.update_for_cloned_resources f
+  Helpers.update f
     ~cloned_res:(Resource.ResSet.of_list [ c1; c2 ]);
   Verify.assert_ok prog.Func.vartab f;
   (match u.Instr.op with
@@ -115,7 +115,7 @@ let test_update_protect () =
   Cfg.recompute_preds f;
   (* update for c1 only, protecting c2: c2's store must survive even
      though its resource has no uses *)
-  Incremental.update_for_cloned_resources f
+  Helpers.update f
     ~protect:(Resource.ResSet.singleton c2)
     ~cloned_res:(Resource.ResSet.singleton c1);
   Alcotest.(check bool) "protected store survives" true

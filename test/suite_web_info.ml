@@ -291,7 +291,7 @@ let check_interval ctx (tab : Resource.table) (f : Func.t) (iv : Intervals.t) =
       then Alcotest.failf "%s: web members or order differ" ctx;
       check_same ctx w (W.compute f iv members))
     ws webs;
-  List.iter2 (check_same (ctx ^ " rescan")) (W.rescan f iv ws) ws;
+  List.iter2 (check_same (ctx ^ " rescan")) (W.rescan (Rp_ssa.Occ_index.build f) f iv ws) ws;
   List.length ws
 
 let test_oracle_workloads () =

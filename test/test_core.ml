@@ -5,6 +5,7 @@ let () =
       ("ir", Suite_ir.suite);
       ("analysis", Suite_analysis.suite);
       ("ssa", Suite_ssa.suite);
+      ("checkers", Suite_checkers.suite);
       ("incremental", Suite_incremental.suite);
       ("minic", Suite_minic.suite);
       ("interp", Suite_interp.suite);
@@ -14,6 +15,7 @@ let () =
       ("opt2", Suite_opt2.suite);
       ("promote", Suite_promote.suite);
       ("web_info", Suite_web_info.suite);
+      ("occ_index", Suite_occ_index.suite);
       ("regalloc", Suite_regalloc.suite);
       ("pressure", Suite_pressure.suite);
       ("codecs", Suite_codecs.suite);
