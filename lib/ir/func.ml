@@ -91,10 +91,10 @@ let clone (f : t) : t =
     nb.term <- b.Block.term;
     nb.preds <- b.Block.preds;
     Iseq.iter
-      (fun (i : Instr.t) -> Iseq.push_back nb.phis { Instr.iid = i.iid; op = i.op })
+      (fun (i : Instr.t) -> Iseq.push_back nb.phis (Instr.make i.iid i.op))
       b.Block.phis;
     Iseq.iter
-      (fun (i : Instr.t) -> Iseq.push_back nb.body { Instr.iid = i.iid; op = i.op })
+      (fun (i : Instr.t) -> Iseq.push_back nb.body (Instr.make i.iid i.op))
       b.Block.body;
     Vec.push g.blocks nb
   done;
@@ -121,7 +121,7 @@ let fresh_iid f =
   f.next_iid <- i + 1;
   i
 
-let mk_instr f op : Instr.t = { iid = fresh_iid f; op }
+let mk_instr f op : Instr.t = Instr.make (fresh_iid f) op
 
 (* Fresh SSA version for memory variable [vid]. *)
 let fresh_ver f vid =

@@ -72,7 +72,7 @@ let role_bits = 3
 let role_mask = (1 lsl role_bits) - 1
 
 let dummy_site =
-  { instr = { Instr.iid = -1; op = Instr.Dummy_aload { muses = [] } }; bid = -1 }
+  { instr = Instr.make (-1) (Instr.Dummy_aload { muses = [] }); bid = -1 }
 
 type arena = {
   ints : Res_ids.arena;

@@ -9,7 +9,7 @@ let mk_instr =
   let next = ref 1000 in
   fun op ->
     incr next;
-    { Instr.iid = !next; op }
+    Instr.make !next op
 
 (* ------------------------------------------------------------------ *)
 (* Instr accessors *)

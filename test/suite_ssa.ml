@@ -394,7 +394,7 @@ let build_past_counters ~shift =
   let ins blk op =
     let iid = !next + shift in
     incr next;
-    Block.insert_at_end blk { Instr.iid; op }
+    Block.insert_at_end blk (Instr.make iid op)
   in
   let r k = k + shift and xr = Resource.unversioned x in
   (* b0: r0 = 1; r1 = r0 + 2 (dead); br -> b1 | b2 *)
