@@ -703,7 +703,7 @@ let promote_in_interval ?(arena = Webs.arena ()) ?index ?(on_edit = ignore)
     List.iter2
       (fun j w -> infos.(j) <- w)
       !later
-      (Web_info.rescan index f iv (List.map (fun j -> infos.(j)) !later))
+      (Web_info.rescan index iv (List.map (fun j -> infos.(j)) !later))
   in
   Array.iteri
     (fun k (w : Web_info.t) ->

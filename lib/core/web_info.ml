@@ -8,9 +8,10 @@
 
    Every web of an interval comes from one scan ({!of_interval}): the
    scan of {!Rp_ssa.Webs} records each memory occurrence once, and the
-   occurrences are bucketed by web.  The members of a web are versions
-   of one variable, so its facts are one byte per version over the
-   web's version range. *)
+   occurrences are bucketed by web.  A phi joins versions of one
+   variable ({!Rp_ssa.Verify} rejects any other), so the members of a
+   web are versions of one variable and its facts are one byte per
+   version over the web's version range. *)
 
 open Rp_ir
 open Rp_analysis
@@ -34,15 +35,8 @@ let f_phi = 8 (* by a phi of the interval *)
 let f_used = 16 (* used in the interval *)
 
 (* A web's membership and definition facts: a flag byte per version
-   [vlo ..] of the web's least variable, and an association list for
-   members of other variables (a phi joining two variables: malformed,
-   hand-built IR only). *)
-type facts = {
-  defs : bool;
-  vlo : int;
-  flags : Bytes.t;
-  others : (Resource.t * int) list;
-}
+   [vlo ..] of the web's variable. *)
+type facts = { defs : bool; vlo : int; flags : Bytes.t }
 
 type t = {
   base : Ids.vid;
@@ -60,51 +54,39 @@ type acc = {
   a_base : Ids.vid;
   a_vlo : int;
   a_flags : Bytes.t;
-  mutable a_others : (Resource.t * int) list;
   mutable a_loads : (ref_site * Resource.t) list;
   mutable a_stores : (ref_site * Resource.t) list;
   mutable a_aliased : (ref_site * Resource.t) list;
   mutable a_phis : (ref_site * Resource.t) list;
 }
 
-(* An accumulator for a web whose least member is a version of [base],
-   whose versions of [base] run over [vlo .. vhi]. *)
+(* An accumulator for a web of versions [vlo .. vhi] of [base]. *)
 let make_acc ~base ~vlo ~vhi =
   {
     a_base = base;
     a_vlo = vlo;
     a_flags = Bytes.make (vhi - vlo + 1) '\000';
-    a_others = [];
     a_loads = [];
     a_stores = [];
     a_aliased = [];
     a_phis = [];
   }
 
-let flags_of ~base ~vlo flags others (r : Resource.t) =
-  if r.base = base then
-    let k = r.ver - vlo in
-    if k >= 0 && k < Bytes.length flags then
-      Char.code (Bytes.unsafe_get flags k)
-    else 0
-  else
-    match List.find_opt (fun (o, _) -> Resource.equal o r) others with
-    | Some (_, fl) -> fl
-    | None -> 0
+let flags_of ~base ~vlo flags (r : Resource.t) =
+  let k = r.ver - vlo in
+  if r.base = base && k >= 0 && k < Bytes.length flags then
+    Char.code (Bytes.unsafe_get flags k)
+  else 0
 
-let acc_flags a r = flags_of ~base:a.a_base ~vlo:a.a_vlo a.a_flags a.a_others r
+let acc_flags a r = flags_of ~base:a.a_base ~vlo:a.a_vlo a.a_flags r
 
-(* Set [bit] for [r], which must be a member (or [bit] = [f_member]). *)
+(* Set [bit] for [r], a version of the web's variable in its range. *)
 let set a (r : Resource.t) bit =
-  if r.base = a.a_base then begin
-    let k = r.ver - a.a_vlo in
-    Bytes.unsafe_set a.a_flags k
-      (Char.unsafe_chr (Char.code (Bytes.unsafe_get a.a_flags k) lor bit))
-  end
-  else
-    a.a_others <-
-      (r, acc_flags a r lor bit)
-      :: List.filter (fun (o, _) -> not (Resource.equal o r)) a.a_others
+  let k = r.ver - a.a_vlo in
+  Bytes.unsafe_set a.a_flags k
+    (Char.unsafe_chr (Char.code (Bytes.unsafe_get a.a_flags k) lor bit))
+
+let several_vars () = invalid_arg "Web_info: a web of several variables"
 
 (* An accumulator over the given members, least first. *)
 let acc_of_members (members : Resource.t list) =
@@ -114,7 +96,9 @@ let acc_of_members (members : Resource.t list) =
       let base = least.base in
       let vhi =
         List.fold_left
-          (fun m (r : Resource.t) -> if r.base = base then max m r.ver else m)
+          (fun m (r : Resource.t) ->
+            if r.base <> base then several_vars ();
+            max m r.ver)
           least.ver members
       in
       let a = make_acc ~base ~vlo:least.ver ~vhi in
@@ -141,9 +125,8 @@ let on_alias_use a site r =
   a.a_aliased <- (site, r) :: a.a_aliased;
   set a r f_used
 
-(* The live-in is the least member used but not defined in the interval:
-   the range of [a_base] holds the least members, [a_others] only
-   versions of later variables. *)
+(* The live-in is the least member used but not defined in the
+   interval. *)
 let finish (a : acc) : t =
   let outside fl = fl land f_used <> 0 && fl land f_def = 0 in
   let live_in = ref None and nout = ref 0 and defs = ref false in
@@ -156,17 +139,6 @@ let finish (a : acc) : t =
       incr nout
     end
   done;
-  let others =
-    List.sort (fun (r, _) (s, _) -> Resource.compare r s) a.a_others
-  in
-  List.iter
-    (fun (r, fl) ->
-      if fl land f_def <> 0 then defs := true;
-      if outside fl then begin
-        if !nout = 0 then live_in := Some r;
-        incr nout
-      end)
-    others;
   {
     base = a.a_base;
     loads = a.a_loads;
@@ -175,7 +147,7 @@ let finish (a : acc) : t =
     phis = a.a_phis;
     live_in = !live_in;
     multiple_live_in = !nout > 1;
-    facts = { defs = !defs; vlo = a.a_vlo; flags = a.a_flags; others };
+    facts = { defs = !defs; vlo = a.a_vlo; flags = a.a_flags };
   }
 
 (* ------------------------------------------------------------------ *)
@@ -186,19 +158,15 @@ let of_interval ?ids ?arena (tab : Resource.table) (f : Func.t)
   let s = Webs.scan ?ids ?arena tab f iv.Intervals.blocks in
   let n = s.Webs.nwebs and mres = s.Webs.mres in
   let web_of_member m = s.Webs.web.(s.Webs.members.(m)) in
-  (* each web's least variable and that variable's version range *)
-  let base = Array.make n max_int in
-  for m = 0 to s.Webs.nmembers - 1 do
-    let w = web_of_member m and b = mres.(m).Resource.base in
-    if b < base.(w) then base.(w) <- b
-  done;
+  (* each web's variable and version range *)
+  let base = Array.make n (-1) in
   let vlo = Array.make n max_int and vhi = Array.make n min_int in
   for m = 0 to s.Webs.nmembers - 1 do
     let w = web_of_member m and r = mres.(m) in
-    if r.Resource.base = base.(w) then begin
-      if r.ver < vlo.(w) then vlo.(w) <- r.ver;
-      if r.ver > vhi.(w) then vhi.(w) <- r.ver
-    end
+    if base.(w) < 0 then base.(w) <- r.Resource.base
+    else if base.(w) <> r.Resource.base then several_vars ();
+    if r.ver < vlo.(w) then vlo.(w) <- r.ver;
+    if r.ver > vhi.(w) then vhi.(w) <- r.ver
   done;
   let accs =
     Array.init n (fun w -> make_acc ~base:base.(w) ~vlo:vlo.(w) ~vhi:vhi.(w))
@@ -266,17 +234,6 @@ let scan_instr (web_of : Resource.t -> acc option) bid (i : Instr.t) ~defs
       if Instr.is_aliased_load i.op then
         List.iter (each (fun a -> on_alias_use a site)) uses
 
-(* Scan the interval's blocks once, in scan order. *)
-let scan_blocks (f : Func.t) (iv : Intervals.t) web_of =
-  Ids.IntSet.iter
-    (fun bid ->
-      Block.iter_instrs
-        (fun i ->
-          scan_instr web_of bid i ~defs:(Instr.mem_defs i.op)
-            ~uses:(Instr.mem_uses i.op))
-        (Func.block f bid))
-    iv.Intervals.blocks
-
 (* The members of a web, least first. *)
 let members (w : t) : Resource.t list =
   let x = w.facts and slice = ref [] in
@@ -284,44 +241,41 @@ let members (w : t) : Resource.t list =
     if Char.code (Bytes.unsafe_get x.flags k) land f_member <> 0 then
       slice := { Resource.base = w.base; ver = x.vlo + k } :: !slice
   done;
-  !slice @ List.map fst x.others
+  !slice
 
-(* The reference sets of the one web holding [resources]: for one web
-   (the loop baseline's) a numbering would cost more than it saves, and
-   the web's own flags answer membership, for resources of any id. *)
+(* The reference sets of the one web holding [resources], from a scan
+   of the interval's blocks: for one web (the loop baseline's) a
+   numbering would cost more than it saves, and the web's own flags
+   answer membership, for resources of any id. *)
 let compute (f : Func.t) (iv : Intervals.t) (resources : Resource.ResSet.t) :
     t =
   let a = acc_of_members (Resource.ResSet.elements resources) in
-  scan_blocks f iv (fun r ->
-      if acc_flags a r land f_member <> 0 then Some a else None);
+  let web_of r = if acc_flags a r land f_member <> 0 then Some a else None in
+  Ids.IntSet.iter
+    (fun bid ->
+      Block.iter_instrs
+        (fun i ->
+          scan_instr web_of bid i ~defs:(Instr.mem_defs i.op)
+            ~uses:(Instr.mem_uses i.op))
+        (Func.block f bid))
+    iv.Intervals.blocks;
   finish a
 
 (* The same webs' sets again, from the current IR: an earlier web of
    their variable was promoted with store removal, and the updater
    rewrote uses and definitions across the variable.  One web never
    references another web's resources, so each result is that of a
-   dedicated scan.  When the webs' members are versions of one
-   variable (always, outside hand-built IR), only that variable's
-   entries in [index] are read, and a resource's web is found in an
-   array over its versions; otherwise the interval is scanned. *)
-let rescan (index : Rp_ssa.Occ_index.t) (f : Func.t) (iv : Intervals.t)
-    (webs : t list) : t list =
-  let members = List.map members webs in
-  let accs =
-    Array.of_list (List.map (fun ms -> Some (acc_of_members ms)) members)
-  in
-  (* one variable: every web has the same least variable and no member
-     of another *)
-  let one_var =
-    match webs with
-    | [] -> None
-    | w0 :: _ ->
-        if List.for_all (fun w -> w.base = w0.base && w.facts.others = []) webs
-        then Some w0.base
-        else None
-  in
-  (match one_var with
-  | Some base ->
+   dedicated scan.  Only the variable's entries in [index] are read,
+   and a resource's web is found in an array over its versions. *)
+let rescan (index : Rp_ssa.Occ_index.t) (iv : Intervals.t) (webs : t list) :
+    t list =
+  match webs with
+  | [] -> []
+  | w0 :: _ ->
+      let base = w0.base in
+      let members = List.map members webs in
+      let accs = Array.of_list (List.map acc_of_members members) in
+      if Array.exists (fun a -> a.a_base <> base) accs then several_vars ();
       let top =
         List.fold_left
           (List.fold_left (fun m (r : Resource.t) -> max m r.ver))
@@ -335,28 +289,22 @@ let rescan (index : Rp_ssa.Occ_index.t) (f : Func.t) (iv : Intervals.t)
         if r.base <> base || r.ver < 0 || r.ver > top then None
         else
           let k = owner.(r.ver) in
-          if k < 0 then None else accs.(k)
+          if k < 0 then None else Some accs.(k)
       in
       let blocks = iv.Intervals.blocks in
       if not (Ids.IntSet.is_empty blocks) then
         Rp_ssa.Occ_index.iter_range index base ~lo:(Ids.IntSet.min_elt blocks)
           ~hi:(Ids.IntSet.max_elt blocks) (fun bid i ~defs ~uses ->
             if Ids.IntSet.mem bid blocks then
-              scan_instr web_of bid i ~defs ~uses)
-  | None ->
-      scan_blocks f iv (fun r ->
-          Array.find_opt
-            (fun a -> acc_flags (Option.get a) r land f_member <> 0)
-            accs
-          |> Option.join));
-  Array.to_list (Array.map (fun a -> finish (Option.get a)) accs)
+              scan_instr web_of bid i ~defs ~uses);
+      Array.to_list (Array.map finish accs)
 
 (* ------------------------------------------------------------------ *)
 (* Queries *)
 
 let flags w r =
   let x = w.facts in
-  flags_of ~base:w.base ~vlo:x.vlo x.flags x.others r
+  flags_of ~base:w.base ~vlo:x.vlo x.flags r
 
 let mem w r = flags w r land f_member <> 0
 
@@ -371,23 +319,8 @@ let phi_defined w r = flags w r land f_phi <> 0
 (* A leaf operand: not defined by a phi instruction of this interval. *)
 let is_leaf w r = not (phi_defined w r)
 
-(* Slots: the versions of the range, then the other members. *)
-let slots w = Bytes.length w.facts.flags + List.length w.facts.others
+(* Slots: the versions of the range. *)
+let slots w = Bytes.length w.facts.flags
 
 let slot w (r : Resource.t) =
-  let x = w.facts in
-  let n = Bytes.length x.flags in
-  if r.base = w.base then
-    let k = r.ver - x.vlo in
-    if
-      k >= 0 && k < n
-      && Char.code (Bytes.unsafe_get x.flags k) land f_member <> 0
-    then k
-    else -1
-  else
-    let rec find j = function
-      | [] -> -1
-      | (o, _) :: rest ->
-          if Resource.equal o r then n + j else find (j + 1) rest
-    in
-    find 0 x.others
+  if flags w r land f_member <> 0 then r.ver - w.facts.vlo else -1

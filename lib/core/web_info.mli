@@ -20,7 +20,7 @@ type ref_site = Rp_ssa.Webs.site = { instr : Instr.t; bid : Ids.bid }
 type facts
 
 type t = {
-  base : Ids.vid;  (** the variable of the web's least member *)
+  base : Ids.vid;  (** the web's variable: every member is a version of it *)
   loads : (ref_site * Resource.t) list;  (** singleton loads of the web *)
   stores : (ref_site * Resource.t) list;  (** singleton stores of the web *)
   aliased_uses : (ref_site * Resource.t) list;
@@ -40,7 +40,8 @@ type t = {
     ids [ids] — by default a fresh numbering of the function — in
     [arena]): the recorded occurrences are bucketed by web.
     @raise Invalid_argument when a resource of a promotable variable is
-    outside [ids]. *)
+    outside [ids], or when a memory phi joins versions of two variables
+    (which {!Rp_ssa.Verify} rejects). *)
 val of_interval :
   ?ids:Res_ids.t ->
   ?arena:Rp_ssa.Webs.arena ->
@@ -51,16 +52,15 @@ val of_interval :
 
 (** Scan the interval's blocks and build the sets for the web holding
     the given resources.  Works for resources of any id.
-    @raise Invalid_argument on an empty web. *)
+    @raise Invalid_argument on an empty web or one of several
+    variables. *)
 val compute : Func.t -> Intervals.t -> Resource.ResSet.t -> t
 
-(** The same webs' sets rebuilt from the current IR. When every member
-    is a version of one variable, only that variable's entries in the
-    occurrence index (which must be current for the function) are
-    read; otherwise the interval is scanned. Results line up with the
-    input list. *)
-val rescan :
-  Rp_ssa.Occ_index.t -> Func.t -> Intervals.t -> t list -> t list
+(** The same webs' sets rebuilt from the current IR: only their
+    variable's entries in the occurrence index (which must be current
+    for the function) are read. Results line up with the input list.
+    @raise Invalid_argument when the webs are of several variables. *)
+val rescan : Rp_ssa.Occ_index.t -> Intervals.t -> t list -> t list
 
 (** The members, least first. *)
 val members : t -> Resource.t list

@@ -108,18 +108,16 @@ let run ?(engine = Cytron) (f : Func.t) : unit =
   let dom = Dom.compute f in
   Hashtbl.reset f.mver;
   let live_in = location_liveness f in
-  (* 1. definition sites per location.  Phis are placed in the
-     iteration order of [def_blocks], so it keeps the table; lookups go
-     through [def_sets]. *)
-  let def_blocks : (int, Bitset.t) Hashtbl.t = Hashtbl.create 64 in
+  (* 1. definition sites per location, and the defined locations *)
   let def_sets = Id_table.Poly.create (2 * f.next_reg) ~default:None in
+  let locs = ref [] in
   let add_def l bid =
     let cur =
       match Id_table.Poly.get def_sets l with
       | Some s -> s
       | None ->
           let s = Bitset.empty () in
-          Hashtbl.replace def_blocks l s;
+          locs := l :: !locs;
           Id_table.Poly.set def_sets l (Some s);
           s
     in
@@ -139,7 +137,8 @@ let run ?(engine = Cytron) (f : Func.t) : unit =
     f;
   (* parameters are defined at the entry block *)
   List.iter (fun r -> add_def (loc_of_reg r) f.entry) f.params;
-  (* 2. phi placement at the pruned iterated dominance frontier *)
+  (* 2. phi placement at the pruned iterated dominance frontier, by
+     ascending location id *)
   let idf =
     match engine with
     | Cytron ->
@@ -156,9 +155,9 @@ let run ?(engine = Cytron) (f : Func.t) : unit =
   (* every placed phi, so the source lists accumulated backwards during
      renaming can be reversed once at the end *)
   let placed_phis : Instr.t list ref = ref [] in
-  Hashtbl.iter
-    (fun l blocks ->
-      let targets = idf blocks in
+  List.iter
+    (fun l ->
+      let targets = idf (Option.get (Id_table.Poly.get def_sets l)) in
       Bitset.iter
         (fun bid ->
           if Bitset.mem live_in.(bid) l then begin
@@ -175,7 +174,7 @@ let run ?(engine = Cytron) (f : Func.t) : unit =
             Block.add_phi b i
           end)
         targets)
-    def_blocks;
+    (List.sort Int.compare !locs);
   (* 3. renaming along the dominator tree *)
   let module S = Id_table.Poly in
   let reg_stack : Ids.reg list S.t = S.create f.next_reg ~default:[] in

@@ -71,9 +71,7 @@ let sequentialise (f : Func.t) (moves : (Ids.reg * Instr.operand) list) :
 let lower (f : Func.t) : Ids.IntSet.t =
   Cfg.recompute_preds f;
   (* collect per-pred copy groups from register phis *)
-  let copies : (Ids.bid, (Ids.reg * Instr.operand) list) Hashtbl.t =
-    Hashtbl.create 16
-  in
+  let copies = Array.make (Func.num_blocks f) [] in
   Func.iter_blocks
     (fun b ->
       Iseq.iter
@@ -81,19 +79,14 @@ let lower (f : Func.t) : Ids.IntSet.t =
           match i.op with
           | Instr.Rphi { dst; srcs } ->
               List.iter
-                (fun (p, r) ->
-                  let cur =
-                    match Hashtbl.find_opt copies p with
-                    | Some l -> l
-                    | None -> []
-                  in
-                  Hashtbl.replace copies p ((dst, Instr.Reg r) :: cur))
+                (fun (p, r) -> copies.(p) <- (dst, Instr.Reg r) :: copies.(p))
                 srcs
           | _ -> ())
         b.phis)
     f;
+  (* insert them predecessor by predecessor, in block order *)
   let inserted = ref Ids.IntSet.empty in
-  Hashtbl.iter
+  Array.iteri
     (fun pred moves ->
       let b = Func.block f pred in
       List.iter

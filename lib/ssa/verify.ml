@@ -6,6 +6,9 @@
    - every register has at most one definition (parameters count),
    - every memory resource (base, version) has at most one definition;
      version 0 (unrenamed) must not appear,
+   - a memory phi joins versions of its target's variable only, so
+     every SSA web (paper section 4.2) is made of one variable's
+     versions,
    - at most one SSA name per memory location is live at any point
      is implied by the def/use dominance checks below,
    - every use is dominated by its definition; a phi source must be
@@ -111,19 +114,25 @@ let check (tab : Resource.table) (f : Func.t) : error list =
         check_ver r;
         vers rest
   in
-  let rec src_vers = function
+  let rec src_vers bid (dst : Resource.t) = function
     | [] -> ()
-    | (_, r) :: rest ->
+    | (_, (r : Resource.t)) :: rest ->
         check_ver r;
-        src_vers rest
+        if r.base <> dst.base then
+          add
+            (err (loc bid)
+               "memory phi of %s joins %s, a version of another variable"
+               (Resource.var_name tab dst.base)
+               (Format.asprintf "%a" (Resource.pp tab) r));
+        src_vers bid dst rest
   in
-  let mem_instr (i : Instr.t) =
+  let mem_instr bid (i : Instr.t) =
     match i.op with
     | Instr.Load { src; _ } -> check_ver src
     | Instr.Store { dst; _ } -> def i.iid dst
     | Instr.Mphi { dst; srcs } ->
         def i.iid dst;
-        src_vers srcs
+        src_vers bid dst srcs
     | Instr.Ptr_store { mdefs; muses; _ } | Instr.Call { mdefs; muses; _ } ->
         defs i.iid mdefs;
         vers muses
@@ -134,7 +143,7 @@ let check (tab : Resource.table) (f : Func.t) : error list =
     | Instr.Print _ ->
         ()
   in
-  Func.iter_blocks (fun b -> Block.iter_instrs mem_instr b) f;
+  Func.iter_blocks (fun b -> Block.iter_instrs (mem_instr b.bid) b) f;
   (* dominance of uses.  A definition at (db, dpos) reaches an ordinary
      use at (ub, upos) iff db strictly dominates ub, or db = ub and
      dpos < upos.  Entry definitions (parameters, entry versions of

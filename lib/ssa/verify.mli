@@ -1,5 +1,6 @@
 (** SSA invariant checker: single assignment for registers and memory
-    resources, no version-0 resources, every use dominated by its
+    resources, no version-0 resources, memory phis that join versions
+    of their target's variable only, every use dominated by its
     definition (phi sources at the end of their predecessor), plus the
     structural checks of [Rp_ir.Validate]. *)
 

@@ -14,43 +14,14 @@
    arrays over the function's dense resource ids ({!Rp_ir.Res_ids}) and
    records every memory occurrence — resource id, role, site — in arena
    arrays, so the per-web reference sets can be bucketed from the record
-   without walking the IR again.  The classes come out in the order of
-   the reference {!Union_find.classes}: promotion visits webs in this
-   order, so it decides register and version numbering.  That order is
-   the iteration order of a Stdlib hash table keyed by resources, which
-   {!table_order} computes without building the table. *)
+   without walking the IR again.
+
+   Promotion visits the webs in the order they come out, so the order
+   decides register and version numbering.  The paper leaves it open;
+   here a web's place is the first occurrence of any of its members in
+   the scan, and its members are listed in first-occurrence order. *)
 
 open Rp_ir
-
-(* The order in which [Hashtbl.iter] visits the keys of a table made by
-   [Hashtbl.create 16] after adding [keys.(0)], ..., [keys.(n-1)] in
-   that order, with [hash k] the [Hashtbl.hash] of key [k].  The table
-   doubles its buckets whenever it holds more than two keys per bucket,
-   and neither that nor iteration reorders keys within a bucket: it
-   visits buckets in index order ([hash land (buckets - 1)]), newest key
-   first within each.  So a counting sort by bucket over the keys in
-   reverse insertion order reproduces it. *)
-let table_order (hash : int -> int) (keys : int array) : int array =
-  let n = Array.length keys in
-  let buckets = ref 16 in
-  while n > 2 * !buckets do
-    buckets := 2 * !buckets
-  done;
-  let mask = !buckets - 1 in
-  let bucket = Array.map (fun k -> hash k land mask) keys in
-  (* start.(b): first output slot of bucket b *)
-  let start = Array.make (!buckets + 1) 0 in
-  Array.iter (fun b -> start.(b + 1) <- start.(b + 1) + 1) bucket;
-  for b = 1 to !buckets do
-    start.(b) <- start.(b) + start.(b - 1)
-  done;
-  let out = Array.make n 0 in
-  for j = n - 1 downto 0 do
-    let b = bucket.(j) in
-    out.(start.(b)) <- keys.(j);
-    start.(b) <- start.(b) + 1
-  done;
-  out
 
 type site = { instr : Instr.t; bid : Ids.bid }
 
@@ -105,7 +76,6 @@ type scan = {
   members : int array;
   mres : Resource.t array;
   midx : int array;
-  order : int array;
 }
 
 (* [arr] with room for index [n], its prefix kept *)
@@ -124,7 +94,7 @@ let scan ?ids ?(arena = arena ()) (tab : Resource.table) (f : Func.t)
   (* parent.(i) < 0: resource i is not (yet) a member *)
   let parent = Res_ids.ints a.ints ids ~slot:0 ~fill:(-1) in
   let rank = Res_ids.ints a.ints ids ~slot:1 ~fill:0 in
-  (* members in first-insertion order, with their resources *)
+  (* members in first-occurrence order, with their resources *)
   let members = Res_ids.ints a.ints ids ~slot:2 ~fill:0 and nmembers = ref 0 in
   (* midx.(i): member number of resource i *)
   let midx = Res_ids.ints a.ints ids ~slot:3 ~fill:0 in
@@ -152,7 +122,7 @@ let scan ?ids ?(arena = arena ()) (tab : Resource.table) (f : Func.t)
       root
     end
   in
-  (* union by rank: the same roots as the reference *)
+  (* union by rank *)
   let union a b =
     let ra = find a and rb = find b in
     if ra <> rb then begin
@@ -238,52 +208,34 @@ let scan ?ids ?(arena = arena ()) (tab : Resource.table) (f : Func.t)
               ())
         (Func.block f b))
     blocks;
-  (* The reference groups the members by root in its table's order, and
-     lists the classes in the reverse order of a second table keyed by
-     the roots.  Classes are numbered by first appearance in member
-     order. *)
   a.occ_id <- !occ_id;
   a.occ_what <- !occ_what;
   a.sites <- !sites;
   a.mres <- !mres;
+  (* number the classes by the first occurrence of a member *)
   let n = !nmembers in
-  let hash i = Hashtbl.hash a.mres.(midx.(i)) in
-  let order = table_order hash (Array.sub members 0 n) in
-  let web = Res_ids.ints a.ints ids ~slot:4 ~fill:(-1) in
-  let roots = ref [] and nwebs = ref 0 in
-  Array.iter
-    (fun i ->
-      let root = find i in
-      if web.(root) < 0 then begin
-        web.(root) <- !nwebs;
-        incr nwebs;
-        roots := root :: !roots
-      end)
-    order;
-  (* renumber the classes into web order, then label every member *)
-  let roots = table_order hash (Array.of_list (List.rev !roots)) in
-  let nwebs = !nwebs in
-  let pos = Array.make nwebs 0 in
-  Array.iteri (fun j root -> pos.(web.(root)) <- nwebs - 1 - j) roots;
+  let web = Res_ids.ints a.ints ids ~slot:4 ~fill:(-1) and nwebs = ref 0 in
   for m = 0 to n - 1 do
     let i = members.(m) in
     let root = find i in
-    if i <> root then web.(i) <- pos.(web.(root))
+    if web.(root) < 0 then begin
+      web.(root) <- !nwebs;
+      incr nwebs
+    end;
+    web.(i) <- web.(root)
   done;
-  Array.iter (fun root -> web.(root) <- pos.(web.(root))) roots;
   {
     ids;
     nocc = !nocc;
     occ_id = a.occ_id;
     occ_what = a.occ_what;
     sites = a.sites;
-    nwebs;
+    nwebs = !nwebs;
     web;
     nmembers = n;
     members;
     mres = a.mres;
     midx;
-    order;
   }
 
 let resource s i = s.mres.(s.midx.(i))
@@ -295,9 +247,8 @@ let in_blocks ?ids (tab : Resource.table) (f : Func.t) (blocks : Ids.IntSet.t)
     : Resource.t list list =
   let s = scan ?ids tab f blocks in
   let cls = Array.make s.nwebs [] in
-  Array.iter
-    (fun i ->
-      let w = s.web.(i) in
-      cls.(w) <- resource s i :: cls.(w))
-    s.order;
+  for m = s.nmembers - 1 downto 0 do
+    let w = s.web.(s.members.(m)) in
+    cls.(w) <- s.mres.(m) :: cls.(w)
+  done;
   Array.to_list cls

@@ -6,11 +6,6 @@
 
 open Rp_ir
 
-(** [table_order hash keys] is the order in which [Hashtbl.iter] visits
-    the keys of a [Hashtbl.create 16] table after adding [keys] in
-    array order, where [hash k] is the [Hashtbl.hash] of key [k]. *)
-val table_order : (int -> int) -> int array -> int array
-
 (** An instruction holding memory occurrences, and its block. *)
 type site = { instr : Instr.t; bid : Ids.bid }
 
@@ -60,10 +55,10 @@ type scan = private {
       (** per resource id: its web's position in {!in_blocks} order, or
           -1 for a resource in no web *)
   nmembers : int;
-  members : int array;  (** the ids of all web members *)
+  members : int array;
+      (** the ids of all web members, in first-occurrence order *)
   mres : Resource.t array;  (** their resources, in the same order *)
   midx : int array;  (** per member id: its index in [members] *)
-  order : int array;  (** the member ids in the reference's table order *)
 }
 
 (** Scan the blocks once: run the union-find and record every memory
@@ -87,9 +82,10 @@ val resource : scan -> int -> Resource.t
 (** All webs of the given block set; each web is its member list. Only
     resources of promotable variables are considered.
 
-    Classes, their order and the order of their members are exactly
-    those of {!Union_find.classes} after the same [add]/[union]
-    sequence.
+    The classes are those of {!Union_find} after the same
+    [add]/[union] sequence.  Webs are listed by the first occurrence of
+    a member in the scan, and each web's members in first-occurrence
+    order.
     @raise Invalid_argument when a resource of the blocks is outside
     [ids]. *)
 val in_blocks :

@@ -198,6 +198,19 @@ let test_dominance () =
     ]
     (pairs_of_verify (V.check tab f))
 
+(* A memory phi joins versions of its target's variable only: no
+   producer makes any other, and a web is one variable's versions. *)
+let test_cross_variable_phi () =
+  let tab, f, x = setup () in
+  let y = Resource.add_var tab ~name:"y" ~kind:Resource.Global ~init:0 in
+  let b = diamond f in
+  Block.add_phi b.(3)
+    (Func.mk_instr f
+       (Instr.Mphi { dst = res x 3; srcs = [ (1, res x 1); (2, res y 1) ] }));
+  check "cross-variable phi"
+    [ ("f/b3", "memory phi of x joins y_1, a version of another variable") ]
+    (pairs_of_verify (V.check tab f))
+
 (* Verify reports the structural errors first, and prints "where: what"
    lines. *)
 let test_verify_includes_validate () =
@@ -230,6 +243,8 @@ let suite =
     Alcotest.test_case "verify: undefined registers" `Quick
       test_undefined_register;
     Alcotest.test_case "verify: dominance" `Quick test_dominance;
+    Alcotest.test_case "verify: cross-variable memory phi" `Quick
+      test_cross_variable_phi;
     Alcotest.test_case "verify: structural errors first" `Quick
       test_verify_includes_validate;
   ]

@@ -28,12 +28,14 @@ let fingerprint ~options target =
   in
   (md5 (Rp_ir.Pp.prog_to_string report.P.prog), md5 json)
 
-let golden : (string * string * string) list =
-  String.split_on_char '\n' Fingerprints_golden.text
+let lines text : (string * string * string) list =
+  String.split_on_char '\n' text
   |> List.filter_map (fun line ->
          match String.split_on_char ' ' (String.trim line) with
          | [ kind; target; digest ] -> Some (kind, target, digest)
          | _ -> None)
+
+let golden = lines Fingerprints_golden.text
 
 let d = P.default_options
 
@@ -75,4 +77,23 @@ let test_golden () =
       Alcotest.(check string) (kind ^ " " ^ target) want got)
     golden
 
-let suite = [ Alcotest.test_case "golden digests" `Slow test_golden ]
+(* The SSA form up to a renaming (golden/alpha.txt): a change that only
+   renumbers registers and versions, or reorders a block's phis, keeps
+   every line. *)
+let test_alpha () =
+  let golden = lines Alpha_golden.text in
+  Alcotest.(check (list string))
+    "alpha targets" Rp_alpha.Alpha.targets
+    (List.map (fun (_, t, _) -> t) golden);
+  List.iter
+    (fun (kind, target, want) ->
+      Alcotest.(check string)
+        (kind ^ " " ^ target) want
+        (Rp_alpha.Alpha.digest target))
+    golden
+
+let suite =
+  [
+    Alcotest.test_case "golden digests" `Slow test_golden;
+    Alcotest.test_case "ssa alpha digests" `Quick test_alpha;
+  ]

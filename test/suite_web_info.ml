@@ -275,8 +275,9 @@ let check_same ctx (got : W.t) (want : W.t) =
     (W.members want)
 
 (* Every web of the interval, as one scan builds them, against the
-   single-web scan, and the rescan of the same webs against both; also
-   that the webs are those of [Webs.in_blocks], in its order. *)
+   single-web scan, and the rescan of each variable's webs against
+   both; also that the webs are those of [Webs.in_blocks], in its
+   order. *)
 let check_interval ctx (tab : Resource.table) (f : Func.t) (iv : Intervals.t) =
   let ws = W.of_interval tab f iv in
   let webs = Rp_ssa.Webs.in_blocks tab f iv.Intervals.blocks in
@@ -291,7 +292,12 @@ let check_interval ctx (tab : Resource.table) (f : Func.t) (iv : Intervals.t) =
       then Alcotest.failf "%s: web members or order differ" ctx;
       check_same ctx w (W.compute f iv members))
     ws webs;
-  List.iter2 (check_same (ctx ^ " rescan")) (W.rescan (Rp_ssa.Occ_index.build f) f iv ws) ws;
+  let index = Rp_ssa.Occ_index.build f in
+  List.sort_uniq compare (List.map (fun w -> w.W.base) ws)
+  |> List.iter (fun base ->
+         let same = List.filter (fun w -> w.W.base = base) ws in
+         List.iter2 (check_same (ctx ^ " rescan"))
+           (W.rescan index iv same) same);
   List.length ws
 
 let test_oracle_workloads () =
@@ -332,8 +338,8 @@ let test_oracle_workloads () =
 
 (* Random programs: the phi graphs of the web construction test (calls,
    an array variable, arbitrary versions) plus pointer stores and loads,
-   dummies, exit uses and phis joining versions of different variables
-   (malformed, but the scan must still agree). *)
+   dummies, exit uses and more phis.  Every phi joins versions of its
+   target's variable, as {!Rp_ssa.Verify} demands. *)
 let gen_program =
   let open QCheck.Gen in
   Suite_webs.gen_graph >>= fun ((nvars, maxver, nblocks, _) as g) ->
@@ -357,13 +363,33 @@ let build_program (g, extra) =
         | 3 -> Instr.Exit_use { muses }
         | _ -> (
             match defs with
-            | dst :: _ -> Instr.Mphi { dst; srcs = List.mapi (fun p s -> (p, s)) muses }
+            | (dst : Resource.t) :: _ ->
+                let srcs =
+                  List.mapi
+                    (fun p (s : Resource.t) -> (p, { s with base = dst.base }))
+                    muses
+                in
+                Instr.Mphi { dst; srcs }
             | [] -> Instr.Exit_use { muses })
       in
       let b = Func.block f k and i = Func.mk_instr f op in
       match op with Instr.Mphi _ -> Block.add_phi b i | _ -> Block.insert_at_end b i)
     extra;
   (tab, f, blocks)
+
+(* A root interval over the given blocks. *)
+let interval blocks =
+  {
+    Intervals.id = 0;
+    entries = blocks;
+    blocks;
+    children = [];
+    preheader = 0;
+    exit_edges = [];
+    proper = true;
+    is_root = true;
+    depth = 0;
+  }
 
 let prop_oracle_random =
   QCheck.Test.make ~name:"one-scan web records = single-web scan (random)"
@@ -372,19 +398,6 @@ let prop_oracle_random =
          Printf.sprintf "%s extra=%d" (Suite_webs.print_graph g) (List.length extra)))
     (fun p ->
       let tab, f, blocks = build_program p in
-      let interval blocks =
-        {
-          Intervals.id = 0;
-          entries = blocks;
-          blocks;
-          children = [];
-          preheader = 0;
-          exit_edges = [];
-          proper = true;
-          is_root = true;
-          depth = 0;
-        }
-      in
       (* all blocks, and all but the last as a second interval *)
       ignore (check_interval "random" tab f (interval blocks));
       (match Ids.IntSet.max_elt_opt blocks with
@@ -394,6 +407,21 @@ let prop_oracle_random =
                (interval (Ids.IntSet.remove b blocks)))
       | _ -> ());
       true)
+
+(* A phi joining two variables, which Verify rejects, makes no web:
+   the scan refuses it instead of mixing two variables' flags. *)
+let test_cross_variable_web () =
+  let tab, f, blocks = Suite_webs.build_graph (3, 4, 1, []) in
+  Block.add_phi (Func.block f 0)
+    (Func.mk_instr f
+       (Instr.Mphi
+          {
+            dst = { Resource.base = 2; ver = 3 };
+            srcs = [ (0, { Resource.base = 0; ver = 2 }) ];
+          }));
+  Alcotest.check_raises "of_interval"
+    (Invalid_argument "Web_info: a web of several variables") (fun () ->
+      ignore (W.of_interval tab f (interval blocks)))
 
 let suite =
   [
@@ -407,6 +435,8 @@ let suite =
       test_irreducible_promotion;
     Alcotest.test_case "one-scan web records = single-web scan (workloads)"
       `Quick test_oracle_workloads;
+    Alcotest.test_case "a web of two variables is refused" `Quick
+      test_cross_variable_web;
     QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5eed |])
       prop_oracle_random;
   ]

@@ -1,12 +1,12 @@
 (* Web construction on dense resource ids against the reference.
 
-   [Webs.in_blocks] runs its union-find over int arrays and computes
-   the class order without a hash table; promotion visits webs in that
-   order, so it must equal the order of the [Union_find] reference
-   exactly: the same classes, in the same order, with their members in
-   the same order.  Checked on random phi graphs and on every interval
-   of the named workloads and gen60.  Also here: the hash-table order
-   model against a real table, and the stale-numbering contract of
+   [Webs.in_blocks] runs its union-find over int arrays; its classes
+   must be those of the [Union_find] reference, as sets.  Promotion
+   visits webs in the order [in_blocks] lists them, which must be the
+   order of first occurrence in the scan: webs by their earliest
+   member, and each web's members by their own first occurrence.
+   Checked on random phi graphs and on every interval of the named
+   workloads and gen60.  Also here: the stale-numbering contract of
    [Res_ids]. *)
 
 open Rp_ir
@@ -43,6 +43,53 @@ let reference_webs (tab : Resource.table) (f : Func.t) (blocks : Ids.IntSet.t)
         (Func.block f bid))
     blocks;
   Union_find.classes uf
+
+(* The promotable resources of the blocks in order of first occurrence:
+   blocks by increasing id, instructions in block order, and within an
+   instruction the definitions, then the uses, then the phi sources. *)
+let first_occurrence (tab : Resource.table) (f : Func.t) (blocks : Ids.IntSet.t)
+    : Resource.t list =
+  let seen = Hashtbl.create 64 and order = ref [] in
+  Ids.IntSet.iter
+    (fun bid ->
+      Block.iter_instrs
+        (fun (i : Instr.t) ->
+          Instr.iter_mem
+            (fun r ->
+              if Resource.promotable tab r.base && not (Hashtbl.mem seen r)
+              then begin
+                Hashtbl.add seen r ();
+                order := r :: !order
+              end)
+            i.op)
+        (Func.block f bid))
+    blocks;
+  List.rev !order
+
+(* Classes as a set of sets: each class sorted, the classes sorted. *)
+let as_sets (webs : Resource.t list list) =
+  List.sort compare (List.map (List.sort Resource.compare) webs)
+
+(* [webs] lists each web's members in first-occurrence order, and the
+   webs by their first member's; on a failure, what is out of order. *)
+let order_error tab f blocks (webs : Resource.t list list) =
+  let pos = Hashtbl.create 64 in
+  List.iteri (fun k r -> Hashtbl.replace pos r k) (first_occurrence tab f blocks);
+  let ascending rs =
+    let ps = List.map (Hashtbl.find pos) rs in
+    List.sort_uniq compare ps = ps
+  in
+  if not (List.for_all ascending webs) then
+    Some "members not in first-occurrence order"
+  else if not (ascending (List.map List.hd webs)) then
+    Some "webs not in first-occurrence order"
+  else None
+
+(* [got] has the classes of [want] in first-occurrence order; on a
+   mismatch, the reason. *)
+let check_webs tab f blocks ~got ~want =
+  if as_sets got <> as_sets want then Some "classes differ"
+  else order_error tab f blocks got
 
 let pp_webs webs =
   String.concat " | "
@@ -140,26 +187,19 @@ let prop_random_graphs =
       let tab, f, blocks = build_graph g in
       let got = Webs.in_blocks tab f blocks
       and want = reference_webs tab f blocks in
-      got = want
+      as_sets got = as_sets want
       || QCheck.Test.fail_reportf "got  %s\nwant %s" (pp_webs got) (pp_webs want))
 
-(* The hash-table order model against a real table. *)
-let prop_table_order =
-  QCheck.Test.make ~name:"table_order = Hashtbl.iter order" ~count:500
-    (QCheck.make G.(list_size (int_range 0 300) (int_range 0 100_000)))
-    (fun keys ->
-      (* distinct keys, in first-occurrence order *)
-      let seen = Hashtbl.create 16 in
-      let keys =
-        List.filter
-          (fun k -> (not (Hashtbl.mem seen k)) && (Hashtbl.add seen k (); true))
-          keys
-      in
-      let h = Hashtbl.create 16 in
-      List.iter (fun k -> Hashtbl.add h k ()) keys;
-      let want = Hashtbl.fold (fun k () acc -> k :: acc) h [] |> List.rev in
-      let got = Webs.table_order Hashtbl.hash (Array.of_list keys) in
-      Array.to_list got = want)
+let prop_first_occurrence =
+  QCheck.Test.make ~name:"webs in first-occurrence order (random phi graphs)"
+    ~count:500
+    (QCheck.make gen_graph ~print:print_graph)
+    (fun g ->
+      let tab, f, blocks = build_graph g in
+      let got = Webs.in_blocks tab f blocks in
+      match order_error tab f blocks got with
+      | None -> true
+      | Some why -> QCheck.Test.fail_reportf "%s: %s" why (pp_webs got))
 
 (* ------------------------------------------------------------------ *)
 (* Every interval of the named workloads and gen60 *)
@@ -187,10 +227,12 @@ let test_workload_intervals () =
                   let got = Webs.in_blocks prog.Func.vartab f blocks in
                   let want = reference_webs prog.Func.vartab f blocks in
                   incr checked;
-                  if got <> want then
-                    Alcotest.failf "%s/%s interval %d: webs differ\n got  %s\n want %s"
-                      name f.Func.fname iv.Rp_analysis.Intervals.id (pp_webs got)
-                      (pp_webs want))
+                  match check_webs prog.Func.vartab f blocks ~got ~want with
+                  | None -> ()
+                  | Some why ->
+                      Alcotest.failf "%s/%s interval %d: %s\n got  %s\n want %s"
+                        name f.Func.fname iv.Rp_analysis.Intervals.id why
+                        (pp_webs got) (pp_webs want))
                 tree.Rp_analysis.Intervals.all)
         prog.Func.funcs)
     sources;
@@ -245,7 +287,7 @@ let test_stale_numbering () =
 let suite =
   [
     qtest prop_random_graphs;
-    qtest prop_table_order;
+    qtest prop_first_occurrence;
     Alcotest.test_case "workload intervals = reference" `Quick
       test_workload_intervals;
     Alcotest.test_case "stale numbering is detected" `Quick test_stale_numbering;
