@@ -111,7 +111,7 @@ let mk_options ~fuel ~profile ~static_profile ~no_store_removal
       {
         Rp_core.Promote.engine = engine_of_string engine;
         allow_store_removal = not no_store_removal;
-        cost = { Rp_core.Cost_model.min_profit; regs = None; spill_order = false };
+        cost = { Rp_core.Cost_model.min_profit; regs; spill_order };
         insert_dummies = true;
       };
     profile =
@@ -127,8 +127,6 @@ let mk_options ~fuel ~profile ~static_profile ~no_store_removal
     trace;
     jobs;
     interp = interp_of_string interp;
-    regs;
-    spill_order;
     scalrep;
   }
 

@@ -93,16 +93,6 @@ type options = {
       (** which interpreter runs the profiling and measurement passes:
           the flat-decoded engine (default) or the tree-walking oracle;
           both produce identical observable results *)
-  regs : int option;
-      (** register budget for pressure-aware promotion; None (the
-          default) is the paper-faithful unbounded behaviour.  Unlike
-          [jobs]/[interp] this changes output, so the compile service
-          keys its cache on it. *)
-  spill_order : bool;
-      (** with a budget: order and gate webs by the allocator's
-          predicted spill-count delta (spill-cost-weighted profit)
-          instead of the unit growth estimate.  Changes output, so it
-          is part of the serve cache key. *)
   scalrep : bool;
       (** scalar replacement of affine array references: rewrite
           eligible [for] loops before lowering so array elements with
@@ -121,35 +111,15 @@ let default_options =
     trace = false;
     jobs = 1;
     interp = Flat;
-    regs = None;
-    spill_order = false;
     scalrep = false;
   }
 
-(* [options.regs] is authoritative when set; otherwise a budget placed
-   directly in the cost model (API users) still counts. *)
+(* The register budget and spill-order mode live in one place, the
+   cost model [options.promote.cost]. *)
 let effective_regs (options : options) : int option =
-  match options.regs with
-  | Some _ as k -> k
-  | None -> options.promote.Promote.cost.Cost_model.regs
+  options.promote.Promote.cost.Cost_model.regs
 
-let effective_spill_order (options : options) : bool =
-  options.spill_order
-  || options.promote.Promote.cost.Cost_model.spill_order
-
-let effective_promote (options : options) : Promote.config =
-  let cost = options.promote.Promote.cost in
-  let cost =
-    match options.regs with
-    | None -> cost
-    | Some _ as k -> { cost with Cost_model.regs = k }
-  in
-  let cost =
-    if options.spill_order then { cost with Cost_model.spill_order = true }
-    else cost
-  in
-  if cost == options.promote.Promote.cost then options.promote
-  else { options.promote with Promote.cost = cost }
+let effective_promote (options : options) : Promote.config = options.promote
 
 type func_pressure = {
   fp_name : string;
@@ -363,7 +333,7 @@ let record_counts_metrics ~static_before ~static_after
 let promote_prog_in pool ~(options : options) (prog : Func.prog)
     (trees : (string * Intervals.tree) list) :
     (string * Promote.stats) list =
-  let cfg = effective_promote options in
+  let cfg = options.promote in
   Trace.with_span "promote" (fun () ->
       par_funcs pool
         (fun (f : Func.t) ->
@@ -381,9 +351,10 @@ let promote_prog_in pool ~(options : options) (prog : Func.prog)
       |> List.filter_map Fun.id)
 
 (* The Table 3 measurement: colors / MAXLIVE / spills-at-budget per
-   function, from one interference build each, fanned out over the
-   pool.  Runs twice per pipeline (before promotion and after
-   finalisation); [k] is the effective register budget. *)
+   function, fanned out over the pool; only the spill estimate under a
+   budget builds an interference graph.  Runs twice per pipeline
+   (before promotion and after finalisation); [k] is the register
+   budget. *)
 let measure_pressure pool ~(when_ : string) ~(k : int option)
     (prog : Func.prog) : (string * Rp_regalloc.Color.summary) list =
   Trace.with_span "pressure" ~attrs:[ ("when", when_) ] @@ fun () ->

@@ -5,7 +5,7 @@
 
     Every stage is traced with [Rp_obs.Trace], pass statistics land in
     the [Rp_obs.Metrics] registry, and {!json_report} serialises a run
-    as a versioned JSON document (schema v2, documented in DESIGN.md).
+    as a versioned JSON document (schema v5, documented in DESIGN.md).
 
     Knobs travel in one {!options} record instead of per-call optional
     arguments; build yours with record update on {!default_options}:
@@ -57,7 +57,8 @@ val profile_source_to_string : profile_source -> string
 type options = {
   promote : Promote.config;
       (** promotion knobs; [promote.engine] also selects the IDF engine
-          for initial SSA construction *)
+          for initial SSA construction, and [promote.cost] carries the
+          register budget ([--regs K]) and spill-order mode *)
   profile : profile_source;
   fuel : int;  (** interpreter instruction budget per run *)
   singleton_deref : bool;
@@ -77,42 +78,30 @@ type options = {
           both produce identical observable results (reports are
           byte-identical in deterministic mode), the flat engine is
           roughly an order of magnitude faster *)
-  regs : int option;
-      (** register budget for pressure-aware promotion ([--regs K]);
-          [None] (the default) is the paper-faithful unbounded
-          behaviour. When set it overrides [promote.cost.regs]. Unlike
-          [jobs]/[interp] this changes output, so the compile service
-          includes it in its cache-key fingerprint. *)
-  spill_order : bool;
-      (** with a budget: order and gate webs by the allocator's
-          predicted spill-count delta (spill-cost-weighted profit,
-          [--spill-order]) instead of the unit growth estimate.
-          Changes output, so it joins [regs] in the cache key. *)
   scalrep : bool;
       (** scalar replacement of affine array references ([--scalrep]):
           rewrite eligible [for] loops before lowering so array
           elements with constant reuse distance become promotable
           scalar cells ({!Rp_scalrep.Transform}). Changes output, so
-          it joins [regs] in the cache key. *)
+          the compile service includes it in its cache-key
+          fingerprint. *)
 }
 
 val default_options : options
-(** [Measured] profile, 50M fuel, paper-default promotion config,
-    checkpoints and tracing off, [jobs = 1], [interp = Flat],
-    [regs = None]. *)
+(** [Measured] profile, 50M fuel, paper-default promotion config (no
+    register budget), checkpoints and tracing off, [jobs = 1],
+    [interp = Flat]. *)
 
 val effective_regs : options -> int option
-(** The budget promotion actually runs under: [options.regs] when set,
-    else the budget carried by the cost model. *)
-
-val effective_spill_order : options -> bool
-(** Spill-order mode is on: [options.spill_order], or the flag carried
-    by the cost model. *)
+(** The register budget promotion runs under: [promote.cost.regs]
+    ([--regs K]; [None] is the paper-faithful unbounded behaviour).
+    Unlike [jobs]/[interp] the budget and [promote.cost.spill_order]
+    change output, so the compile service includes them in its
+    cache-key fingerprint. *)
 
 val effective_promote : options -> Promote.config
-(** [options.promote] with [options.regs] and [options.spill_order]
-    (when set) injected into the cost model — the config the promotion
-    stage runs with. *)
+(** The config the promotion stage runs with: [options.promote],
+    budget and spill-order mode included. *)
 
 type func_pressure = {
   fp_name : string;
@@ -137,7 +126,8 @@ type report = {
   final : Interp.result;
   pressure : func_pressure list;
       (** the Table 3 measurement, one entry per function in program
-          order: interference-graph colors, MAXLIVE and (when a budget
+          order: the colors the interference graph needs (MAXLIVE, its
+          chromatic number on strict SSA), MAXLIVE and (when a budget
           is set) the Chaitin spill estimate, before and after
           promotion *)
   pressure_regs : int option;
@@ -152,9 +142,10 @@ type report = {
           [profile_exec_ms] / [profile_apply_ms] split —
           [profile_exec_ms] is the engine run alone, the
           engine-independent profile feedback reports as
-          [profile_apply_ms]), [pressure_ms] (both interference
-          passes), [promote_ms], [finalise_ms], [measure_ms] (with
-          [measure_decode_ms] / [measure_exec_ms]), [total_ms], then
+          [profile_apply_ms]), [pressure_ms] (both Table 3
+          measurements, before and after promotion), [promote_ms],
+          [finalise_ms], [measure_ms] (with [measure_decode_ms] /
+          [measure_exec_ms]), [total_ms], then
           the [*_minor_words] allocation deltas. The decode components
           are 0 under the [Tree] engine. All zero in deterministic
           mode. *)

@@ -745,18 +745,11 @@ let promote_function ?(cfg = default_config) ?on_edit (f : Func.t)
   (* scratch arrays over resource ids, shared by the function's
      intervals, and the occurrence index every interval keeps current *)
   let arena = Webs.arena () and index = Occ_index.build f in
+  (* the root interval's [cleanup_dummies] covers the entry block, where
+     the root's own dummies sit, so no dummy outlives the last interval *)
   List.iter
     (promote_in_interval ~arena ~index ?on_edit cfg f tab stats)
     tree.Intervals.all;
-  (* the root's own dummies sit in its preheader (the entry block),
-     which is inside the root's block set, so cleanup already removed
-     every dummy; sweep defensively anyway *)
-  Func.iter_blocks
-    (fun b ->
-      Iseq.filter_in_place
-        (fun (i : Instr.t) -> not (Instr.is_dummy i))
-        b.body)
-    f;
   List.iter
     (fun (k, v) -> if v <> 0 then Rp_obs.Metrics.add ("promote." ^ k) v)
     (to_alist stats);

@@ -1,15 +1,22 @@
-(* Graph coloring: how many colors does the interference graph need?
+(* Graph coloring and Table 3's color count.
 
-   The scheme is Chaitin-style iterated simplification with optimistic
+   Table 3 of the paper reports, per routine and before/after
+   promotion, the number of colors the register interference graph
+   needs.  On strict SSA form that graph is chordal and its chromatic
+   number is MAXLIVE, the largest number of simultaneously live
+   registers (Bouchez, Darte & Rastello); after [Cleanup] no register
+   copy is left for copy slack to act on.  So [analyse] reads the
+   count from {!Rp_analysis.Pressure}'s liveness walk and builds the
+   interference graph only when a spill estimate is asked for.
+
+   [color] is Chaitin-style iterated simplification with optimistic
    color assignment: repeatedly remove a minimum-degree node, then pop
    the stack assigning each node the smallest color free among its
-   already-colored neighbours.  On a chordal graph (SSA interference
-   graphs are chordal) minimum-degree elimination is a perfect
-   elimination scheme, so the count is the chromatic number; on
-   arbitrary graphs it is an upper bound.
-
-   Table 3 of the paper reports exactly this count per routine, before
-   and after promotion. *)
+   already-colored neighbours.  Minimum-degree elimination is not a
+   perfect elimination order on every chordal graph, so its count is
+   only an upper bound on the chromatic number.  [Slots] colors its
+   coalesced quotient graph — which is not chordal — with it, and the
+   tests use it as the oracle for [analyse]. *)
 
 open Rp_ir
 
@@ -18,110 +25,39 @@ type result = {
   assignment : (Ids.reg, int) Hashtbl.t;
 }
 
-(* Shared simplification machinery: bucketized min-degree selection.
-   Nodes live in degree-indexed LIFO buckets with lazy deletion — a
-   node is re-pushed every time its degree drops, and a popped entry
-   counts only when it carries the node's current degree.  Degrees only
-   decrease, so the scan pointer moves monotonically except for the
-   one-step-back reset on decrement; total work is O(V + E) instead of
-   the O(V^2) of rescanning for the minimum. *)
-
-let subgraph_degrees (g : Interference.t) (nodes : Ids.IntSet.t) =
+(* Bucketized min-degree simplification with a register budget [k]:
+   remove a node of degree < k while one exists; when every remaining
+   node has degree >= k, count the busiest one as a spill and remove
+   it.  Nodes live in degree-indexed LIFO buckets with lazy deletion —
+   a node is re-pushed every time its degree drops, and a popped entry
+   counts only when it carries the node's current degree.  Degrees
+   only decrease, so the scan pointer moves monotonically except for
+   the one-step-back reset on decrement; total work is O(V + E)
+   instead of the O(V^2) of rescanning for the minimum.  Returns the
+   removal order, last removed first, and the spill count; with
+   [k = max_int] nothing spills and the order is pure minimum
+   degree. *)
+let simplify (g : Interference.t) (nodes : Ids.IntSet.t) ~(k : int) :
+    Ids.reg list * int =
   let n = max (Interference.num_nodes g) 1 in
-  let in_graph = Array.make n false in
-  Ids.IntSet.iter (fun r -> in_graph.(r) <- true) nodes;
+  let remaining = Array.make n false in
+  Ids.IntSet.iter (fun r -> remaining.(r) <- true) nodes;
   let degree = Array.make n 0 in
+  let nn = Ids.IntSet.cardinal nodes in
+  let buckets = Array.make (nn + 1) [] in
   Ids.IntSet.iter
     (fun r ->
       let d = ref 0 in
-      Interference.iter_adj g r (fun x -> if in_graph.(x) then incr d);
-      degree.(r) <- !d)
-    nodes;
-  (in_graph, degree)
-
-let color (g : Interference.t) (nodes : Ids.IntSet.t) : result =
-  (* simplification order: repeatedly take a minimum-degree node of
-     the remaining subgraph *)
-  let remaining, degree = subgraph_degrees g nodes in
-  let nn = Ids.IntSet.cardinal nodes in
-  let buckets = Array.make (nn + 1) [] in
-  Ids.IntSet.iter
-    (fun r -> buckets.(degree.(r)) <- r :: buckets.(degree.(r)))
+      Interference.iter_adj g r (fun x -> if remaining.(x) then incr d);
+      degree.(r) <- !d;
+      buckets.(!d) <- r :: buckets.(!d))
     nodes;
   let stack = ref [] in
-  let removed = ref 0 in
-  let d = ref 0 in
-  while !removed < nn do
-    match buckets.(!d) with
-    | [] -> incr d
-    | r :: rest ->
-        buckets.(!d) <- rest;
-        (* a live entry carries the node's current degree; anything
-           else is a stale higher-degree copy *)
-        if remaining.(r) && degree.(r) = !d then begin
-          stack := r :: !stack;
-          remaining.(r) <- false;
-          incr removed;
-          Interference.iter_adj g r (fun x ->
-              if remaining.(x) then begin
-                let dx = degree.(x) - 1 in
-                degree.(x) <- dx;
-                buckets.(dx) <- x :: buckets.(dx);
-                if dx < !d then d := dx
-              end)
-        end
-  done;
-  (* assign colors popping the stack (last removed = first colored);
-     [mark.(c) = r] records that color [c] is taken by a neighbour of
-     the node [r] being colored, so the scan for the smallest free
-     color is allocation-free *)
-  let assignment = Hashtbl.create 64 in
-  let color_of = Array.make (max (Interference.num_nodes g) 1) (-1) in
-  let mark = Array.make (nn + 1) (-1) in
-  let max_color = ref (-1) in
-  List.iter
-    (fun r ->
-      Interference.iter_adj g r (fun x ->
-          let c = color_of.(x) in
-          if c >= 0 then mark.(c) <- r);
-      let c = ref 0 in
-      while mark.(!c) = r do
-        incr c
-      done;
-      color_of.(r) <- !c;
-      Hashtbl.replace assignment r !c;
-      if !c > !max_color then max_color := !c)
-    !stack;
-  { colors = !max_color + 1; assignment }
-
-(* Colors needed for one function. *)
-let colors_for_func (f : Func.t) : int =
-  let g = Interference.build f in
-  (color g (Interference.occurring f)).colors
-
-type summary = {
-  s_colors : int;
-  s_maxlive : int;
-  s_spills : int option;  (** at the given budget; [None] when unbounded *)
-}
-
-(* Chaitin-style spill estimation for a machine with [k] registers:
-   simplify nodes with degree < k; when stuck, mark the highest-degree
-   node as a potential spill and remove it.  The count of marked nodes
-   approximates how many live ranges need memory homes — the cost side
-   of the paper's Table 3 pressure observation, made concrete. *)
-let count_spills (g : Interference.t) (nodes : Ids.IntSet.t) ~(k : int) : int
-    =
-  let remaining, degree = subgraph_degrees g nodes in
-  let nn = Ids.IntSet.cardinal nodes in
-  let buckets = Array.make (nn + 1) [] in
-  Ids.IntSet.iter
-    (fun r -> buckets.(degree.(r)) <- r :: buckets.(degree.(r)))
-    nodes;
   let spills = ref 0 in
   let removed = ref 0 in
   let d = ref 0 in
   let remove r =
+    stack := r :: !stack;
     remaining.(r) <- false;
     incr removed;
     Interference.iter_adj g r (fun x ->
@@ -138,6 +74,8 @@ let count_spills (g : Interference.t) (nodes : Ids.IntSet.t) ~(k : int) : int
       | [] -> incr d
       | r :: rest ->
           buckets.(!d) <- rest;
+          (* a live entry carries the node's current degree; anything
+             else is a stale higher-degree copy *)
           if remaining.(r) && degree.(r) = !d then remove r
     end
     else begin
@@ -156,22 +94,62 @@ let count_spills (g : Interference.t) (nodes : Ids.IntSet.t) ~(k : int) : int
       remove !victim
     end
   done;
-  !spills
+  (!stack, !spills)
+
+let color (g : Interference.t) (nodes : Ids.IntSet.t) : result =
+  let stack, _ = simplify g nodes ~k:max_int in
+  (* assign colors popping the stack (last removed = first colored);
+     [mark.(c) = r] records that color [c] is taken by a neighbour of
+     the node [r] being colored, so the scan for the smallest free
+     color is allocation-free *)
+  let assignment = Hashtbl.create 64 in
+  let color_of = Array.make (max (Interference.num_nodes g) 1) (-1) in
+  let mark = Array.make (Ids.IntSet.cardinal nodes + 1) (-1) in
+  let max_color = ref (-1) in
+  List.iter
+    (fun r ->
+      Interference.iter_adj g r (fun x ->
+          let c = color_of.(x) in
+          if c >= 0 then mark.(c) <- r);
+      let c = ref 0 in
+      while mark.(!c) = r do
+        incr c
+      done;
+      color_of.(r) <- !c;
+      Hashtbl.replace assignment r !c;
+      if !c > !max_color then max_color := !c)
+    stack;
+  { colors = !max_color + 1; assignment }
+
+type summary = {
+  s_colors : int;
+  s_maxlive : int;
+  s_spills : int option;  (** at the given budget; [None] when unbounded *)
+}
+
+(* Chaitin-style spill estimation for a machine with [k] registers:
+   the count of nodes [simplify] has to mark approximates how many
+   live ranges need memory homes — the cost side of the paper's
+   Table 3 pressure observation, made concrete. *)
+let count_spills (g : Interference.t) (nodes : Ids.IntSet.t) ~(k : int) : int
+    =
+  snd (simplify g nodes ~k)
 
 let spills_for_func (f : Func.t) ~k : int =
   let g = Interference.build f in
   count_spills g (Interference.occurring f) ~k
 
-(* The whole Table 3 row for one function from a single graph build:
-   colors, MAXLIVE, and — when a register budget is given — the
-   Chaitin spill estimate at that budget. *)
+(* The whole Table 3 row for one function: colors = MAXLIVE from one
+   liveness walk, and — only when a register budget is given — the
+   Chaitin spill estimate at that budget from an interference build. *)
 let analyse (f : Func.t) ~(k : int option) : summary =
-  let g = Interference.build f in
-  let nodes = Interference.occurring f in
+  let maxlive =
+    Rp_analysis.Pressure.maxlive (Rp_analysis.Pressure.compute f)
+  in
   {
-    s_colors = (color g nodes).colors;
-    s_maxlive = Interference.max_live f;
-    s_spills = Option.map (fun k -> count_spills g nodes ~k) k;
+    s_colors = maxlive;
+    s_maxlive = maxlive;
+    s_spills = Option.map (fun k -> spills_for_func f ~k) k;
   }
 
 (* Sanity: a coloring is proper when no interfering pair shares a

@@ -13,12 +13,11 @@
    by the liveness walk — the list-of-sets representation this
    replaces spent more time allocating than computing.
 
-   On SSA form the graph is chordal, which {!Color} exploits: the
-   number of colors a simplicial elimination scheme needs equals the
-   chromatic number, and both equal the maximum number of
-   simultaneously live registers.  This is the "number of colors needed
-   to color the register interference graph" that the paper's Table 3
-   reports. *)
+   On strict SSA form the slack-free graph is chordal and its
+   chromatic number is MAXLIVE, so Table 3's color count comes from
+   {!Rp_analysis.Pressure} without building this graph ({!Color.analyse});
+   the graph serves the spill estimates, {!Slots}' coalescing and
+   coloring, and the tests' coloring oracle. *)
 
 open Rp_ir
 open Rp_analysis
@@ -194,9 +193,3 @@ let build ?(copy_slack = true) (f : Func.t) : t =
     (fun p -> Bitset.iter (fun l -> add_edge p l) entry_live)
     f.Func.params;
   t
-
-(* Maximum number of simultaneously live registers anywhere in the
-   function — the lower bound any allocation needs, and on SSA form the
-   exact chromatic number.  The walk itself lives in {!Pressure}, which
-   also serves the promoter's per-interval budget checks. *)
-let max_live (f : Func.t) : int = Pressure.maxlive (Pressure.compute f)

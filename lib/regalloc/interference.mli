@@ -35,12 +35,8 @@ val occurring : Func.t -> Ids.IntSet.t
 
 (** Build the graph from liveness. [copy_slack] (default true) gives
     copies the usual slack; pass [~copy_slack:false] for the pure
-    Chaitin-condition graph, which on SSA form is chordal with
-    chromatic number exactly {!max_live}. Parameters are treated as
+    Chaitin-condition graph, which on strict SSA form is chordal with
+    chromatic number exactly MAXLIVE
+    ({!Rp_analysis.Pressure.maxlive}). Parameters are treated as
     defined in parallel at function entry. *)
 val build : ?copy_slack:bool -> Func.t -> t
-
-(** Maximum number of simultaneously live registers — the lower bound
-    any allocation needs; on SSA form (without copy slack) the exact
-    chromatic number. Delegates to {!Rp_analysis.Pressure}. *)
-val max_live : Func.t -> int

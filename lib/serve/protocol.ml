@@ -141,28 +141,25 @@ let profile_of_string = P.profile_source_of_string
 
 let options_to_json ?(for_key = false) (o : P.options) : J.t =
   let c = o.P.promote in
+  let cost = c.Rp_core.Promote.cost in
   J.Obj
     ([
        ("engine", J.Str (Rp_ssa.Incremental.engine_to_string c.Rp_core.Promote.engine));
        ("allow_store_removal", J.Bool c.Rp_core.Promote.allow_store_removal);
-       ( "min_profit",
-         J.Float c.Rp_core.Promote.cost.Rp_core.Cost_model.min_profit );
+       ("min_profit", J.Float cost.Rp_core.Cost_model.min_profit);
        ("insert_dummies", J.Bool c.Rp_core.Promote.insert_dummies);
        ("profile", J.Str (profile_to_string o.P.profile));
        ("fuel", J.Int o.P.fuel);
        ("singleton_deref", J.Bool o.P.singleton_deref);
        ("checkpoints", J.Bool o.P.checkpoints);
        ("trace", J.Bool o.P.trace);
-       (* the register budget changes the report bytes, so unlike
-          jobs/interp it IS part of the cache key; encoded from the
-          effective budget so a budget placed in the cost model and one
-          placed in [options.regs] key identically *)
+       (* the register budget and spill-order mode change the report
+          bytes, so unlike jobs/interp they ARE part of the cache key *)
        ( "regs",
-         match P.effective_regs o with Some k -> J.Int k | None -> J.Null );
-       (* spill-order changes which webs a budgeted run admits, hence
-          the report bytes: part of the key, encoded from the effective
-          value like [regs] *)
-       ("spill_order", J.Bool (P.effective_spill_order o));
+         match cost.Rp_core.Cost_model.regs with
+         | Some k -> J.Int k
+         | None -> J.Null );
+       ("spill_order", J.Bool cost.Rp_core.Cost_model.spill_order);
        (* scalar replacement rewrites the program before lowering,
           hence the report bytes: part of the key *)
        ("scalrep", J.Bool o.P.scalrep);
@@ -224,13 +221,16 @@ let options_of_json (v : J.t) : (P.options, string) result =
       (field v "min_profit" as_float)
   in
   let* regs =
-    take d.P.regs
+    take dc.Rp_core.Promote.cost.Rp_core.Cost_model.regs
       (field v "regs" (function
         | J.Null -> Some None
         | J.Int k -> Some (Some k)
         | _ -> None))
   in
-  let* spill_order = take d.P.spill_order (field v "spill_order" as_bool) in
+  let* spill_order =
+    take dc.Rp_core.Promote.cost.Rp_core.Cost_model.spill_order
+      (field v "spill_order" as_bool)
+  in
   let* scalrep = take d.P.scalrep (field v "scalrep" as_bool) in
   let* insert_dummies =
     take dc.Rp_core.Promote.insert_dummies (field v "insert_dummies" as_bool)
@@ -262,7 +262,7 @@ let options_of_json (v : J.t) : (P.options, string) result =
           {
             Rp_core.Promote.engine;
             allow_store_removal;
-            cost = { Rp_core.Cost_model.min_profit; regs = None; spill_order = false };
+            cost = { Rp_core.Cost_model.min_profit; regs; spill_order };
             insert_dummies;
           };
         profile;
@@ -272,8 +272,6 @@ let options_of_json (v : J.t) : (P.options, string) result =
         trace;
         jobs;
         interp;
-        regs;
-        spill_order;
         scalrep;
       }
 

@@ -46,6 +46,16 @@ let pipeline ?cfg ?profile (src : string) : Rp_core.Pipeline.report =
   in
   Rp_core.Pipeline.run ~options src
 
+(* [options] with a register budget, and optionally spill-order mode,
+   set in the cost model, where [--regs] and [--spill-order] put them. *)
+let with_regs ?(spill_order = false) regs (o : Rp_core.Pipeline.options) :
+    Rp_core.Pipeline.options =
+  let p = o.Rp_core.Pipeline.promote in
+  let cost =
+    { p.Rp_core.Promote.cost with Rp_core.Cost_model.regs; spill_order }
+  in
+  { o with Rp_core.Pipeline.promote = { p with Rp_core.Promote.cost } }
+
 let check_output msg expected (r : Rp_interp.Interp.result) =
   Alcotest.(check (list int)) msg expected r.Rp_interp.Interp.output
 

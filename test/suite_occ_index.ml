@@ -23,8 +23,8 @@ let d = P.default_options
 let configs =
   [
     ("default", d);
-    ("--regs 6", { d with P.regs = Some 6 });
-    ("--regs 6 --spill-order", { d with P.regs = Some 6; spill_order = true });
+    ("--regs 6", Helpers.with_regs (Some 6) d);
+    ("--regs 6 --spill-order", Helpers.with_regs ~spill_order:true (Some 6) d);
   ]
 
 (* Promote every function of [src] under [options], checking the index

@@ -3,10 +3,12 @@
 
    The QCheck properties lean on Bouchez/Darte/Rastello ("On the
    Complexity of Spill Everywhere under SSA Form"): the interference
-   graph of a program in SSA form is chordal and its chromatic number
-   is MAXLIVE, so the slack-free build must color in exactly MAXLIVE
-   colors, and the production build (copy slack hides phi-copy edges)
-   in at most that many.  The pinned seed tests check the budget's
+   graph of a program in strict SSA form is chordal and its chromatic
+   number is MAXLIVE, which [Color.analyse] reports as Table 3's color
+   count without building the graph.  Coloring the graph itself is the
+   oracle: with no register copy left after cleanup, both the
+   slack-free and the production build must color in exactly that
+   many colors.  The pinned seed tests check the budget's
    user-facing contract: with [--regs k] the predicted spill count
    after promotion never exceeds the unpromoted program's at the same
    [k]. *)
@@ -41,7 +43,7 @@ let all_bids (f : Func.t) : Ids.IntSet.t =
   !s
 
 let prop_pressure_coherent =
-  QCheck.Test.make ~name:"maxlive = max over blocks = interference max_live"
+  QCheck.Test.make ~name:"maxlive = max over blocks = analyse"
     ~count:100 Suite_qcheck.arb_program (fun src ->
       let prog = ssa_prog src in
       List.for_all
@@ -49,17 +51,23 @@ let prop_pressure_coherent =
           let p = Rp_analysis.Pressure.compute f in
           Rp_analysis.Pressure.maxlive p
           = Rp_analysis.Pressure.max_over p (all_bids f)
-          && Rp_analysis.Pressure.maxlive p = In.max_live f)
+          && Rp_analysis.Pressure.maxlive p = (C.analyse f ~k:None).C.s_maxlive)
         prog.Func.funcs)
 
-let prop_colors_le_maxlive =
-  QCheck.Test.make ~name:"colors <= maxlive (production build)" ~count:100
+(* the colors [Color.color] needs on a build of [f]'s graph *)
+let oracle_colors ?copy_slack (f : Func.t) =
+  (C.color (In.build ?copy_slack f) (In.occurring f)).C.colors
+
+let prop_colors_exact =
+  QCheck.Test.make ~name:"colors = maxlive (production build)" ~count:100
     Suite_qcheck.arb_program (fun src ->
       let prog = ssa_prog src in
       List.for_all
         (fun (f : Func.t) ->
           let s = C.analyse f ~k:None in
-          s.C.s_colors <= s.C.s_maxlive && s.C.s_spills = None)
+          oracle_colors f = s.C.s_colors
+          && s.C.s_colors = s.C.s_maxlive
+          && s.C.s_spills = None)
         prog.Func.funcs)
 
 let prop_chordal_exact =
@@ -68,12 +76,12 @@ let prop_chordal_exact =
       let prog = ssa_prog src in
       List.for_all
         (fun (f : Func.t) ->
-          let g = In.build ~copy_slack:false f in
-          (C.color g (In.occurring f)).C.colors = In.max_live f)
+          oracle_colors ~copy_slack:false f = (C.analyse f ~k:None).C.s_colors)
         prog.Func.funcs)
 
-(* analyse is one graph build feeding all three numbers — it must
-   agree with the per-question entry points it replaces *)
+(* analyse reads colors and MAXLIVE from one liveness walk and builds
+   the graph only for the spill estimate — each number must agree with
+   the graph-based computation it replaces *)
 let test_analyse_coherent () =
   let w = Option.get (R.find "go") in
   let prog, _ = P.prepare w.R.source in
@@ -81,9 +89,11 @@ let test_analyse_coherent () =
     (fun (f : Func.t) ->
       let s = C.analyse f ~k:(Some 6) in
       Alcotest.(check int)
-        (f.Func.fname ^ ": colors") (C.colors_for_func f) s.C.s_colors;
+        (f.Func.fname ^ ": colors") (oracle_colors f) s.C.s_colors;
       Alcotest.(check int)
-        (f.Func.fname ^ ": maxlive") (In.max_live f) s.C.s_maxlive;
+        (f.Func.fname ^ ": maxlive")
+        (Rp_analysis.Pressure.maxlive (Rp_analysis.Pressure.compute f))
+        s.C.s_maxlive;
       Alcotest.(check (option int))
         (f.Func.fname ^ ": spills")
         (Some (C.spills_for_func f ~k:6))
@@ -94,7 +104,7 @@ let test_analyse_coherent () =
 (* The budget gate *)
 
 let run_with_regs ?(fuel = 80_000_000) ~regs (src : string) : P.report =
-  let options = { P.default_options with P.fuel; regs } in
+  let options = Helpers.with_regs regs { P.default_options with P.fuel } in
   let r = P.run ~options src in
   Alcotest.(check bool) "behaviour preserved under budget" true
     r.P.behaviour_ok;
@@ -126,7 +136,7 @@ let test_no_worse_spills (w : R.workload) () =
 let run_with_spill_order ?(fuel = 80_000_000) ~regs (src : string) : P.report
     =
   let options =
-    { P.default_options with P.fuel; regs; spill_order = true }
+    Helpers.with_regs ~spill_order:true regs { P.default_options with P.fuel }
   in
   let r = P.run ~options src in
   Alcotest.(check bool) "behaviour preserved under spill-order" true
@@ -227,7 +237,8 @@ let deterministic_json ~jobs ~regs (w : R.workload) : string =
       M.reset ())
     (fun () ->
       let options =
-        { P.default_options with P.jobs; regs; checkpoints = true; trace = true }
+        Helpers.with_regs regs
+          { P.default_options with P.jobs; checkpoints = true; trace = true }
       in
       let r = P.run ~options w.R.source in
       Alcotest.(check bool) (w.R.name ^ ": behaviour ok") true r.P.behaviour_ok;
@@ -243,7 +254,7 @@ let test_budget_deterministic () =
 let suite =
   [
     qtest prop_pressure_coherent;
-    qtest prop_colors_le_maxlive;
+    qtest prop_colors_exact;
     qtest prop_chordal_exact;
     Alcotest.test_case "analyse agrees with the entry points it replaces"
       `Quick test_analyse_coherent;

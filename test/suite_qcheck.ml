@@ -455,8 +455,8 @@ let prop_baseline_preserves_behaviour =
       | Some (before, after) -> Rp_interp.Interp.same_behaviour before after)
 
 let prop_coloring_sound =
-  QCheck.Test.make ~name:"coloring proper and bounded by maxlive" ~count:100
-    arb_program (fun src ->
+  QCheck.Test.make ~name:"coloring proper and exact (maxlive)"
+    ~count:100 arb_program (fun src ->
       let prog = Rp_minic.Lower.compile src in
       List.iter (fun f -> ignore (Intervals.normalise f)) prog.Func.funcs;
       List.iter Rp_ssa.Construct.run prog.Func.funcs;
@@ -468,7 +468,8 @@ let prop_coloring_sound =
             Rp_regalloc.Color.color g (Rp_regalloc.Interference.occurring f)
           in
           Rp_regalloc.Color.proper g res
-          && res.Rp_regalloc.Color.colors <= Rp_regalloc.Interference.max_live f)
+          && res.Rp_regalloc.Color.colors
+             = (Rp_regalloc.Color.analyse f ~k:None).Rp_regalloc.Color.s_colors)
         prog.Func.funcs)
 
 (* ------------------------------------------------------------------ *)

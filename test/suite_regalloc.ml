@@ -14,6 +14,8 @@ let prep src =
 
 let main_of prog = Option.get (Func.find_func prog "main")
 
+let maxlive f = Pressure.maxlive (Pressure.compute f)
+
 let test_interference_basic () =
   (* t0 and t1 both live across t2's definition *)
   let f = Func.create_func ~name:"t" in
@@ -30,7 +32,7 @@ let test_interference_basic () =
   let g = RA.Interference.build f in
   Alcotest.(check bool) "t0-t1 interfere" true (RA.Interference.interfere g 0 1);
   Alcotest.(check bool) "t0-t2 do not" false (RA.Interference.interfere g 0 2);
-  Alcotest.(check int) "max live" 2 (RA.Interference.max_live f)
+  Alcotest.(check int) "max live" 2 (maxlive f)
 
 let test_copy_slack () =
   (* a copy's source and target do not interfere through the copy *)
@@ -66,31 +68,42 @@ int main() {
   let res = RA.Color.color g (RA.Interference.occurring f) in
   Alcotest.(check bool) "coloring proper" true (RA.Color.proper g res);
   (* on SSA the chromatic number equals max live *)
-  Alcotest.(check int) "colors = maxlive" (RA.Interference.max_live f)
-    res.RA.Color.colors
+  Alcotest.(check int) "colors = maxlive" (maxlive f) res.RA.Color.colors
 
+(* The oracle for Table 3: [Color.analyse] reports MAXLIVE as the
+   color count without building a graph.  On every function of the
+   named workloads and the generated family, before promotion and
+   after finalisation, coloring the slack-free interference graph must
+   give a proper coloring with exactly the reported count. *)
 let test_ssa_chordal_on_workloads () =
-  (* with the copy-coalescing slack the graph can need FEWER colors
-     than max-live (the copy's source and target share a register);
-     it can never need more on SSA form *)
+  let check_prog label (prog : Func.prog) colors_of =
+    List.iter
+      (fun (f : Func.t) ->
+        let g = RA.Interference.build ~copy_slack:false f in
+        let res = RA.Color.color g (RA.Interference.occurring f) in
+        let name = label ^ "/" ^ f.Func.fname in
+        Alcotest.(check bool) (name ^ ": proper") true (RA.Color.proper g res);
+        Alcotest.(check int) (name ^ ": colors") (colors_of f.Func.fname)
+          res.RA.Color.colors)
+      prog.Func.funcs
+  in
   List.iter
     (fun (w : Rp_workloads.Registry.workload) ->
-      let prog = prep w.Rp_workloads.Registry.source in
-      List.iter
-        (fun (f : Func.t) ->
-          let g = RA.Interference.build f in
-          let res = RA.Color.color g (RA.Interference.occurring f) in
-          Alcotest.(check bool)
-            (w.Rp_workloads.Registry.name ^ "/" ^ f.Func.fname ^ ": proper")
-            true (RA.Color.proper g res);
-          Alcotest.(check bool)
-            (Printf.sprintf "%s/%s: colors %d <= maxlive %d"
-               w.Rp_workloads.Registry.name f.Func.fname res.RA.Color.colors
-               (RA.Interference.max_live f))
-            true
-            (res.RA.Color.colors <= RA.Interference.max_live f))
-        prog.Func.funcs)
-    Rp_workloads.Registry.all
+      let src = w.Rp_workloads.Registry.source in
+      let r = Helpers.check_pipeline w.Rp_workloads.Registry.name src in
+      let row name =
+        List.find
+          (fun fp -> fp.Rp_core.Pipeline.fp_name = name)
+          r.Rp_core.Pipeline.pressure
+      in
+      let before, _ = Rp_core.Pipeline.prepare src in
+      check_prog (w.Rp_workloads.Registry.name ^ " before") before (fun n ->
+          (row n).Rp_core.Pipeline.fp_before.RA.Color.s_colors);
+      check_prog (w.Rp_workloads.Registry.name ^ " after")
+        r.Rp_core.Pipeline.prog (fun n ->
+          (row n).Rp_core.Pipeline.fp_after.RA.Color.s_colors))
+    (Rp_workloads.Registry.all
+    @ List.map Rp_workloads.Registry.generated [ 60; 120; 240; 480 ])
 
 let test_promotion_increases_pressure () =
   (* Table 3's qualitative claim: promotion increases register
@@ -110,13 +123,13 @@ int main() {
 |}
   in
   let prog = prep src in
-  let before = RA.Color.colors_for_func (main_of prog) in
+  let before = maxlive (main_of prog) in
   (* run promotion on the same program *)
   let report = Helpers.check_pipeline "pressure" src in
   let promoted_main =
     Option.get (Func.find_func report.Rp_core.Pipeline.prog "main")
   in
-  let after = RA.Color.colors_for_func promoted_main in
+  let after = maxlive promoted_main in
   Alcotest.(check bool)
     (Printf.sprintf "pressure did not drop (before %d after %d)" before after)
     true (after >= before)

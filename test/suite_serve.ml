@@ -131,7 +131,7 @@ let gen_options : P.options G.t =
         {
           Rp_core.Promote.engine;
           allow_store_removal;
-          cost = { Rp_core.Cost_model.min_profit; regs = None; spill_order = false };
+          cost = { Rp_core.Cost_model.min_profit; regs; spill_order };
           insert_dummies;
         };
       profile = (if static then P.Static_estimate else P.Measured);
@@ -141,8 +141,6 @@ let gen_options : P.options G.t =
       trace;
       jobs;
       interp = (if flat then P.Flat else P.Tree);
-      regs;
-      spill_order;
       scalrep;
     }
 
@@ -234,6 +232,34 @@ let test_fingerprint_jobs () =
   Alcotest.(check string) "interp dropped from the key fingerprint"
     (Proto.options_fingerprint ~for_key:true o)
     (Proto.options_fingerprint ~for_key:true o3)
+
+(* The budget lives in the cost model; its wire and cache-key bytes are
+   pinned to what they were when [Pipeline.options] carried it, so
+   cached entries and clients see no change. *)
+let test_fingerprint_budget_pinned () =
+  let o = Helpers.with_regs ~spill_order:true (Some 6) P.default_options in
+  let key =
+    "{\"engine\":\"cytron\",\"allow_store_removal\":true,\"min_profit\":0.0,\
+     \"insert_dummies\":true,\"profile\":\"measured\",\"fuel\":50000000,\
+     \"singleton_deref\":false,\"checkpoints\":false,\"trace\":false,\
+     \"regs\":6,\"spill_order\":true,\"scalrep\":false"
+  in
+  Alcotest.(check string) "budgeted key fingerprint" (key ^ "}")
+    (Proto.options_fingerprint ~for_key:true o);
+  Alcotest.(check string) "budgeted wire fingerprint"
+    (key ^ ",\"jobs\":1,\"interp\":\"flat\"}")
+    (Proto.options_fingerprint o);
+  let req =
+    Proto.Compile
+      {
+        Proto.target = `Workload "go";
+        options = o;
+        deterministic = true;
+        deadline_s = None;
+      }
+  in
+  Alcotest.(check bool) "budget decodes back into the cost model" true
+    (Proto.request_of_json (Proto.request_to_json req) = Ok req)
 
 let test_bad_request_documents () =
   List.iter
@@ -569,6 +595,8 @@ let suite =
     qtest prop_decode_total;
     Alcotest.test_case "fingerprint drops jobs for keys" `Quick
       test_fingerprint_jobs;
+    Alcotest.test_case "budgeted fingerprint bytes pinned" `Quick
+      test_fingerprint_budget_pinned;
     Alcotest.test_case "bad request documents rejected" `Quick
       test_bad_request_documents;
     Alcotest.test_case "cache basics" `Quick test_cache_basics;

@@ -402,7 +402,7 @@ let test_regs_splits_cache () =
      the process-global obs state *)
   let _, direct6 =
     P.run_fresh_json ~label:w.R.name ~deterministic:true
-      ~options:{ options with P.regs = Some 6 }
+      ~options:(Helpers.with_regs (Some 6) options)
       w.R.source
   in
   with_mux @@ fun mx ->
@@ -410,7 +410,7 @@ let test_regs_splits_cache () =
   let req regs =
     {
       Proto.target = `Workload w.R.name;
-      options = { options with P.regs };
+      options = Helpers.with_regs regs options;
       deterministic = true;
       deadline_s = None;
     }
@@ -525,9 +525,22 @@ let test_mux_per_request_deadline () =
   | Proto.Report { cached = false; _ } -> ()
   | r -> Alcotest.failf "wait-forever deadline: %s" (response_label r)
 
+(* A compile whose length its own program sets: a counted loop of six
+   million iterations runs in each of the pipeline's two interpreter
+   passes, about two seconds in all, well inside the request's fuel. *)
+let occupying_compile =
+  mk_compile
+    ~options:{ mux_options with P.fuel = 100_000_000 }
+    (`Source
+      "int main() { int i; int s = 0; for (i = 0; i < 6000000; i++) { s = \
+       s + i; } return s; }")
+
 let test_mux_deadline_while_queued () =
   (* jobs = 2 gives the pool a single worker domain: the first compile
-     occupies it, so the second expires without ever starting *)
+     occupies it, so the second expires without ever starting.  The
+     mux gets 200 ms to hand the first compile to the worker, and the
+     second request's 300 ms deadline runs out more than a second
+     before the first compile can finish *)
   with_mux ~config:{ Mux.default_config with Mux.jobs = 2 } @@ fun mx ->
   let slow = Mux.loopback mx and fast = Mux.loopback mx in
   Fun.protect
@@ -535,12 +548,11 @@ let test_mux_deadline_while_queued () =
       slow.Proto.close ();
       fast.Proto.close ())
   @@ fun () ->
-  Proto.send_request slow
-    (Proto.Compile (mk_compile (`Workload (R.generated 240).R.name)));
-  Thread.delay 0.05 (* let the worker pick it up *);
+  Proto.send_request slow (Proto.Compile occupying_compile);
+  Thread.delay 0.2 (* let the worker pick it up *);
   Proto.send_request fast
     (Proto.Compile
-       (mk_compile ~deadline_s:0.05 (`Source "int main() { return 9; }")));
+       (mk_compile ~deadline_s:0.3 (`Source "int main() { return 9; }")));
   (match Proto.recv_response fast with
   | Proto.Msg (Proto.Error { kind = Proto.Timeout; _ }) -> ()
   | Proto.Msg r -> Alcotest.failf "queued request: %s" (response_label r)
