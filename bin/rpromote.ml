@@ -99,19 +99,22 @@ let profile_of_string =
 
 (* pipeline options from the promote/client flag set *)
 let mk_options ~fuel ~profile ~static_profile ~no_store_removal
-    ~singleton_deref ~engine ~min_profit ~regs ~spill_order ~scalrep
+    ~singleton_deref ~engine ~min_profit ~regs ~scalrep
     ~checkpoints ~trace ~jobs ~interp () =
   (match regs with
   | Some k when k < 1 -> raise (Usage_error "--regs must be at least 1")
   | _ -> ());
-  if spill_order && regs = None then
-    raise (Usage_error "--spill-order needs a --regs budget");
+  (* a non-finite bound has no JSON encoding, so the daemon could not
+     be sent it; every profit is finite, so a large finite bound such
+     as -1e308 admits what -inf would *)
+  if not (Float.is_finite min_profit) then
+    raise (Usage_error "--min-profit must be finite");
   {
     P.promote =
       {
         Rp_core.Promote.engine = engine_of_string engine;
         allow_store_removal = not no_store_removal;
-        cost = { Rp_core.Cost_model.min_profit; regs; spill_order };
+        cost = { Rp_core.Cost_model.min_profit; regs };
         insert_dummies = true;
       };
     profile =
@@ -151,7 +154,7 @@ let emit_json ~label ~dest report =
   else Out_channel.with_open_text dest (fun oc -> output_string oc doc)
 
 let cmd_promote path fuel profile static_profile no_store_removal
-    singleton_deref engine min_profit regs spill_order scalrep json trace
+    singleton_deref engine min_profit regs scalrep json trace
     checkpoints jobs deterministic interp =
  guarded @@ fun () ->
   if jobs < 1 then raise (Usage_error "--jobs must be at least 1");
@@ -159,7 +162,7 @@ let cmd_promote path fuel profile static_profile no_store_removal
   let src = read_source path in
   let options =
     mk_options ~fuel ~profile ~static_profile ~no_store_removal
-      ~singleton_deref ~engine ~min_profit ~regs ~spill_order ~scalrep
+      ~singleton_deref ~engine ~min_profit ~regs ~scalrep
       ~checkpoints
       ~trace:(trace || json <> None)
       ~jobs ~interp ()
@@ -352,7 +355,7 @@ let cmd_serve socket jobs max_inflight deadline cache_mb cache_entries
   end
 
 let cmd_client socket path op fuel profile static_profile no_store_removal
-    singleton_deref engine min_profit regs spill_order scalrep json
+    singleton_deref engine min_profit regs scalrep json
     deterministic interp deadline =
  guarded @@ fun () ->
   let with_client f =
@@ -396,7 +399,7 @@ let cmd_client socket path op fuel profile static_profile no_store_removal
       in
       let options =
         mk_options ~fuel ~profile ~static_profile ~no_store_removal
-          ~singleton_deref ~engine ~min_profit ~regs ~spill_order ~scalrep
+          ~singleton_deref ~engine ~min_profit ~regs ~scalrep
           ~checkpoints:false ~trace:true ~jobs:1 ~interp ()
       in
       with_client @@ fun c ->
@@ -480,15 +483,6 @@ let regs_arg =
            the report's predicted spill counts are computed. Without it \
            promotion is unbounded (the paper's behaviour).")
 
-let spill_order_arg =
-  Arg.(
-    value & flag
-    & info [ "spill-order" ]
-        ~doc:
-          "With $(b,--regs): order and admit webs by the allocator's \
-           predicted spill-count increase (spill-cost-weighted profit) \
-           instead of the unit live-range growth estimate.")
-
 let scalrep_arg =
   Arg.(
     value & flag
@@ -535,7 +529,9 @@ let promote_cmd =
     Arg.(
       value & opt float 0.0
       & info [ "min-profit" ] ~docv:"X"
-          ~doc:"Minimum profit (weighted operation count) to promote a web.")
+          ~doc:
+            "Minimum profit (weighted operation count) to promote a web; \
+             must be finite.")
   in
   let json =
     Arg.(
@@ -586,7 +582,7 @@ let promote_cmd =
     Term.(
       const cmd_promote $ file_arg $ fuel_arg $ profile_arg $ static_profile
       $ no_store_removal $ singleton_deref $ engine $ min_profit $ regs_arg
-      $ spill_order_arg $ scalrep_arg $ json $ trace $ checkpoints $ jobs
+      $ scalrep_arg $ json $ trace $ checkpoints $ jobs
       $ deterministic $ interp_arg)
 
 let dump_cmd =
@@ -770,7 +766,9 @@ let client_cmd =
     Arg.(
       value & opt float 0.0
       & info [ "min-profit" ] ~docv:"X"
-          ~doc:"Minimum profit (weighted operation count) to promote a web.")
+          ~doc:
+            "Minimum profit (weighted operation count) to promote a web; \
+             must be finite.")
   in
   let json =
     Arg.(
@@ -803,7 +801,7 @@ let client_cmd =
     Term.(
       const cmd_client $ socket_arg $ file $ op $ fuel_arg $ profile_arg
       $ static_profile $ no_store_removal $ singleton_deref $ engine
-      $ min_profit $ regs_arg $ spill_order_arg $ scalrep_arg $ json
+      $ min_profit $ regs_arg $ scalrep_arg $ json
       $ deterministic $ interp_arg $ deadline)
 
 let main_cmd =

@@ -24,7 +24,7 @@ let baseline_config : Rp_core.Promote.config =
   {
     Rp_core.Promote.engine = Rp_ssa.Incremental.Cytron;
     allow_store_removal = true;
-    cost = { Rp_core.Cost_model.min_profit = neg_infinity; regs = None; spill_order = false };
+    cost = { Rp_core.Cost_model.min_profit = neg_infinity; regs = None };
     insert_dummies = false;
   }
 

@@ -12,16 +12,18 @@
    plus one per web admitted so far.  Once that reaches the budget,
    further webs of the interval are skipped with [Pressure_saturated].
    MAXLIVE on SSA is exact and linear-time (Bouchez/Darte/Rastello), so
-   the promoter can afford to recompute it per interval. *)
+   the promoter can afford to recompute it per interval.  On strict SSA
+   K registers suffice exactly when MAXLIVE <= K, so a gate that keeps
+   the prediction within K leaves an allocator-priced test (Chaitin's
+   spill count on the interference graph) nothing to refuse; DESIGN.md
+   records the measurement. *)
 
 open Rp_ir
 open Rp_analysis
 
-type t = { min_profit : float; regs : int option; spill_order : bool }
+type t = { min_profit : float; regs : int option }
 
-let paper = { min_profit = 0.0; regs = None; spill_order = false }
-
-let needs_pressure t = t.regs <> None
+let paper = { min_profit = 0.0; regs = None }
 
 (* ------------------------------------------------------------------ *)
 (* loads_added / stores_added (section 4.3) *)
@@ -254,11 +256,10 @@ type pressure_ctx = {
   budget : int;
   interval_pressure : int;
   mutable growth : int;
-  mutable spill_delta : int option;
 }
 
 let make_ctx ~budget ~interval_pressure =
-  { budget; interval_pressure; growth = 0; spill_delta = None }
+  { budget; interval_pressure; growth = 0 }
 
 type skip_reason = Not_profitable | Pressure_saturated
 
@@ -274,16 +275,8 @@ let admit (t : t) (e : eval) (ctx : pressure_ctx option) : verdict =
     match ctx with
     | None -> Admit
     | Some c ->
-        let unit_ok = c.interval_pressure + c.growth + 1 <= c.budget in
-        (* spill-order mode tightens the unit gate: a web whose
-           synthetic node raises the Chaitin estimate is skipped even
-           when the budget still has room — the growth bound itself is
-           kept, because the scratch-graph delta misses mid-block
-           ranges and cannot replace it as a safety net *)
-        let spill_ok =
-          match c.spill_delta with Some d -> d <= 0 | None -> true
-        in
-        if unit_ok && spill_ok then Admit else Skip Pressure_saturated
+        if c.interval_pressure + c.growth + 1 <= c.budget then Admit
+        else Skip Pressure_saturated
 
 let note_promoted (ctx : pressure_ctx option) : unit =
   match ctx with Some c -> c.growth <- c.growth + 1 | None -> ()

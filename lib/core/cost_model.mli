@@ -23,20 +23,10 @@ type t = {
   regs : int option;
       (** register budget; [None] (the paper's behaviour) never blocks
           a web on pressure *)
-  spill_order : bool;
-      (** with a budget set, order webs by the {!Rp_regalloc.Color}
-          spill-count delta their admission predicts (spill-cost-
-          weighted profit) and gate admission on that delta, instead of
-          the unit live-range growth estimate. No effect without a
-          budget. *)
 }
 
 val paper : t
-(** [{ min_profit = 0.0; regs = None; spill_order = false }]. *)
-
-val needs_pressure : t -> bool
-(** A budget is set, so the promoter must compute interval pressure
-    and order webs greedily. *)
+(** [{ min_profit = 0.0; regs = None }]. *)
 
 (** {2 The section 4.3 sets} *)
 
@@ -93,11 +83,6 @@ type pressure_ctx = {
   mutable growth : int;
       (** live ranges added by webs admitted so far: each promoted web
           materialises one value held across the interval *)
-  mutable spill_delta : int option;
-      (** set by the promoter (spill-order mode) before each admission:
-          the predicted {!Rp_regalloc.Color.count_spills} increase from
-          admitting the current web. [Some d] replaces the unit-growth
-          test with [d > 0]; [None] keeps the classic rule. *)
 }
 
 val make_ctx : budget:int -> interval_pressure:int -> pressure_ctx

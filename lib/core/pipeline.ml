@@ -114,8 +114,8 @@ let default_options =
     scalrep = false;
   }
 
-(* The register budget and spill-order mode live in one place, the
-   cost model [options.promote.cost]. *)
+(* The register budget lives in one place, the cost model
+   [options.promote.cost]. *)
 let effective_regs (options : options) : int option =
   options.promote.Promote.cost.Cost_model.regs
 

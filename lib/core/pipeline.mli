@@ -58,7 +58,7 @@ type options = {
   promote : Promote.config;
       (** promotion knobs; [promote.engine] also selects the IDF engine
           for initial SSA construction, and [promote.cost] carries the
-          register budget ([--regs K]) and spill-order mode *)
+          register budget ([--regs K]) *)
   profile : profile_source;
   fuel : int;  (** interpreter instruction budget per run *)
   singleton_deref : bool;
@@ -74,10 +74,13 @@ type options = {
       (** compile [jobs] functions concurrently on OCaml 5 domains;
           1 (the default) keeps everything on the calling domain *)
   interp : interp_engine;
-      (** which interpreter runs the profiling and measurement passes;
-          both produce identical observable results (reports are
-          byte-identical in deterministic mode), the flat engine is
-          roughly an order of magnitude faster *)
+      (** which interpreter runs the profiling and measurement passes.
+          All four produce identical observable results (reports are
+          byte-identical in deterministic mode). On execution, reg runs
+          about 2-3x faster than flat and fused up to 1.4x faster than
+          reg (EXPERIMENTS.md); flat stays the default because its
+          decode pass costs far less than reg's compile, which
+          dominates on large programs with short runs. *)
   scalrep : bool;
       (** scalar replacement of affine array references ([--scalrep]):
           rewrite eligible [for] loops before lowering so array
@@ -95,13 +98,12 @@ val default_options : options
 val effective_regs : options -> int option
 (** The register budget promotion runs under: [promote.cost.regs]
     ([--regs K]; [None] is the paper-faithful unbounded behaviour).
-    Unlike [jobs]/[interp] the budget and [promote.cost.spill_order]
-    change output, so the compile service includes them in its
-    cache-key fingerprint. *)
+    Unlike [jobs]/[interp] the budget changes output, so the compile
+    service includes it in its cache-key fingerprint. *)
 
 val effective_promote : options -> Promote.config
 (** The config the promotion stage runs with: [options.promote],
-    budget and spill-order mode included. *)
+    budget included. *)
 
 type func_pressure = {
   fp_name : string;

@@ -499,100 +499,6 @@ let cleanup_dummies (f : Func.t) (blocks : Ids.IntSet.t) =
         b.body)
     blocks
 
-(* ------------------------------------------------------------------ *)
-(* Spill-order mode (cost.spill_order, budgeted only).
-
-   The unit growth estimate treats every admitted web as equally
-   expensive: one live range across the interval.  Spill-order mode
-   prices each candidate with the allocator itself: a scratch copy of
-   the function's interference graph gets one synthetic node per
-   candidate web, wired to the registers live where the web's
-   references sit (where the promoted value will be live), and the web
-   is charged the {!Rp_regalloc.Color.count_spills} increase its node
-   causes at the budget.  Webs predicted to spill nothing are ordered
-   first (by profit) and admitted; a web whose node pushes the Chaitin
-   estimate up is skipped.  Kept nodes stay in the graph, so the
-   estimate is cumulative across the interval's admissions.
-
-   The graph is built once per interval and not refreshed as webs are
-   rewritten — the synthetic nodes approximate the promoted values'
-   live ranges, which is exactly the precision the unit estimate
-   lacked, at O(V+E) per candidate. *)
-
-type spill_gate = {
-  sg_g : Rp_regalloc.Interference.t;
-      (** scratch graph: the function's registers plus one synthetic
-          node per candidate web *)
-  sg_live : Liveness.t;
-  mutable sg_nodes : Ids.IntSet.t;  (** occurring + kept synthetic *)
-  mutable sg_base : int;  (** spill count with the kept nodes *)
-  sg_n0 : int;  (** first synthetic id *)
-  mutable sg_next : int;  (** node id for the next tentative web *)
-  sg_k : int;  (** the register budget *)
-}
-
-let make_spill_gate (cfg : config) (f : Func.t) (nwebs : int) :
-    spill_gate option =
-  if not cfg.cost.Cost_model.spill_order then None
-  else
-    match cfg.cost.Cost_model.regs with
-    | None -> None
-    | Some k ->
-        let module Intf = Rp_regalloc.Interference in
-        let live = Liveness.compute f in
-        let g0 = Intf.build f in
-        let n0 = Intf.num_nodes g0 in
-        let g = Intf.create (n0 + nwebs + 1) in
-        for r = 0 to n0 - 1 do
-          Intf.iter_adj g0 r (fun b -> if b > r then Intf.add_edge g r b)
-        done;
-        let nodes = Intf.occurring f in
-        let base = Rp_regalloc.Color.count_spills g nodes ~k in
-        Some
-          {
-            sg_g = g;
-            sg_live = live;
-            sg_nodes = nodes;
-            sg_base = base;
-            sg_n0 = n0;
-            sg_next = n0;
-            sg_k = k;
-          }
-
-(* Tentatively add the web's synthetic node and return the predicted
-   spill increase.  The caller must follow with [spill_gate_keep] or
-   [spill_gate_retract]. *)
-let spill_gate_delta (sg : spill_gate) (iv : Intervals.t) (_w : Web_info.t) :
-    int =
-  let module Intf = Rp_regalloc.Interference in
-  let v = sg.sg_next in
-  let add_live bs = Bitset.iter (fun r -> Intf.add_edge sg.sg_g v r) bs in
-  (* the promoted temporary is live from its preheader load through the
-     whole interval (the value is carried around the back edge), so its
-     node interferes with everything live at any block boundary inside *)
-  add_live (Liveness.live_out sg.sg_live iv.Intervals.preheader);
-  Ids.IntSet.iter
-    (fun bid -> add_live (Liveness.live_in sg.sg_live bid))
-    iv.Intervals.blocks;
-  (* previously admitted webs' values are live alongside this one *)
-  for u = sg.sg_n0 to v - 1 do
-    Intf.add_edge sg.sg_g v u
-  done;
-  let s =
-    Rp_regalloc.Color.count_spills sg.sg_g
-      (Ids.IntSet.add v sg.sg_nodes)
-      ~k:sg.sg_k
-  in
-  s - sg.sg_base
-
-let spill_gate_keep (sg : spill_gate) (delta : int) : unit =
-  sg.sg_nodes <- Ids.IntSet.add sg.sg_next sg.sg_nodes;
-  sg.sg_base <- sg.sg_base + delta;
-  sg.sg_next <- sg.sg_next + 1
-
-let spill_gate_retract (sg : spill_gate) : unit =
-  Rp_regalloc.Interference.clear_node sg.sg_g sg.sg_next
-
 let promote_in_interval ?(arena = Webs.arena ()) ?index ?(on_edit = ignore)
     (cfg : config) (f : Func.t) (tab : Resource.table) (stats : stats)
     (iv : Intervals.t) : unit =
@@ -647,11 +553,6 @@ let promote_in_interval ?(arena = Webs.arena ()) ?index ?(on_edit = ignore)
           (Cost_model.make_ctx ~budget
              ~interval_pressure:(Pressure.max_over p scope))
   in
-  let gate =
-    match pctx with
-    | Some _ -> make_spill_gate cfg f (List.length infos)
-    | None -> None
-  in
   let keyed_profit (w : Web_info.t) =
     if w.Web_info.multiple_live_in then neg_infinity
     else
@@ -660,31 +561,11 @@ let promote_in_interval ?(arena = Webs.arena ()) ?index ?(on_edit = ignore)
         .Cost_model.profit
   in
   let infos =
-    match (pctx, gate) with
-    | None, _ -> infos
-    | Some _, None ->
+    match pctx with
+    | None -> infos
+    | Some _ ->
         List.map (fun (w : Web_info.t) -> (w, keyed_profit w)) infos
         |> List.stable_sort (fun (_, a) (_, b) -> Float.compare b a)
-        |> List.map fst
-    | Some _, Some sg ->
-        (* spill-cost-weighted profit: primary key is the predicted
-           spill delta (computed against the gate's initial graph),
-           secondary is profit — spill-free webs first *)
-        List.map
-          (fun (w : Web_info.t) ->
-            let d =
-              if w.Web_info.multiple_live_in then 0
-              else begin
-                let d = spill_gate_delta sg iv w in
-                spill_gate_retract sg;
-                d
-              end
-            in
-            (w, (d, keyed_profit w)))
-          infos
-        |> List.stable_sort (fun (_, (d1, p1)) (_, (d2, p2)) ->
-               let c = Int.compare d1 d2 in
-               if c <> 0 then c else Float.compare p2 p1)
         |> List.map fst
   in
   (* Variables the updater rewrote since their webs' infos were taken.
@@ -710,28 +591,9 @@ let promote_in_interval ?(arena = Webs.arena ()) ?index ?(on_edit = ignore)
       if Hashtbl.mem rewritten_bases w.Web_info.base then
         refresh w.Web_info.base ~from:k;
       let w = infos.(k) in
-      (* spill-order mode: price this web's admission with the
-         allocator and hand the delta to [Cost_model.admit] *)
-      let tentative =
-        match (gate, pctx) with
-        | Some sg, Some c when not w.Web_info.multiple_live_in ->
-            let d = spill_gate_delta sg iv w in
-            c.Cost_model.spill_delta <- Some d;
-            Some (sg, d)
-        | _ -> None
-      in
-      let promoted_before = stats.webs_promoted in
       if promote_web cfg ~freq ~index ~on_edit f dom iv stats pctx w then
         Hashtbl.replace rewritten_bases w.Web_info.base ();
-      on_edit index;
-      (match tentative with
-      | Some (sg, d) ->
-          (match pctx with
-          | Some c -> c.Cost_model.spill_delta <- None
-          | None -> ());
-          if stats.webs_promoted > promoted_before then spill_gate_keep sg d
-          else spill_gate_retract sg
-      | None -> ()))
+      on_edit index)
     infos;
   cleanup_dummies f iv.Intervals.blocks
 

@@ -87,36 +87,6 @@ let iter_adj t r f =
     done
   done
 
-(* Remove every edge incident to [r]: clear bit [r] in each
-   neighbour's row, then zero [r]'s own row.  Used by the promoter's
-   spill-order mode to retract a tentative node. *)
-let clear_node t r =
-  let base = r * t.words in
-  let rw = r / bits and rb = 1 lsl (r mod bits) in
-  for wi = 0 to t.words - 1 do
-    let x = ref t.m.(base + wi) in
-    let b0 = wi * bits in
-    while !x <> 0 do
-      let low = !x land - !x in
-      let b = b0 + ntz low in
-      t.m.((b * t.words) + rw) <- t.m.((b * t.words) + rw) land lnot rb;
-      x := !x lxor low
-    done;
-    t.m.(base + wi) <- 0
-  done
-
-let degree t r =
-  let base = r * t.words in
-  let d = ref 0 in
-  for wi = 0 to t.words - 1 do
-    let x = ref t.m.(base + wi) in
-    while !x <> 0 do
-      incr d;
-      x := !x land (!x - 1)
-    done
-  done;
-  !d
-
 let num_nodes t = t.nregs
 
 (* Registers that actually occur in the function (not every id below

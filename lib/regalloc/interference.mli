@@ -19,12 +19,6 @@ val add_edge : t -> Ids.reg -> Ids.reg -> unit
 
 val interfere : t -> Ids.reg -> Ids.reg -> bool
 
-(** Remove every edge incident to the register (making it isolated).
-    Lets a caller retract a tentatively added node. *)
-val clear_node : t -> Ids.reg -> unit
-
-val degree : t -> Ids.reg -> int
-
 val num_nodes : t -> int
 
 (** Iterate the neighbours of a register in increasing id order. *)

@@ -6,7 +6,7 @@
 #   dump-scalrep    rpromote dump TARGET --scalrep
 #   report          rpromote promote TARGET --deterministic --json -
 #   report-scalrep  the same with --scalrep
-#   spill6          the same with --regs 6 --spill-order
+#   regs6           the same with --regs 6
 #   ssa             rpromote dump TARGET --stage ssa  (SSA form after cleanup)
 #
 # Usage: sh test/golden/fingerprints.sh [RPROMOTE]
@@ -17,7 +17,7 @@ RP=${1:-./_build/default/bin/rpromote.exe}
 SEEDS="go li ijpeg perl m88k sc compr vortex blur dot lpc"
 SCALREP="blur dot lpc"
 GEN="gen60 gen120 gen240 gen480"
-SPILL="go m88k gen120"
+REGS6="go m88k gen120"
 sum() { md5sum | cut -d' ' -f1; }
 for w in $SEEDS $GEN; do
   echo "dump $w $("$RP" dump "$w" | sum)"
@@ -31,8 +31,8 @@ done
 for w in $SCALREP; do
   echo "report-scalrep $w $("$RP" promote "$w" --scalrep --deterministic --json - | sum)"
 done
-for w in $SPILL; do
-  echo "spill6 $w $("$RP" promote "$w" --regs 6 --spill-order --deterministic --json - | sum)"
+for w in $REGS6; do
+  echo "regs6 $w $("$RP" promote "$w" --regs 6 --deterministic --json - | sum)"
 done
 for w in $SEEDS $GEN; do
   echo "ssa $w $("$RP" dump "$w" --stage ssa | sum)"

@@ -42,7 +42,7 @@ let d = P.default_options
 let flags_of_kind = function
   | "dump" | "report" -> d
   | "dump-scalrep" | "report-scalrep" -> { d with P.scalrep = true }
-  | "spill6" -> Helpers.with_regs ~spill_order:true (Some 6) d
+  | "regs6" -> Helpers.with_regs (Some 6) d
   | k -> Alcotest.failf "unknown fingerprint kind %s" k
 
 (* [rpromote dump --stage ssa] *)

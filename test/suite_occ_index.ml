@@ -3,8 +3,7 @@
    the same instructions per variable, in the same order, after every
    promoted web and every run of the incremental updater.  Every
    function of the named programs, gen60 and random programs is
-   promoted under the default configuration, [--regs 6] and
-   [--regs 6 --spill-order].
+   promoted under the default configuration and [--regs 6].
 
    [RPROMOTE_JOBS] (CI sets 1 and 4) sets how many functions are
    promoted in parallel, so the check also covers the parallel
@@ -24,7 +23,6 @@ let configs =
   [
     ("default", d);
     ("--regs 6", Helpers.with_regs (Some 6) d);
-    ("--regs 6 --spill-order", Helpers.with_regs ~spill_order:true (Some 6) d);
   ]
 
 (* Promote every function of [src] under [options], checking the index

@@ -129,38 +129,6 @@ let test_no_worse_spills (w : R.workload) () =
           w.R.name k before after)
     [ 4; 6; 8 ]
 
-(* spill-order mode: the allocator-priced ordering must honour the
-   same contract as the unit estimate (promotion never worsens the
-   predicted spill count), and must never end up spillier than the
-   unit-growth gate it replaces *)
-let run_with_spill_order ?(fuel = 80_000_000) ~regs (src : string) : P.report
-    =
-  let options =
-    Helpers.with_regs ~spill_order:true regs { P.default_options with P.fuel }
-  in
-  let r = P.run ~options src in
-  Alcotest.(check bool) "behaviour preserved under spill-order" true
-    r.P.behaviour_ok;
-  r
-
-let test_spill_order_no_worse (w : R.workload) () =
-  List.iter
-    (fun k ->
-      let unit_gate = run_with_regs ~regs:(Some k) w.R.source in
-      let ordered = run_with_spill_order ~regs:(Some k) w.R.source in
-      let before, after = spill_sums ordered in
-      let _, after_unit = spill_sums unit_gate in
-      if after > before then
-        Alcotest.failf
-          "%s at --regs %d --spill-order: predicted spills %d -> %d (worse)"
-          w.R.name k before after;
-      if after > after_unit then
-        Alcotest.failf
-          "%s at --regs %d: spill-order ends spillier than the unit gate \
-           (%d vs %d)"
-          w.R.name k after after_unit)
-    [ 4; 6; 8 ]
-
 (* an unbounded run reports pressure but no spill prediction *)
 let test_unbounded_no_spills () =
   let w = Option.get (R.find "compr") in
@@ -272,10 +240,4 @@ let suite =
         Alcotest.test_case
           ("no worse spills under budget: " ^ w.R.name)
           `Quick (test_no_worse_spills w))
-      R.all
-  @ List.map
-      (fun (w : R.workload) ->
-        Alcotest.test_case
-          ("spill-order no worse: " ^ w.R.name)
-          `Quick (test_spill_order_no_worse w))
       R.all

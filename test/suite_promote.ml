@@ -195,7 +195,7 @@ let test_min_profit_disables () =
   let cfg =
     {
       Pr.default_config with
-      Pr.cost = { Rp_core.Cost_model.min_profit = 1e18; regs = None; spill_order = false };
+      Pr.cost = { Rp_core.Cost_model.min_profit = 1e18; regs = None };
     }
   in
   let r = Helpers.check_pipeline ~cfg "min profit" fig1_src in

@@ -349,7 +349,7 @@ let prop_forced_promotion_preserves_behaviour =
     {
       Rp_core.Promote.default_config with
       Rp_core.Promote.cost =
-        { Rp_core.Cost_model.min_profit = neg_infinity; regs = None; spill_order = false };
+        { Rp_core.Cost_model.min_profit = neg_infinity; regs = None };
     }
   in
   QCheck.Test.make ~name:"forced promotion preserves behaviour" ~count:150

@@ -116,14 +116,15 @@ let gen_options : P.options G.t =
   let open G in
   let* engine = oneofl [ Rp_ssa.Incremental.Cytron; Rp_ssa.Incremental.Sreedhar_gao ] in
   let* allow_store_removal = bool and* insert_dummies = bool in
-  let* min_profit = float_bound_inclusive 10.0 in
+  let* min_profit =
+    oneof [ float_range (-10.0) 10.0; return (-1e308); return 1e18 ]
+  in
   let* static = bool in
   let* fuel = int_range 0 100_000_000 in
   let* singleton_deref = bool and* checkpoints = bool and* trace = bool in
   let* jobs = int_range 1 8 in
   let* flat = bool in
   let* regs = opt (int_range 1 64) in
-  let* spill_order = bool in
   let* scalrep = bool in
   return
     {
@@ -131,7 +132,7 @@ let gen_options : P.options G.t =
         {
           Rp_core.Promote.engine;
           allow_store_removal;
-          cost = { Rp_core.Cost_model.min_profit; regs; spill_order };
+          cost = { Rp_core.Cost_model.min_profit; regs };
           insert_dummies;
         };
       profile = (if static then P.Static_estimate else P.Measured);
@@ -234,15 +235,14 @@ let test_fingerprint_jobs () =
     (Proto.options_fingerprint ~for_key:true o3)
 
 (* The budget lives in the cost model; its wire and cache-key bytes are
-   pinned to what they were when [Pipeline.options] carried it, so
-   cached entries and clients see no change. *)
+   pinned. *)
 let test_fingerprint_budget_pinned () =
-  let o = Helpers.with_regs ~spill_order:true (Some 6) P.default_options in
+  let o = Helpers.with_regs (Some 6) P.default_options in
   let key =
     "{\"engine\":\"cytron\",\"allow_store_removal\":true,\"min_profit\":0.0,\
      \"insert_dummies\":true,\"profile\":\"measured\",\"fuel\":50000000,\
      \"singleton_deref\":false,\"checkpoints\":false,\"trace\":false,\
-     \"regs\":6,\"spill_order\":true,\"scalrep\":false"
+     \"regs\":6,\"scalrep\":false"
   in
   Alcotest.(check string) "budgeted key fingerprint" (key ^ "}")
     (Proto.options_fingerprint ~for_key:true o);
@@ -260,6 +260,117 @@ let test_fingerprint_budget_pinned () =
   in
   Alcotest.(check bool) "budget decodes back into the cost model" true
     (Proto.request_of_json (Proto.request_to_json req) = Ok req)
+
+(* Older clients still send "spill_order"; the decoder ignores it, so
+   such a request decodes to the options, and the cache key, of the
+   same request without the field. *)
+let test_spill_order_field_ignored () =
+  let o = Helpers.with_regs (Some 6) P.default_options in
+  let req =
+    Proto.Compile
+      {
+        Proto.target = `Workload "go";
+        options = o;
+        deterministic = true;
+        deadline_s = None;
+      }
+  in
+  let with_field b =
+    match Proto.request_to_json req with
+    | J.Obj fields ->
+        J.Obj
+          (List.map
+             (function
+               | "options", J.Obj opts ->
+                   ("options", J.Obj (opts @ [ ("spill_order", J.Bool b) ]))
+               | kv -> kv)
+             fields)
+    | _ -> assert false
+  in
+  List.iter
+    (fun b ->
+      match Proto.request_of_json (with_field b) with
+      | Ok (Proto.Compile c) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "spill_order=%b: same options" b)
+            true (c.Proto.options = o);
+          Alcotest.(check string)
+            (Printf.sprintf "spill_order=%b: same key" b)
+            (Proto.options_fingerprint ~for_key:true o)
+            (Proto.options_fingerprint ~for_key:true c.Proto.options)
+      | Ok _ -> Alcotest.fail "decoded to another request"
+      | Error m -> Alcotest.failf "spill_order=%b refused: %s" b m)
+    [ true; false ]
+
+(* A non-finite --min-profit has no JSON encoding (it would be sent as
+   null), so [promote] and [client] refuse it as a usage error, and the
+   decoder refuses it from any other client. *)
+let test_min_profit_non_finite () =
+  let rpromote =
+    Filename.concat
+      (Filename.dirname Sys.executable_name)
+      (Filename.concat ".." (Filename.concat "bin" "rpromote.exe"))
+  in
+  let exit_code args =
+    let null = Unix.openfile Filename.null [ Unix.O_WRONLY ] 0 in
+    let pid =
+      Fun.protect
+        ~finally:(fun () -> Unix.close null)
+        (fun () ->
+          Unix.create_process rpromote
+            (Array.of_list (rpromote :: args))
+            Unix.stdin null null)
+    in
+    match snd (Unix.waitpid [] pid) with
+    | Unix.WEXITED n -> n
+    | Unix.WSIGNALED _ | Unix.WSTOPPED _ -> -1
+  in
+  let no_daemon = Filename.concat (Filename.get_temp_dir_name ()) "rp-none.sock" in
+  List.iter
+    (fun v ->
+      let flag = "--min-profit=" ^ v in
+      List.iter
+        (fun args ->
+          let args = args @ [ flag ] in
+          Alcotest.(check int) (String.concat " " args) 2 (exit_code args))
+        [ [ "promote"; "go" ]; [ "client"; "--socket"; no_daemon; "go" ] ])
+    [ "nan"; "inf"; "-inf" ];
+  List.iter
+    (fun f ->
+      let o =
+        {
+          P.default_options with
+          P.promote =
+            {
+              P.default_options.P.promote with
+              Rp_core.Promote.cost =
+                { Rp_core.Cost_model.min_profit = f; regs = None };
+            };
+        }
+      in
+      let req =
+        Proto.Compile
+          {
+            Proto.target = `Workload "go";
+            options = o;
+            deterministic = true;
+            deadline_s = None;
+          }
+      in
+      let refused doc =
+        match Proto.request_of_json doc with Error _ -> true | Ok _ -> false
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "min_profit %h refused (encoded)" f)
+        true
+        (match J.parse (J.to_string (Proto.request_to_json req)) with
+        | Ok doc -> refused doc
+        | Error _ -> true);
+      Alcotest.(check bool)
+        (Printf.sprintf "min_profit %h refused (in memory)" f)
+        true
+        (refused (Proto.request_to_json req)))
+    [ nan; infinity; neg_infinity ]
 
 let test_bad_request_documents () =
   List.iter
@@ -597,6 +708,10 @@ let suite =
       test_fingerprint_jobs;
     Alcotest.test_case "budgeted fingerprint bytes pinned" `Quick
       test_fingerprint_budget_pinned;
+    Alcotest.test_case "spill_order field from old clients ignored" `Quick
+      test_spill_order_field_ignored;
+    Alcotest.test_case "non-finite min_profit refused" `Quick
+      test_min_profit_non_finite;
     Alcotest.test_case "bad request documents rejected" `Quick
       test_bad_request_documents;
     Alcotest.test_case "cache basics" `Quick test_cache_basics;
