@@ -1772,45 +1772,54 @@ let gate () =
          committed_ms)
   else print_endline "gate passed"
 
-(* Reg-vs-flat speedup gate, the PR-5 gate's sibling for the
-   register-allocated backend: run gen240's profile+measure under both
-   engines fresh (best of three each) and fail when the reg engine's
-   execute path is not at least 2x the flat engine's.  Execute time
-   only, on purpose: the engines front-load different work (flat
-   decodes, reg compiles — out-of-SSA, coalescing, coloring, emission),
-   so wall-clock totals measure the front-load, not the engine.  The
-   compile cost is printed alongside so a compile-time regression is
-   still visible in the log. *)
+(* Time gen240's execute path under engines [a] and [b] for the
+   speedup gates: one warm-up run each, then [rounds] interleaved a/b
+   rounds, so slow patches of machine time hit both sides alike.
+   Execute time only, on purpose: the engines front-load different
+   work (flat decodes, reg compiles — out-of-SSA, coalescing, coloring,
+   emission), so wall-clock totals measure the front-load, not the
+   engine.  Returns each engine's fastest (execute, decode/compile)
+   pair, so a compile-time regression is still visible in the log, and
+   the best single round's a/b execute ratio. *)
+let time_engine_pair ~rounds a b =
+  (* level the major heap first — when gates share a process the
+     earlier ones leave garbage that taxes whichever engine runs
+     later (same reason serve () compacts) *)
+  Gc.compact ();
+  let src = (R.generated 240).R.source in
+  let one interp =
+    let options = { P.default_options with fuel = 80_000_000; interp } in
+    let r = P.run ~options src in
+    let t k = try List.assoc k r.P.timing with Not_found -> 0.0 in
+    ( t "profile_exec_ms" +. t "measure_exec_ms",
+      t "profile_decode_ms" +. t "measure_decode_ms" )
+  in
+  ignore (one a);
+  ignore (one b);
+  let best_a = ref (infinity, 0.0) and best_b = ref (infinity, 0.0) in
+  let paired = ref 0.0 in
+  for _ = 1 to rounds do
+    let ra = one a in
+    if fst ra < fst !best_a then best_a := ra;
+    let rb = one b in
+    if fst rb < fst !best_b then best_b := rb;
+    if fst rb > 0.0 && fst ra /. fst rb > !paired then
+      paired := fst ra /. fst rb
+  done;
+  (!best_a, !best_b, !paired)
+
+(* Reg-vs-flat speedup gate for the register-allocated backend: fail
+   when the reg engine's best execute time over three rounds is not at
+   least 2x faster than the flat engine's. *)
 
 let rgate () =
   rule ();
   print_endline
     "Rgate: gen240 reg-vs-flat execute speedup (CI fails under 2x)";
   rule ();
-  let src = (R.generated 240).R.source in
-  let one interp =
-    let options =
-      { P.default_options with fuel = 80_000_000; interp }
-    in
-    let r = P.run ~options src in
-    let t k = try List.assoc k r.P.timing with Not_found -> 0.0 in
-    ( t "profile_exec_ms" +. t "measure_exec_ms",
-      t "profile_decode_ms" +. t "measure_decode_ms" )
+  let (flat_exec, flat_dec), (reg_exec, reg_cmp), _ =
+    time_engine_pair ~rounds:3 P.Flat P.Reg
   in
-  let best interp =
-    ignore (one interp);
-    let e = ref infinity and d = ref infinity in
-    for _ = 1 to 3 do
-      let exec, dec = one interp in
-      if exec < !e then begin
-        e := exec;
-        d := dec
-      end
-    done;
-    (!e, !d)
-  in
-  let flat_exec, flat_dec = best P.Flat in
-  let reg_exec, reg_cmp = best P.Reg in
   let speedup = if reg_exec <= 0.0 then 0.0 else flat_exec /. reg_exec in
   Printf.printf
     "gen240 exec: flat %.3f ms (decode %.3f), reg %.3f ms (compile %.3f) — \
@@ -1823,65 +1832,30 @@ let rgate () =
   end
   else print_endline "rgate passed"
 
-(* Fused-vs-reg speedup gate: the same measurement discipline as rgate
-   (execute time only, best of three fresh runs per engine), comparing
-   the superinstruction layer against the plain register backend.  The
-   compile column shows what the peephole pass adds to bytecode
-   emission.  1.3x is deliberately below the ~1.5x the layer delivers
-   on gen240 so scheduler noise cannot flake CI. *)
+(* Fused-vs-reg speedup gate: the superinstruction layer against the
+   plain register backend over five rounds.  The compile column shows
+   what the peephole pass adds to bytecode emission.  1.3x is
+   deliberately below the ~1.5x the layer delivers on gen240 so
+   scheduler noise cannot flake CI.  The gate passes if either the
+   min-vs-min ratio or the best single fairly-paired round clears the
+   bar — the true ratio sits near the bar, and on a busy host
+   min-vs-min alone flaps when one engine's minimum lands in a quiet
+   window the other never saw. *)
 
 let fgate () =
-  (* level the major heap first — when gates share a process the
-     earlier ones leave garbage that taxes whichever engine runs
-     later (same reason serve () compacts) *)
-  Gc.compact ();
   rule ();
   print_endline
     "Fgate: gen240 fused-vs-reg execute speedup (CI fails under 1.3x)";
   rule ();
-  let src = (R.generated 240).R.source in
-  let one interp =
-    let options =
-      { P.default_options with fuel = 80_000_000; interp }
-    in
-    let r = P.run ~options src in
-    let t k = try List.assoc k r.P.timing with Not_found -> 0.0 in
-    ( t "profile_exec_ms" +. t "measure_exec_ms",
-      t "profile_decode_ms" +. t "measure_decode_ms" )
+  let (reg_exec, reg_cmp), (fused_exec, fused_cmp), paired =
+    time_engine_pair ~rounds:5 P.Reg P.Fused
   in
-  (* warm both engines, then interleave reg/fused rounds so slow
-     patches of machine time hit both sides alike; the gate passes if
-     either the min-vs-min ratio or the best single fairly-paired
-     round clears the bar — the true ratio sits near the bar, and on
-     a busy host min-vs-min alone flaps when one engine's minimum
-     lands in a quiet window the other never saw *)
-  ignore (one P.Reg);
-  ignore (one P.Fused);
-  let re = ref infinity and rd = ref infinity in
-  let fe = ref infinity and fd = ref infinity in
-  let paired = ref 0.0 in
-  for _ = 1 to 5 do
-    let rexec, rdec = one P.Reg in
-    if rexec < !re then begin
-      re := rexec;
-      rd := rdec
-    end;
-    let fexec, fdec = one P.Fused in
-    if fexec < !fe then begin
-      fe := fexec;
-      fd := fdec
-    end;
-    if fexec > 0.0 && rexec /. fexec > !paired then
-      paired := rexec /. fexec
-  done;
-  let reg_exec, reg_cmp = (!re, !rd) in
-  let fused_exec, fused_cmp = (!fe, !fd) in
   let minmin = if fused_exec <= 0.0 then 0.0 else reg_exec /. fused_exec in
-  let speedup = Float.max minmin !paired in
+  let speedup = Float.max minmin paired in
   Printf.printf
     "gen240 exec: reg %.3f ms (compile %.3f), fused %.3f ms (compile %.3f) — \
      %.2fx (min/min %.2fx, best paired round %.2fx)\n"
-    reg_exec reg_cmp fused_exec fused_cmp speedup minmin !paired;
+    reg_exec reg_cmp fused_exec fused_cmp speedup minmin paired;
   if speedup < 1.3 then begin
     Printf.printf "fgate FAILED: fused execute speedup %.2fx is below 1.3x\n"
       speedup;

@@ -97,10 +97,24 @@ let interp_of_string =
 let profile_of_string =
   parse_enum ~what:"profile source" P.profile_source_of_string
 
+(* the pipeline flags [promote] and [client] share *)
+type pipeline_flags = {
+  fuel : int;
+  profile : string option;
+  static_profile : bool;
+  no_store_removal : bool;
+  singleton_deref : bool;
+  engine : string;
+  min_profit : float;
+  regs : int option;
+  scalrep : bool;
+  interp : string;
+}
+
 (* pipeline options from the promote/client flag set *)
-let mk_options ~fuel ~profile ~static_profile ~no_store_removal
-    ~singleton_deref ~engine ~min_profit ~regs ~scalrep
-    ~checkpoints ~trace ~jobs ~interp () =
+let mk_options
+    { fuel; profile; static_profile; no_store_removal; singleton_deref;
+      engine; min_profit; regs; scalrep; interp } ~checkpoints ~trace ~jobs =
   (match regs with
   | Some k when k < 1 -> raise (Usage_error "--regs must be at least 1")
   | _ -> ());
@@ -153,19 +167,13 @@ let emit_json ~label ~dest report =
   if dest = "-" then print_string doc
   else Out_channel.with_open_text dest (fun oc -> output_string oc doc)
 
-let cmd_promote path fuel profile static_profile no_store_removal
-    singleton_deref engine min_profit regs scalrep json trace
-    checkpoints jobs deterministic interp =
+let cmd_promote path flags json trace checkpoints jobs deterministic =
  guarded @@ fun () ->
   if jobs < 1 then raise (Usage_error "--jobs must be at least 1");
   Rp_obs.Trace.set_deterministic deterministic;
   let src = read_source path in
   let options =
-    mk_options ~fuel ~profile ~static_profile ~no_store_removal
-      ~singleton_deref ~engine ~min_profit ~regs ~scalrep
-      ~checkpoints
-      ~trace:(trace || json <> None)
-      ~jobs ~interp ()
+    mk_options flags ~checkpoints ~trace:(trace || json <> None) ~jobs
   in
   let report = P.run ~options src in
   (match json with
@@ -290,7 +298,8 @@ let cmd_serve socket jobs max_inflight deadline cache_mb cache_entries
   if jobs < 1 then raise (Usage_error "--jobs must be at least 1");
   if max_inflight < 1 then
     raise (Usage_error "--max-inflight must be at least 1");
-  if deadline < 0.0 then raise (Usage_error "--deadline must not be negative");
+  if Float.is_nan deadline || deadline < 0.0 then
+    raise (Usage_error "--deadline must not be negative or nan");
   if cache_mb < 0 then raise (Usage_error "--cache-mb must not be negative");
   if cache_entries < 0 then
     raise (Usage_error "--cache-entries must not be negative");
@@ -354,10 +363,14 @@ let cmd_serve socket jobs max_inflight deadline cache_mb cache_entries
     0
   end
 
-let cmd_client socket path op fuel profile static_profile no_store_removal
-    singleton_deref engine min_profit regs scalrep json
-    deterministic interp deadline =
+let cmd_client socket path op flags json deterministic deadline =
  guarded @@ fun () ->
+  (* checked before connecting: JSON has no encoding for a non-finite
+     value, and the daemon reads a negative one as "no deadline" *)
+  (match deadline with
+  | Some d when not (Float.is_finite d && d >= 0.0) ->
+      raise (Usage_error "--deadline must be finite and non-negative")
+  | _ -> ());
   let with_client f =
     let c = Client.connect ~path:socket in
     Fun.protect ~finally:(fun () -> Client.close c) (fun () -> f c)
@@ -397,11 +410,7 @@ let cmd_client socket path op fuel profile static_profile no_store_removal
         | Some w -> `Workload w.Rp_workloads.Registry.name
         | None -> `Source (read_source path)
       in
-      let options =
-        mk_options ~fuel ~profile ~static_profile ~no_store_removal
-          ~singleton_deref ~engine ~min_profit ~regs ~scalrep
-          ~checkpoints:false ~trace:true ~jobs:1 ~interp ()
-      in
+      let options = mk_options flags ~checkpoints:false ~trace:true ~jobs:1 in
       with_client @@ fun c ->
       match Client.compile c { Proto.target; options; deterministic; deadline_s = deadline } with
       | Proto.Report { cached; report } ->
@@ -496,12 +505,7 @@ let scalrep_arg =
            resources, so the ordinary promotion machinery keeps them in \
            registers.")
 
-let run_cmd =
-  let doc = "interpret a MiniC program and print its output" in
-  Cmd.v (Cmd.info "run" ~doc ~exits) Term.(const cmd_run $ file_arg $ fuel_arg)
-
-let promote_cmd =
-  let doc = "run the full register promotion pipeline and report counts" in
+let pipeline_flags_term =
   let static_profile =
     Arg.(
       value & flag
@@ -533,6 +537,22 @@ let promote_cmd =
             "Minimum profit (weighted operation count) to promote a web; \
              must be finite.")
   in
+  let make fuel profile static_profile no_store_removal singleton_deref engine
+      min_profit regs scalrep interp =
+    { fuel; profile; static_profile; no_store_removal; singleton_deref;
+      engine; min_profit; regs; scalrep; interp }
+  in
+  Term.(
+    const make $ fuel_arg $ profile_arg $ static_profile $ no_store_removal
+    $ singleton_deref $ engine $ min_profit $ regs_arg $ scalrep_arg
+    $ interp_arg)
+
+let run_cmd =
+  let doc = "interpret a MiniC program and print its output" in
+  Cmd.v (Cmd.info "run" ~doc ~exits) Term.(const cmd_run $ file_arg $ fuel_arg)
+
+let promote_cmd =
+  let doc = "run the full register promotion pipeline and report counts" in
   let json =
     Arg.(
       value
@@ -580,10 +600,8 @@ let promote_cmd =
   Cmd.v
     (Cmd.info "promote" ~doc ~exits)
     Term.(
-      const cmd_promote $ file_arg $ fuel_arg $ profile_arg $ static_profile
-      $ no_store_removal $ singleton_deref $ engine $ min_profit $ regs_arg
-      $ scalrep_arg $ json $ trace $ checkpoints $ jobs
-      $ deterministic $ interp_arg)
+      const cmd_promote $ file_arg $ pipeline_flags_term $ json $ trace
+      $ checkpoints $ jobs $ deterministic)
 
 let dump_cmd =
   let doc = "print the IR at a pipeline stage" in
@@ -739,37 +757,6 @@ let client_cmd =
     in
     Term.(const combine $ ping $ stats $ shutdown)
   in
-  let static_profile =
-    Arg.(
-      value & flag
-      & info [ "static-profile" ]
-          ~doc:"Use the static loop-depth frequency estimate instead of a profiling run.")
-  in
-  let no_store_removal =
-    Arg.(
-      value & flag
-      & info [ "no-store-removal" ] ~doc:"Disable store removal (ablation).")
-  in
-  let singleton_deref =
-    Arg.(
-      value & flag
-      & info [ "singleton-deref" ]
-          ~doc:"Lower unambiguous pointer dereferences as singleton accesses.")
-  in
-  let engine =
-    Arg.(
-      value & opt string "cytron"
-      & info [ "engine" ] ~docv:"ENGINE"
-          ~doc:"IDF engine for the SSA updater: cytron or sreedhar-gao.")
-  in
-  let min_profit =
-    Arg.(
-      value & opt float 0.0
-      & info [ "min-profit" ] ~docv:"X"
-          ~doc:
-            "Minimum profit (weighted operation count) to promote a web; \
-             must be finite.")
-  in
   let json =
     Arg.(
       value & opt string "-"
@@ -799,10 +786,8 @@ let client_cmd =
   Cmd.v
     (Cmd.info "client" ~doc ~exits)
     Term.(
-      const cmd_client $ socket_arg $ file $ op $ fuel_arg $ profile_arg
-      $ static_profile $ no_store_removal $ singleton_deref $ engine
-      $ min_profit $ regs_arg $ scalrep_arg $ json
-      $ deterministic $ interp_arg $ deadline)
+      const cmd_client $ socket_arg $ file $ op $ pipeline_flags_term $ json
+      $ deterministic $ deadline)
 
 let main_cmd =
   let doc = "SSA-based scalar register promotion (Sastry & Ju, PLDI 1998)" in

@@ -413,15 +413,8 @@ let run ?(options = default_options) (src : string) : report =
     Trace.with_span "profile.decode" (fun () ->
         match options.interp with
         | Flat -> Some (Iflat (Decode.decode prog))
-        | Reg ->
-            Some
-              (Ireg (Rcompile.compile ?budget:(effective_regs options) prog))
-        | Fused ->
-            Some
-              (Ireg
-                 (Rcompile.compile
-                    ?budget:(effective_regs options)
-                    ~fuse:true prog))
+        | Reg -> Some (Ireg (Rcompile.compile prog))
+        | Fused -> Some (Ireg (Rcompile.compile ~fuse:true prog))
         | Tree -> None)
   in
   let t_pdecoded = Trace.wall_s () in

@@ -95,11 +95,12 @@ let op_ret_void = 26 (* - *)
    [rticks.(base)] for the first half in the ordinary dispatch
    prologue, [rticks.(base + 1)] for the second half mid-instruction,
    after the first half executed and before the second can trap —
-   preserving the oracle's exact trap and [Out_of_fuel] points. *)
+   preserving the oracle's exact trap and [Out_of_fuel] points.
+   Values 29, 30, 36 and 37 are unused: the gaps keep every other
+   opcode at its value, so images compare word for word across
+   versions. *)
 let op_cbr_rr = 27 (* bop l r dst|-1 toff tblk tedge tcost foff fblk fedge fcost *)
 let op_cbr_ri = 28 (* bop l imm dst|-1 <same 8 transfer words> *)
-let op_cbr_ir = 29 (* bop imm r dst|-1 <same 8 transfer words> *)
-let op_trap_div = 30 (* - : a folded literal division by zero *)
 let op_bin2 = 31 (* shape bop1 a1 b1 tslot|-1 bop2 dst c2 *)
 let op_load2 = 32 (* d1 v2a d2 v2b : two adjacent scalar loads *)
 let op_bin_store = 33 (* shape bop a b dst|-1 v2 : binop into a store *)
@@ -114,17 +115,6 @@ let op_bin_store = 33 (* shape bop a b dst|-1 v2 : binop into a store *)
 let op_mm_bin = 34 (* shape bop v2a v2b dst : dst <- mem[a] op mem[b] *)
 let op_mm_bin_store = 35 (* shape bop v2a v2b v2d : mem[d] <- mem[a] op mem[b] *)
 
-(* [a[i] = v] with a constant index is addr; pstore — the pointer
-   temporary never touches its slot.  Two fuel stages: the addr's in
-   the prologue, the pstore's at [rticks.(base + 1)]. *)
-let op_astore = 36 (* vid off sk s : *(addr vid off) <- s *)
-
-(* A variable-index store's address is computed by a binop (pointer
-   arithmetic), so the companion of [op_bin_store] writes through the
-   computed pointer instead: [*(a bop b) <- s].  Same shape bits and
-   staging as [op_bin_store]. *)
-let op_bin_pstore = 37 (* shape bop a b tslot|-1 sk s *)
-
 (* The accumulate chain [x = (a ⊕ b) ⊕ z(; store x)] — the dominant
    stencil shape — extends [op_mm_bin] with a second binop whose
    other operand is a slot or an immediate; the intermediate never
@@ -136,9 +126,9 @@ let op_bin_pstore = 37 (* shape bop a b tslot|-1 sk s *)
 let op_mm_bin2 = 38 (* shape bop x y sh2 bop2 z dst *)
 let op_mm_bin2_store = 39 (* shape bop x y sh2 bop2 z v2d *)
 
-(* The variable-index store in full: [addr; bin; pstore] — the sunk
-   constant address flows into the pointer arithmetic, whose result
-   flows into the store, and neither temporary touches its slot.
+(* The array store [a[i] = v] in full: [addr; bin; pstore] —
+   the sunk constant address flows into the pointer arithmetic, whose
+   result flows into the store, and neither temporary touches its slot.
    The address is an immediate (value [off], kind [vid]); [sh] bit 1
    = the address is the binop's right operand, bit 2 = [y] is an
    immediate.  Three fuel stages: the addr's in the prologue, the
@@ -193,15 +183,10 @@ type rfunc = {
   mutable s_stores : int array;
   mutable s_aloads : int array;
   mutable s_astores : int array;
-  (* allocation statistics, for the bench report *)
-  mutable rncoalesced : int;
-  mutable rnoverflow : int;
-  mutable rvregs : int;  (** virtual registers after lowering *)
 }
 
 type t = {
   rprog : Func.prog;
-  budget : int option;
   fuse : bool;  (** peephole superinstruction fusion enabled *)
   rnvars : int;
   rarray_len : int array;  (** vid -> length; -1 for scalars *)
@@ -337,10 +322,10 @@ type emitter = {
   mutable haddr : int;
       (** a held (sunk) constant address: the dst vreg of a
           single-use [addr_i] whose emission is delayed to its sole
-          consumer — fused into [op_astore] when that is a pointer
-          store, flushed as a plain [op_addr_i] otherwise.  The
-          computation is pure, so only its fuel tick is position
-          sensitive, and that rides [pending].  -1 = none *)
+          consumer — absorbed into the [hpb] hold below when that is
+          pointer arithmetic, flushed as a plain [op_addr_i]
+          otherwise.  The computation is pure, so only its fuel tick
+          is position sensitive, and that rides [pending].  -1 = none *)
   mutable haddr_vid : int;
   mutable haddr_off : int;
   mutable hpb : int;
@@ -815,18 +800,14 @@ let compile_instr_fused (e : emitter) (moves : Ids.IntSet.t) (i : Instr.t) =
   | Instr.Bin { dst; op = Instr.Add; l; r = Instr.Imm 0 }
   | Instr.Bin { dst; op = Instr.Sub; l; r = Instr.Imm 0 } ->
       i.Instr.op <- Instr.Copy { dst; src = l }
-  | Instr.Bin { dst; op = Instr.Add; l = Instr.Imm 0; r } ->
-      i.Instr.op <- Instr.Copy { dst; src = r }
   | _ -> ());
   (* 3. a held address must be materialised before any instruction
      that touches its register — unless that instruction is the
-     consuming pointer store, which fuses it below *)
+     pointer arithmetic the hold below absorbs it into *)
   (if e.haddr >= 0 then
      let consumed =
        match i.Instr.op with
-       | Instr.Ptr_store { addr = Instr.Reg a; _ } -> a = e.haddr
        | Instr.Bin { dst; l; r; _ } ->
-           (* the pointer-binop hold below absorbs the address *)
            dst <> e.haddr
            && e.use_cnt.(dst) = 1
            && (l = Instr.Reg e.haddr) <> (r = Instr.Reg e.haddr)
@@ -866,17 +847,6 @@ let compile_instr_fused (e : emitter) (moves : Ids.IntSet.t) (i : Instr.t) =
       e.hpb_aslot <- slot e e.haddr;
       e.seg <- e.seg + 1;
       e.haddr <- -1
-  | Instr.Bin { op = Instr.Div | Instr.Rem; l = Instr.Imm _; r = Instr.Imm 0; _ }
-    ->
-      (* the only literal-literal binop left: it always traps, so
-         [op_bin_ii] never reaches the dispatch loop *)
-      start_tick e;
-      emit rf op_trap_div
-  | Instr.Copy { dst; _ }
-    when (not (Ids.IntSet.mem i.Instr.iid moves)) && e.use_cnt.(dst) = 0 ->
-      (* dead copy: no reader anywhere, and a copy cannot trap *)
-      omit_tick e;
-      e.n_elim <- e.n_elim + 1
   | Instr.Copy { dst; _ }
     when (not (Ids.IntSet.mem i.Instr.iid moves)) && e.use_cnt.(dst) = 1 ->
       e.pend <- Some i
@@ -1170,64 +1140,6 @@ let compile_instr_fused (e : emitter) (moves : Ids.IntSet.t) (i : Instr.t) =
       rf.rticks.(bbase + 2) <- 1;
       e.n_fused <- e.n_fused + 1;
       e.hpb <- -1
-  | Instr.Ptr_store { addr = Instr.Reg a; src; _ }
-    when e.haddr >= 0 && a = e.haddr ->
-      (* constant-index array store: the sunk address flows straight
-         into the pointer write, never touching its slot.  The
-         prologue stage carries whatever omitted ticks are pending;
-         the pstore's own tick is the second stage. *)
-      let bbase = rf.rcode_len in
-      start e e.pending;
-      e.pending <- 0;
-      e.seg <- e.seg + 1;
-      emit rf op_astore;
-      emit rf e.haddr_vid;
-      emit rf e.haddr_off;
-      (match src with
-      | Instr.Reg s ->
-          emit rf 0;
-          emit rf (slot e s)
-      | Instr.Imm n ->
-          emit rf 1;
-          emit rf n);
-      rf.rticks.(bbase + 1) <- 1;
-      e.n_fused <- e.n_fused + 1;
-      e.haddr <- -1
-  | Instr.Ptr_store { addr = Instr.Reg a; src; _ }
-    when e.last_bin >= 0 && e.last_bin + 5 = rf.rcode_len
-         && a = e.last_bin_dst ->
-      (* the computed address flows straight into the pointer write;
-         its slot write is skipped when the store was its only reader *)
-      let bbase = e.last_bin in
-      let op1 = rf.rcode.(bbase) in
-      let bop = rf.rcode.(bbase + 1) in
-      let tslot = rf.rcode.(bbase + 2) in
-      let pa = rf.rcode.(bbase + 3) in
-      let pb = rf.rcode.(bbase + 4) in
-      let sh =
-        (if op1 = op_bin_ir then 1 else 0)
-        lor if op1 = op_bin_ri then 2 else 0
-      in
-      rf.rcode_len <- bbase;
-      emit rf op_bin_pstore;
-      emit rf sh;
-      emit rf bop;
-      emit rf pa;
-      emit rf pb;
-      emit rf (if e.use_cnt.(a) > 1 then tslot else -1);
-      (match src with
-      | Instr.Reg s2 ->
-          emit rf 0;
-          emit rf (slot e s2)
-      | Instr.Imm n ->
-          emit rf 1;
-          emit rf n);
-      rf.rticks.(bbase + 1) <- e.pending + 1;
-      e.pending <- 0;
-      e.seg <- e.seg + 1;
-      e.n_fused <- e.n_fused + 1;
-      e.last_bin <- -1;
-      e.last_load <- -1
   | _ -> (
       let before = rf.rcode_len in
       compile_instr e moves i;
@@ -1284,7 +1196,8 @@ let compile_term (e : emitter) (g : Func.t) (b : Block.t) =
   | Block.Br { cond = Instr.Reg c; t; f }
     when e.last_bin >= 0
          && e.last_bin + 5 = rf.rcode_len
-         && e.last_bin_dst = c ->
+         && e.last_bin_dst = c
+         && rf.rcode.(e.last_bin) <> op_bin_ir ->
       (* fused compare-and-branch: rewind the just-emitted binop and
          re-emit it with both transfer quadruples inline.
          [rticks.(base)] keeps the binop's tick; the terminator tick
@@ -1297,10 +1210,7 @@ let compile_term (e : emitter) (g : Func.t) (b : Block.t) =
       let x = rf.rcode.(bbase + 3) in
       let y = rf.rcode.(bbase + 4) in
       rf.rcode_len <- bbase;
-      emit rf
-        (if op1 = op_bin_rr then op_cbr_rr
-         else if op1 = op_bin_ri then op_cbr_ri
-         else op_cbr_ir);
+      emit rf (if op1 = op_bin_rr then op_cbr_rr else op_cbr_ri);
       emit rf bop;
       emit rf x;
       emit rf y;
@@ -1340,6 +1250,37 @@ let compile_term (e : emitter) (g : Func.t) (b : Block.t) =
           | None -> emit rf op_ret_void)));
   close_seg e
 
+(* Length in words of the instruction at [code.(base)]. *)
+let op_len (code : int array) (base : int) : int =
+  match code.(base) with
+  | 0 | 1 | 2 | 3 (* bin *) -> 5
+  | 4 | 5 (* un *) -> 4
+  | 6 | 7 (* copy *) -> 3
+  | 8 (* load *) -> 3
+  | 9 | 10 (* store *) -> 3
+  | 11 | 12 (* addr *) -> 4
+  | 13 | 14 (* pload *) -> 3
+  | 15 (* pstore *) -> 5
+  | 16 (* call *) -> 5 + (2 * code.(base + 3))
+  | 17 (* xcall *) -> 2
+  | 18 (* call_unknown *) -> 2
+  | 19 (* trap_rphi *) -> 1
+  | 20 | 21 (* print *) -> 2
+  | 22 (* jmp *) -> 5
+  | 23 (* br *) -> 10
+  | 24 | 25 (* ret *) -> 2
+  | 26 (* ret_void *) -> 1
+  | 27 | 28 (* cbr *) -> 13
+  | 31 (* bin2 *) -> 9
+  | 32 (* load2 *) -> 5
+  | 33 (* bin_store *) -> 7
+  | 34 | 35 (* mm_bin / mm_bin_store *) -> 6
+  | 38 | 39 (* mm_bin2 / mm_bin2_store *) -> 9
+  | 40 (* abin_pstore *) -> 8
+  | 41 (* copy_n *) -> 2 + (3 * code.(base + 1))
+  | 42 (* bst_bin2 *) -> 15
+  | op -> invalid_arg (Printf.sprintf "Rcompile.op_len: opcode %d" op)
+
 (* Walk the emitted stream and turn the clone-bid placeholders in
    transfer instructions into code offsets and entry-segment costs. *)
 let patch (rf : rfunc) (block_off : int array) (block_cost : int array) =
@@ -1347,50 +1288,22 @@ let patch (rf : rfunc) (block_off : int array) (block_cost : int array) =
   let pc = ref 0 in
   while !pc < rf.rcode_len do
     let base = !pc in
-    match code.(base) with
-    | 0 | 1 | 2 | 3 (* bin *) -> pc := base + 5
-    | 4 | 5 (* un *) -> pc := base + 4
-    | 6 | 7 (* copy *) -> pc := base + 3
-    | 8 (* load *) -> pc := base + 3
-    | 9 | 10 (* store *) -> pc := base + 3
-    | 11 | 12 (* addr *) -> pc := base + 4
-    | 13 | 14 (* pload *) -> pc := base + 3
-    | 15 (* pstore *) -> pc := base + 5
-    | 16 (* call *) -> pc := base + 5 + (2 * code.(base + 3))
-    | 17 (* xcall *) -> pc := base + 2
-    | 18 (* call_unknown *) -> pc := base + 2
-    | 19 (* trap_rphi *) -> pc := base + 1
-    | 20 | 21 (* print *) -> pc := base + 2
+    (match code.(base) with
     | 22 (* jmp *) ->
         code.(base + 4) <- block_cost.(code.(base + 4));
-        code.(base + 1) <- block_off.(code.(base + 1));
-        pc := base + 5
+        code.(base + 1) <- block_off.(code.(base + 1))
     | 23 (* br *) ->
         code.(base + 5) <- block_cost.(code.(base + 5));
         code.(base + 2) <- block_off.(code.(base + 2));
         code.(base + 9) <- block_cost.(code.(base + 9));
-        code.(base + 6) <- block_off.(code.(base + 6));
-        pc := base + 10
-    | 24 | 25 (* ret *) -> pc := base + 2
-    | 26 (* ret_void *) -> pc := base + 1
-    | 27 | 28 | 29 (* cbr *) ->
+        code.(base + 6) <- block_off.(code.(base + 6))
+    | 27 | 28 (* cbr *) ->
         code.(base + 8) <- block_cost.(code.(base + 8));
         code.(base + 5) <- block_off.(code.(base + 5));
         code.(base + 12) <- block_cost.(code.(base + 12));
-        code.(base + 9) <- block_off.(code.(base + 9));
-        pc := base + 13
-    | 30 (* trap_div *) -> pc := base + 1
-    | 31 (* bin2 *) -> pc := base + 9
-    | 32 (* load2 *) -> pc := base + 5
-    | 33 (* bin_store *) -> pc := base + 7
-    | 34 | 35 (* mm_bin / mm_bin_store *) -> pc := base + 6
-    | 36 (* astore *) -> pc := base + 5
-    | 37 (* bin_pstore *) -> pc := base + 8
-    | 38 | 39 (* mm_bin2 / mm_bin2_store *) -> pc := base + 9
-    | 40 (* abin_pstore *) -> pc := base + 8
-    | 41 (* copy_n *) -> pc := base + 2 + (3 * code.(base + 1))
-    | 42 (* bst_bin2 *) -> pc := base + 15
-    | _ -> assert false
+        code.(base + 9) <- block_off.(code.(base + 9))
+    | _ -> ());
+    pc := base + op_len code base
   done
 
 (* Static per-block counts from the *original* function: the clone's
@@ -1483,10 +1396,7 @@ let compile_func (dec : t) (rf : rfunc) (f : Func.t) =
   let g = Func.clone f in
   Cfg.split_critical_edges g;
   let moves = Destruct.lower g in
-  let sl = Slots.assign ?budget:dec.budget g in
-  rf.rncoalesced <- sl.Slots.ncoalesced;
-  rf.rnoverflow <- sl.Slots.noverflow;
-  rf.rvregs <- g.Func.next_reg;
+  let sl = Slots.assign g in
   (* one extra write-only slot absorbs defs of never-read registers *)
   let nslots = sl.Slots.nslots + 1 in
   rf.rnslots <- nslots;
@@ -1607,9 +1517,6 @@ let mk_rfunc ~rfid ~rname ~rlocals =
     s_stores = [||];
     s_aloads = [||];
     s_astores = [||];
-    rncoalesced = 0;
-    rnoverflow = 0;
-    rvregs = 0;
   }
 
 (* Compile every function, assigning the dense counter id spaces; each
@@ -1630,7 +1537,7 @@ let compile_all (dec : t) =
   dec.rtotal_blocks <- !blocks;
   dec.rtotal_edges <- !edges
 
-let compile ?budget ?(fuse = false) (prog : Func.prog) : t =
+let compile ?budget:_ ?(fuse = false) (prog : Func.prog) : t =
   let tab = prog.Func.vartab in
   let nvars = Resource.num_vars tab in
   let array_len = Array.make (max nvars 1) (-1) in
@@ -1679,7 +1586,6 @@ let compile ?budget ?(fuse = false) (prog : Func.prog) : t =
   let dec =
     {
       rprog = prog;
-      budget;
       fuse;
       rnvars = nvars;
       rarray_len = array_len;

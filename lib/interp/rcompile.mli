@@ -39,24 +39,26 @@ val op_ret_r : int
 val op_ret_i : int
 val op_ret_void : int
 
-(** Superinstructions, emitted only under [compile ~fuse:true]. *)
+(** Superinstructions, emitted only under [compile ~fuse:true].  Values
+    29, 30, 36 and 37 are unused. *)
 
 val op_cbr_rr : int
 val op_cbr_ri : int
-val op_cbr_ir : int
-val op_trap_div : int
 val op_bin2 : int
 val op_load2 : int
 val op_bin_store : int
 val op_mm_bin : int
 val op_mm_bin_store : int
-val op_astore : int
-val op_bin_pstore : int
 val op_mm_bin2 : int
 val op_mm_bin2_store : int
 val op_abin_pstore : int
 val op_copy_n : int
 val op_bst_bin2 : int
+
+(** [op_len code base] is the length in words of the instruction that
+    starts at [code.(base)].
+    @raise Invalid_argument on a word that is no opcode. *)
+val op_len : int array -> int -> int
 
 type rfunc = {
   rfid : int;
@@ -84,14 +86,10 @@ type rfunc = {
   mutable s_stores : int array;
   mutable s_aloads : int array;
   mutable s_astores : int array;
-  mutable rncoalesced : int;
-  mutable rnoverflow : int;
-  mutable rvregs : int;
 }
 
 type t = {
   rprog : Func.prog;
-  budget : int option;
   fuse : bool;
   rnvars : int;
   rarray_len : int array;
@@ -106,11 +104,12 @@ type t = {
   mutable rops_eliminated : int;
 }
 
-(** Compile the whole program.  [budget] is the machine register
-    budget forwarded to the slot allocator (reporting only: overflow
-    slots live in the same frame).  [fuse] (default false) enables the
-    peephole superinstruction layer: compare-and-branch fusion, binop
-    pair fusion, single-use copy folding, literal constant folding and
+(** Compile the whole program.  [budget] is ignored: slot assignment
+    needs no register budget, and the argument stays only for callers
+    that still pass one ([perfbench/replay.ml]).  [fuse] (default
+    false) enables the peephole superinstruction layer:
+    compare-and-branch fusion, binop pair and statement fusion,
+    single-use copy folding, literal constant folding, copy runs and
     reverse-postorder block layout — observationally invisible, and
     re-applied by {!refresh}. *)
 val compile : ?budget:int -> ?fuse:bool -> Func.prog -> t

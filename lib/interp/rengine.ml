@@ -37,11 +37,9 @@ let () =
       && op_call_unknown = 18 && op_trap_rphi = 19 && op_print_r = 20
       && op_print_i = 21 && op_jmp = 22 && op_br = 23 && op_ret_r = 24
       && op_ret_i = 25 && op_ret_void = 26 && op_cbr_rr = 27 && op_cbr_ri = 28
-      && op_cbr_ir = 29 && op_trap_div = 30 && op_bin2 = 31 && op_load2 = 32
-      && op_bin_store = 33 && op_mm_bin = 34 && op_mm_bin_store = 35
-      && op_astore = 36 && op_bin_pstore = 37 && op_mm_bin2 = 38
-      && op_mm_bin2_store = 39 && op_abin_pstore = 40 && op_copy_n = 41
-      && op_bst_bin2 = 42))
+      && op_bin2 = 31 && op_load2 = 32 && op_bin_store = 33 && op_mm_bin = 34
+      && op_mm_bin_store = 35 && op_mm_bin2 = 38 && op_mm_bin2_store = 39
+      && op_abin_pstore = 40 && op_copy_n = 41 && op_bst_bin2 = 42))
 
 type rt = {
   cp : Rcompile.t;
@@ -539,35 +537,6 @@ let rec exec (rt : rt) (rf : Rcompile.rfunc) (fp : int) =
         rt.ecounts.(ug code (side + 2)) <- rt.ecounts.(ug code (side + 2)) + 1;
         deduct rt (ug code (side + 3));
         pc := ug code side
-    | 29 (* cbr_ir: bop imm r dst|-1 t-quad f-quad *) ->
-        let s = !stk in
-        let r = fp + ug code (base + 3) in
-        let lv = ug code (base + 2) in
-        let rv = ug s r and rk = ug s (r + 1) in
-        if rk < 0 then begin
-          rt.vv <- binop_int (ug code (base + 1)) lv rv;
-          rt.vk <- -1
-        end
-        else binop_slow rt (ug code (base + 1)) lv (-1) rv rk;
-        let z = rt.vv and zk = rt.vk in
-        let dst = ug code (base + 4) in
-        if dst >= 0 then begin
-          let d = fp + dst in
-          us s d z;
-          us s (d + 1) zk
-        end;
-        if rt.slow then begin
-          rt.fuel <- rt.fuel - ticks.(base + 1);
-          if rt.fuel <= 0 then raise (Interp.Out_of_fuel rt.budget)
-        end;
-        if zk >= 0 then fail "pointer used as an integer";
-        let side = if z <> 0 then base + 5 else base + 9 in
-        rt.bcounts.(ug code (side + 1)) <- rt.bcounts.(ug code (side + 1)) + 1;
-        rt.ecounts.(ug code (side + 2)) <- rt.ecounts.(ug code (side + 2)) + 1;
-        deduct rt (ug code (side + 3));
-        pc := ug code side
-    | 30 (* trap_div: a folded literal division by zero *) ->
-        fail "division by zero"
     | 31 (* bin2: shape bop1 a1 b1 tslot|-1 bop2 dst c2 *) ->
         let s = !stk in
         let sh = ug code (base + 1) in
@@ -747,57 +716,6 @@ let rec exec (rt : rt) (rf : Rcompile.rfunc) (fp : int) =
         us rt.mem vd zv;
         us rt.mem (vd + 1) zk;
         pc := base + 6
-    | 36 (* astore: vid off sk s — *(addr vid off) <- s.  The addr's
-            tick was charged in the prologue; the pstore's is staged
-            before its operand read and the write can trap. *) ->
-        if rt.slow then begin
-          rt.fuel <- rt.fuel - ticks.(base + 1);
-          if rt.fuel <= 0 then raise (Interp.Out_of_fuel rt.budget)
-        end;
-        let sv, sk =
-          if ug code (base + 3) = 0 then begin
-            let s = !stk in
-            let o = fp + ug code (base + 4) in
-            (ug s o, ug s (o + 1))
-          end
-          else (ug code (base + 4), -1)
-        in
-        write_ptr rt (ug code (base + 2)) (ug code (base + 1)) sv sk;
-        pc := base + 5
-    | 37 (* bin_pstore: sh bop a b tslot|-1 sk s — *(a bop b) <- s *) ->
-        let s = !stk in
-        let sh = ug code (base + 1) in
-        let a = ug code (base + 3) in
-        let av = if sh land 1 <> 0 then a else ug s (fp + a) in
-        let ak = if sh land 1 <> 0 then -1 else ug s (fp + a + 1) in
-        let b = ug code (base + 4) in
-        let bv = if sh land 2 <> 0 then b else ug s (fp + b) in
-        let bk = if sh land 2 <> 0 then -1 else ug s (fp + b + 1) in
-        if ak land bk < 0 then begin
-          rt.vv <- binop_int (ug code (base + 2)) av bv;
-          rt.vk <- -1
-        end
-        else binop_slow rt (ug code (base + 2)) av ak bv bk;
-        let zv = rt.vv and zk = rt.vk in
-        let tslot = ug code (base + 5) in
-        if tslot >= 0 then begin
-          let d = fp + tslot in
-          us s d zv;
-          us s (d + 1) zk
-        end;
-        if rt.slow then begin
-          rt.fuel <- rt.fuel - ticks.(base + 1);
-          if rt.fuel <= 0 then raise (Interp.Out_of_fuel rt.budget)
-        end;
-        let sv, sk =
-          if ug code (base + 6) = 0 then begin
-            let o = fp + ug code (base + 7) in
-            (ug s o, ug s (o + 1))
-          end
-          else (ug code (base + 7), -1)
-        in
-        write_ptr rt zv zk sv sk;
-        pc := base + 8
     | 38 (* mm_bin2: sh bop x y sh2 bop2 z dst — the mm_bin chain
             value feeds a second binop; sh2 bit 1 = chained value is
             the right operand, bit 2 = z is an immediate.  The first

@@ -24,14 +24,9 @@
 open Rp_ir
 module UF = Rp_ssa.Union_find
 
-type t = {
-  slot_of : int array;
-  nslots : int;
-  ncoalesced : int;
-  noverflow : int;
-}
+type t = { slot_of : int array; nslots : int }
 
-let assign ?budget (f : Func.t) : t =
+let assign (f : Func.t) : t =
   let g = Interference.build ~copy_slack:true f in
   let nodes = Interference.occurring f in
   let n = max f.Func.next_reg 1 in
@@ -144,20 +139,4 @@ let assign ?budget (f : Func.t) : t =
     (fun r ->
       slot_of.(r) <- Hashtbl.find res.Color.assignment lidx.(leader.(r)))
     nodes;
-  let ncoalesced = ref 0 in
-  Func.iter_blocks
-    (fun b ->
-      Iseq.iter
-        (fun (i : Instr.t) ->
-          match i.op with
-          | Instr.Copy { dst; src = Instr.Reg s }
-            when slot_of.(dst) >= 0 && slot_of.(dst) = slot_of.(s) ->
-              incr ncoalesced
-          | _ -> ())
-        b.Block.body)
-    f;
-  let nslots = res.Color.colors in
-  let noverflow =
-    match budget with Some k -> max 0 (nslots - k) | None -> 0
-  in
-  { slot_of; nslots; ncoalesced = !ncoalesced; noverflow }
+  { slot_of; nslots = res.Color.colors }

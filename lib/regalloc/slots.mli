@@ -3,20 +3,14 @@
     copies) over the copy-slack interference graph, then Chaitin-style
     coloring of the quotient graph.  Every virtual register of a
     lowered (out-of-SSA) function maps to one physical slot in the
-    frame; with a machine budget [k], slots [k..nslots-1] are overflow
-    ("spill") slots — the frame array is uniform, the split is
-    reporting-only. *)
+    frame. *)
 
 open Rp_ir
 
 type t = {
   slot_of : int array;  (** reg -> slot; -1 for regs that never occur *)
   nslots : int;  (** distinct slots = colors of the quotient graph *)
-  ncoalesced : int;  (** copies whose endpoints share a slot *)
-  noverflow : int;  (** slots beyond the budget; 0 when unbudgeted *)
 }
 
-(** Assign slots for a lowered function (no register phis).  [budget]
-    is the machine register budget used only to report the overflow
-    count. *)
-val assign : ?budget:int -> Func.t -> t
+(** Assign slots for a lowered function (no register phis). *)
+val assign : Func.t -> t

@@ -337,10 +337,15 @@ let request_of_json (v : J.t) : (request, string) result =
         | Some o -> options_of_json o
       in
       let* deterministic = take false (field v "deterministic" as_bool) in
-      match take None (field v "deadline_s" (fun j -> Option.map Option.some (as_float j))) with
-      | Error m -> Error m
-      | Ok deadline_s ->
-          Ok (Compile { target; options; deterministic; deadline_s }))
+      let* deadline_s =
+        take None
+          (field v "deadline_s" (fun j -> Option.map Option.some (as_float j)))
+      in
+      (* a negative override would silently mean "no deadline" *)
+      match deadline_s with
+      | Some d when not (Float.is_finite d && d >= 0.0) ->
+          Error "field \"deadline_s\" must be finite and non-negative"
+      | _ -> Ok (Compile { target; options; deterministic; deadline_s }))
   | Some (J.Str other) -> Error (Printf.sprintf "unknown request %S" other)
   | Some _ -> Error "field \"req\" is not a string"
   | None -> Error "missing request field \"req\""

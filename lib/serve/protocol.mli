@@ -66,7 +66,8 @@ type compile = {
           [Some 0.] = wait forever).  Not part of [options] and never
           part of the cache key: identical inputs yield identical
           reports regardless of how long the client would wait.
-          Optional on the wire, so older clients remain valid. *)
+          Optional on the wire, so older clients remain valid; the
+          decoder refuses a negative or non-finite value. *)
 }
 
 type request = Compile of compile | Ping | Stats | Shutdown

@@ -385,13 +385,13 @@ let test_fuel_exhaustion_parity () =
    exhaustion lands on every possible instruction of a fusible loop —
    including mid-block and between the two halves of a superinstruction.
    The block-batched fuel accounting must reproduce the oracle's exact
-   stopping point (same Finished outcome or Fuel at the same budget)
-   for each one. *)
+   stopping point (same Finished outcome, the same trap, or Fuel at the
+   same budget) for each one. *)
 let test_adversarial_budget_sweep () =
   (* dependent binop chain (bin2 fodder) feeding a compare-and-branch
      latch (cbr fodder), plus a print so mid-iteration stops would be
      observable if an engine overran its budget *)
-  let src =
+  let chain =
     "int main() {\n\
     \  int i; int a; int b;\n\
     \  i = 0; a = 1; b = 2;\n\
@@ -405,59 +405,61 @@ let test_adversarial_budget_sweep () =
     \  return a;\n\
     }"
   in
-  let prog, _ = P.prepare src in
-  for budget = 1 to 400 do
-    let tree = run_tree ~fuel:budget prog
-    and reg = run_reg ~fuel:budget prog
-    and fused = run_fused ~fuel:budget prog in
-    if tree <> reg then
-      Alcotest.failf "budget %d: reg diverges on %s\n  tree: %s\n  reg: %s"
-        budget (diff_field tree reg) (describe tree) (describe reg);
-    if tree <> fused then
-      Alcotest.failf "budget %d: fused diverges on %s\n  tree: %s\n  fused: %s"
-        budget (diff_field tree fused) (describe tree) (describe fused)
-  done
+  (* shapes the fused compiler leaves to the generic emitter: a store
+     through a just-taken address, a pointer-arithmetic store, an
+     immediate-on-the-left compare feeding a branch, and a literal
+     division by zero (the zero reaches it by constant propagation)
+     that ends the run with a trap; beside them a constant-index array
+     store, which still fuses *)
+  let stores =
+    "int a[8];\n\
+     int main() {\n\
+    \  int i; int s; int q; int z; int x; int *r; int *w;\n\
+    \  w = &a[1];\n\
+    \  s = 0; z = 0;\n\
+    \  for (i = 0; i < 6; i++) {\n\
+    \    r = &x;\n\
+    \    *r = i;\n\
+    \    a[2] = s;\n\
+    \    *(w + i) = s;\n\
+    \    if (3 < i) { s = s + x; }\n\
+    \    print(s + a[i]);\n\
+    \  }\n\
+    \  q = 1 / z;\n\
+    \  return s + q;\n\
+     }"
+  in
+  List.iter
+    (fun (name, src, last) ->
+      let prog, _ = P.prepare src in
+      for budget = 1 to 400 do
+        let tree = run_tree ~fuel:budget prog
+        and reg = run_reg ~fuel:budget prog
+        and fused = run_fused ~fuel:budget prog in
+        if tree <> reg then
+          Alcotest.failf
+            "%s, budget %d: reg diverges on %s\n  tree: %s\n  reg: %s" name
+            budget (diff_field tree reg) (describe tree) (describe reg);
+        if tree <> fused then
+          Alcotest.failf
+            "%s, budget %d: fused diverges on %s\n  tree: %s\n  fused: %s"
+            name budget (diff_field tree fused) (describe tree)
+            (describe fused)
+      done;
+      (* the window must reach the end of the run *)
+      match (run_tree ~fuel:400 prog, last) with
+      | Finished _, `Finished | Trap "division by zero", `Trap -> ()
+      | o, _ -> Alcotest.failf "%s: budget 400 ends in %s" name (describe o))
+    [ ("chain", chain, `Finished); ("stores", stores, `Trap) ]
 
 (* ------------------------------------------------------------------ *)
 (* The constant folder must keep [op_bin_ii] out of every fused image:
    a binop whose operands are both immediates is folded at compile
-   time (or pinned as [op_trap_div]), so the opcode never reaches the
-   dispatch loop.  Walk the packed code of every seed workload and the
-   gen sweep and assert it is absent — and that the fusion actually
-   fired somewhere, so the scan is not vacuous. *)
-
-(* instruction length per opcode, mirroring [Rcompile.patch]'s walk *)
-let fused_op_len code base =
-  match code.(base) with
-  | 0 | 1 | 2 | 3 -> 5 (* bin rr/ri/ir/ii *)
-  | 4 | 5 -> 4 (* un *)
-  | 6 | 7 -> 3 (* copy *)
-  | 8 -> 3 (* load *)
-  | 9 | 10 -> 3 (* store *)
-  | 11 | 12 -> 4 (* addr *)
-  | 13 | 14 -> 3 (* pload *)
-  | 15 -> 5 (* pstore *)
-  | 16 -> 5 + (2 * code.(base + 3)) (* call: nargs pairs *)
-  | 17 | 18 -> 2 (* xcall / call_unknown *)
-  | 19 -> 1 (* trap_rphi *)
-  | 20 | 21 -> 2 (* print *)
-  | 22 -> 5 (* jmp *)
-  | 23 -> 10 (* br *)
-  | 24 | 25 -> 2 (* ret *)
-  | 26 -> 1 (* ret_void *)
-  | 27 | 28 | 29 -> 13 (* cbr *)
-  | 30 -> 1 (* trap div *)
-  | 31 -> 9 (* bin2 *)
-  | 32 -> 5 (* load2 *)
-  | 33 -> 7 (* bin_store *)
-  | 34 | 35 -> 6 (* mm_bin / mm_bin_store *)
-  | 36 -> 5 (* astore *)
-  | 37 -> 8 (* bin_pstore *)
-  | 38 | 39 -> 9 (* mm_bin2 / mm_bin2_store *)
-  | 40 -> 8 (* abin_pstore *)
-  | 41 -> 2 + (3 * code.(base + 1)) (* copy_n *)
-  | 42 -> 15 (* bst_bin2 *)
-  | op -> Alcotest.failf "unknown opcode %d at %d" op base
+   time, so the opcode never reaches the dispatch loop.  The one
+   exception, a literal division by zero, must keep trapping and stays
+   [op_bin_ii]; no workload has one.  Walk the packed code of every
+   seed workload and the gen sweep and assert it is absent — and that
+   the fusion actually fired somewhere, so the scan is not vacuous. *)
 
 let test_no_bin_ii_in_fused_images () =
   let scan src =
@@ -472,15 +474,14 @@ let test_no_bin_ii_in_fused_images () =
           if op = RC.op_bin_ii then
             Alcotest.failf "%s: op_bin_ii survived fusion at pc %d"
               rf.RC.rname !pc;
-          if op = RC.op_cbr_rr || op = RC.op_cbr_ri || op = RC.op_cbr_ir
-             || op = RC.op_bin2 || op = RC.op_load2 || op = RC.op_bin_store
+          if op = RC.op_cbr_rr || op = RC.op_cbr_ri || op = RC.op_bin2
+             || op = RC.op_load2 || op = RC.op_bin_store
              || op = RC.op_mm_bin || op = RC.op_mm_bin_store
-             || op = RC.op_astore || op = RC.op_bin_pstore
              || op = RC.op_mm_bin2 || op = RC.op_mm_bin2_store
              || op = RC.op_abin_pstore || op = RC.op_copy_n
              || op = RC.op_bst_bin2
           then saw_fused := true;
-          pc := !pc + fused_op_len rf.RC.rcode !pc
+          pc := !pc + RC.op_len rf.RC.rcode !pc
         done)
       cp.RC.rfuncs;
     !saw_fused

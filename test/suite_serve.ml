@@ -302,37 +302,56 @@ let test_spill_order_field_ignored () =
       | Error m -> Alcotest.failf "spill_order=%b refused: %s" b m)
     [ true; false ]
 
-(* A non-finite --min-profit has no JSON encoding (it would be sent as
-   null), so [promote] and [client] refuse it as a usage error, and the
-   decoder refuses it from any other client. *)
-let test_min_profit_non_finite () =
+(* Exit code of the built [rpromote] run with [args], output discarded;
+   -1 if it is still running after 30 s (a [serve] that got past its
+   usage checks), in which case it is killed. *)
+let rpromote_exit_code args =
   let rpromote =
     Filename.concat
       (Filename.dirname Sys.executable_name)
       (Filename.concat ".." (Filename.concat "bin" "rpromote.exe"))
   in
-  let exit_code args =
-    let null = Unix.openfile Filename.null [ Unix.O_WRONLY ] 0 in
-    let pid =
-      Fun.protect
-        ~finally:(fun () -> Unix.close null)
-        (fun () ->
-          Unix.create_process rpromote
-            (Array.of_list (rpromote :: args))
-            Unix.stdin null null)
-    in
-    match snd (Unix.waitpid [] pid) with
-    | Unix.WEXITED n -> n
-    | Unix.WSIGNALED _ | Unix.WSTOPPED _ -> -1
+  let null = Unix.openfile Filename.null [ Unix.O_WRONLY ] 0 in
+  let pid =
+    Fun.protect
+      ~finally:(fun () -> Unix.close null)
+      (fun () ->
+        Unix.create_process rpromote
+          (Array.of_list (rpromote :: args))
+          Unix.stdin null null)
   in
-  let no_daemon = Filename.concat (Filename.get_temp_dir_name ()) "rp-none.sock" in
+  let t_end = Unix.gettimeofday () +. 30.0 in
+  let rec wait () =
+    match Unix.waitpid [ Unix.WNOHANG ] pid with
+    | 0, _ when Unix.gettimeofday () < t_end ->
+        Unix.sleepf 0.01;
+        wait ()
+    | 0, _ ->
+        Unix.kill pid Sys.sigkill;
+        ignore (Unix.waitpid [] pid);
+        -1
+    | _, Unix.WEXITED n -> n
+    | _, (Unix.WSIGNALED _ | Unix.WSTOPPED _) -> -1
+  in
+  wait ()
+
+(* a socket no daemon listens on: the usage checks must fire before
+   the client tries to connect *)
+let no_daemon () = Filename.concat (Filename.get_temp_dir_name ()) "rp-none.sock"
+
+(* A non-finite --min-profit has no JSON encoding (it would be sent as
+   null), so [promote] and [client] refuse it as a usage error, and the
+   decoder refuses it from any other client. *)
+let test_min_profit_non_finite () =
+  let no_daemon = no_daemon () in
   List.iter
     (fun v ->
       let flag = "--min-profit=" ^ v in
       List.iter
         (fun args ->
           let args = args @ [ flag ] in
-          Alcotest.(check int) (String.concat " " args) 2 (exit_code args))
+          Alcotest.(check int) (String.concat " " args) 2
+            (rpromote_exit_code args))
         [ [ "promote"; "go" ]; [ "client"; "--socket"; no_daemon; "go" ] ])
     [ "nan"; "inf"; "-inf" ];
   List.iter
@@ -371,6 +390,56 @@ let test_min_profit_non_finite () =
         true
         (refused (Proto.request_to_json req)))
     [ nan; infinity; neg_infinity ]
+
+(* A deadline override must be finite (JSON has no encoding for the
+   rest) and non-negative (the daemon would read a negative one as "no
+   deadline"): [client] refuses anything else as a usage error before
+   connecting, [serve] refuses a nan or negative default, and the
+   decoder refuses a negative override from any other client. *)
+let test_deadline_invalid () =
+  let no_daemon = no_daemon () in
+  List.iter
+    (fun v ->
+      let args =
+        [ "client"; "--socket"; no_daemon; "go"; "--deadline=" ^ v ]
+      in
+      Alcotest.(check int) (String.concat " " args) 2 (rpromote_exit_code args))
+    [ "nan"; "inf"; "-inf"; "-1"; "-0.5" ];
+  (* a valid deadline gets as far as connecting: exit 1, no daemon *)
+  Alcotest.(check int) "client --deadline=1, no daemon" 1
+    (rpromote_exit_code
+       [ "client"; "--socket"; no_daemon; "go"; "--deadline=1" ]);
+  List.iter
+    (fun v ->
+      let args = [ "serve"; "--socket"; no_daemon; "--deadline=" ^ v ] in
+      Alcotest.(check int) (String.concat " " args) 2 (rpromote_exit_code args))
+    [ "nan"; "-1" ];
+  let decode d =
+    Proto.request_of_json
+      (Proto.request_to_json
+         (Proto.Compile
+            {
+              Proto.target = `Workload "go";
+              options = P.default_options;
+              deterministic = true;
+              deadline_s = d;
+            }))
+  in
+  List.iter
+    (fun d ->
+      Alcotest.(check bool)
+        (Printf.sprintf "deadline_s %h refused" d)
+        true
+        (Result.is_error (decode (Some d))))
+    [ -1.0; -0.001; neg_infinity; nan; infinity ];
+  List.iter
+    (fun d ->
+      match decode d with
+      | Ok (Proto.Compile c) ->
+          Alcotest.(check bool) "deadline_s kept" true (c.Proto.deadline_s = d)
+      | Ok _ -> Alcotest.fail "decoded to another request"
+      | Error m -> Alcotest.failf "valid deadline refused: %s" m)
+    [ None; Some 0.0; Some 2.5 ]
 
 let test_bad_request_documents () =
   List.iter
@@ -712,6 +781,7 @@ let suite =
       test_spill_order_field_ignored;
     Alcotest.test_case "non-finite min_profit refused" `Quick
       test_min_profit_non_finite;
+    Alcotest.test_case "invalid deadline refused" `Quick test_deadline_invalid;
     Alcotest.test_case "bad request documents rejected" `Quick
       test_bad_request_documents;
     Alcotest.test_case "cache basics" `Quick test_cache_basics;
