@@ -283,6 +283,8 @@ let cmd_workloads () =
       Printf.printf "%-8s %s\n" w.Rp_workloads.Registry.name
         w.Rp_workloads.Registry.description)
     Rp_workloads.Registry.all;
+  Printf.printf "%-8s synthetic scaling program of size n, 1 <= n <= %d\n"
+    "gen<n>" Rp_workloads.Registry.max_generated;
   0
 
 (* ------------------------------------------------------------------ *)
@@ -799,7 +801,8 @@ let main_cmd =
       & info [ "list-workloads" ]
           ~doc:
             "Print the built-in workload registry (names and one-line \
-             descriptions) and exit.")
+             descriptions, and the generated gen<n> family with its size \
+             bound) and exit.")
   in
   let default =
     Term.(

@@ -249,6 +249,11 @@ let evaluate ~(allow_store_removal : bool) ~(freq : float array) (f : Func.t)
     }
   end
 
+(* No load to replace and no store to remove: [evaluate] finds nothing
+   removable, so [admit] refuses the web whatever its price. *)
+let nothing_to_remove (w : Web_info.t) =
+  w.Web_info.loads = [] && w.Web_info.stores = []
+
 (* ------------------------------------------------------------------ *)
 (* Admission *)
 

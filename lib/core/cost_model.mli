@@ -73,6 +73,12 @@ val evaluate :
   Web_info.t ->
   eval
 
+(** The web has no singleton load and no singleton store, so nothing
+    of it is removable: {!admit} skips it as [Not_profitable] under
+    every model and every profile, and a caller can decide it without
+    {!evaluate}. *)
+val nothing_to_remove : Web_info.t -> bool
+
 (** {2 Admission} *)
 
 type pressure_ctx = {

@@ -225,7 +225,8 @@ let replace_loads_by_copies (ctx : web_ctx) =
         let v = materialize ctx r in
         (match site.instr.Instr.op with
         | Instr.Load { dst; _ } ->
-            site.instr.Instr.op <- Instr.Copy { dst; src = Instr.Reg v }
+            Block.set_op (Func.block ctx.f site.bid) site.instr
+              (Instr.Copy { dst; src = Instr.Reg v })
         | _ -> bug "load reference is not a load");
         ctx.stats.loads_replaced <- ctx.stats.loads_replaced + 1
       end)
@@ -387,12 +388,20 @@ let promote_web (cfg : config) ~(freq : float array) ~(index : Occ_index.t)
     false
   end
   else begin
-    let d =
-      Cost_model.evaluate ~allow_store_removal:cfg.allow_store_removal ~freq f
-        dom iv w
+    (* a web with nothing to remove is refused unpriced *)
+    let priced =
+      if Cost_model.nothing_to_remove w then Error Cost_model.Not_profitable
+      else
+        let d =
+          Cost_model.evaluate ~allow_store_removal:cfg.allow_store_removal
+            ~freq f dom iv w
+        in
+        match Cost_model.admit cfg.cost d pctx with
+        | Cost_model.Skip reason -> Error reason
+        | Cost_model.Admit -> Ok d
     in
-    match Cost_model.admit cfg.cost d pctx with
-    | Cost_model.Skip reason ->
+    match priced with
+    | Error reason ->
         (match reason with
         | Cost_model.Not_profitable ->
             stats.webs_skipped_profit <- stats.webs_skipped_profit + 1
@@ -403,9 +412,9 @@ let promote_web (cfg : config) ~(freq : float array) ~(index : Occ_index.t)
            loads/stores directly, so the dummy only matters (and only
            helps hoist compensation stores to the preheader) when the web
            contains aliased loads *)
-        if w.Web_info.aliased_uses <> [] then add_dummy f index w stats cfg iv;
+        if w.Web_info.aliased then add_dummy f index w stats cfg iv;
         false
-    | Cost_model.Admit ->
+    | Ok d ->
         Cost_model.note_promoted pctx;
         if not (Web_info.has_defs w) then begin
       (* no definitions: load once in the preheader *)
@@ -423,13 +432,14 @@ let promote_web (cfg : config) ~(freq : float array) ~(index : Occ_index.t)
         (fun ((site : Web_info.ref_site), _) ->
           match site.instr.Instr.op with
           | Instr.Load { dst; _ } ->
-              site.instr.Instr.op <- Instr.Copy { dst; src = Instr.Reg t };
+              Block.set_op (Func.block f site.bid) site.instr
+                (Instr.Copy { dst; src = Instr.Reg t });
               stats.loads_replaced <- stats.loads_replaced + 1
           | _ -> bug "load reference is not a load")
         w.Web_info.loads;
       stats.webs_promoted <- stats.webs_promoted + 1;
       stats.webs_promoted_no_defs <- stats.webs_promoted_no_defs + 1;
-      if w.Web_info.aliased_uses <> [] then add_dummy f index w stats cfg iv;
+      if w.Web_info.aliased then add_dummy f index w stats cfg iv;
       false
     end
     else begin
@@ -472,7 +482,7 @@ let promote_web (cfg : config) ~(freq : float array) ~(index : Occ_index.t)
       stats.webs_promoted <- stats.webs_promoted + 1;
       (* "if there are aliased loads in web, add a dummy aliased load
          in the preheader that aliases the live-in resource" *)
-      if w.Web_info.aliased_uses <> [] then add_dummy f index w stats cfg iv;
+      if w.Web_info.aliased then add_dummy f index w stats cfg iv;
       d.remove_stores
     end
   end
@@ -487,21 +497,49 @@ let promote_in_web (cfg : config) (f : Func.t) (dom : Dom.t)
        ~on_edit:ignore f dom iv stats None
        (Web_info.compute f iv resources))
 
+(* What promotion keeps for one function from interval to interval. *)
+type state = {
+  f : Func.t;
+  tab : Resource.table;
+  arena : Webs.arena;
+      (** the interval scans' storage and block records; every edit goes
+          through [Block], so the records see the stamps move *)
+  index : Occ_index.t;  (** kept current through every insertion *)
+  mutable dummy_blocks : Ids.IntSet.t;
+      (** the preheaders of the intervals promoted so far that no
+          cleanup has walked yet: the only blocks that can hold dummies *)
+}
+
+(* The occurrence index and the first block records come from one walk
+   of the function. *)
+let make_state arena (f : Func.t) (tab : Resource.table) : state =
+  let index = Occ_index.build ~on_instr:(Webs.recorder arena tab f) f in
+  { f; tab; arena; index; dummy_blocks = Ids.IntSet.empty }
+
+let state f tab = make_state (Webs.arena ()) f tab
+
+let arena st = st.arena
+
 (* cleanup (Figure 2): remove the dummy aliased loads inside the
    interval, i.e. the summaries its children left in their preheaders,
-   which have served their purpose now that this interval is done. *)
-let cleanup_dummies (f : Func.t) (blocks : Ids.IntSet.t) =
+   which have served their purpose now that this interval is done.
+   Only the blocks that can hold them are walked. *)
+let cleanup_dummies (st : state) (blocks : Ids.IntSet.t) =
+  let inside, outside =
+    Ids.IntSet.partition (fun bid -> Ids.IntSet.mem bid blocks) st.dummy_blocks
+  in
+  st.dummy_blocks <- outside;
   Ids.IntSet.iter
     (fun bid ->
-      let b = Func.block f bid in
+      let b = Func.block st.f bid in
       Iseq.filter_in_place
         (fun (i : Instr.t) -> not (Instr.is_dummy i))
         b.body)
-    blocks
+    inside
 
-let promote_in_interval ?(arena = Webs.arena ()) ?index ?(on_edit = ignore)
-    (cfg : config) (f : Func.t) (tab : Resource.table) (stats : stats)
-    (iv : Intervals.t) : unit =
+let promote_in_interval ?(on_edit = ignore) (cfg : config) (st : state)
+    (stats : stats) (iv : Intervals.t) : unit =
+  let f = st.f and index = st.index in
   (* children were already processed (the traversal is bottom-up) *)
   Rp_obs.Trace.with_span "promote.interval"
     ~attrs:
@@ -514,10 +552,6 @@ let promote_in_interval ?(arena = Webs.arena ()) ?index ?(on_edit = ignore)
   @@ fun () ->
   let dom = Dom.compute_cached f in
   let freq = Func.freq_snapshot f in
-  let index = match index with Some i -> i | None -> Occ_index.build f in
-  (* dense resource ids for the interval scan; it runs before this
-     interval creates any version *)
-  let ids = Res_ids.of_func f in
   (* One interval scan builds every web and its reference sets.
      Promoting a web only touches its own resources (plus fresh clones
      outside any web) — except when the store-removal path runs the
@@ -526,7 +560,10 @@ let promote_in_interval ?(arena = Webs.arena ()) ?index ?(on_edit = ignore)
      for their later webs instead of using the stale precomputation. *)
   let infos =
     Rp_obs.Trace.with_span "promote.webinfo" @@ fun () ->
-    Web_info.of_interval ~ids ~arena tab f iv
+    (* without a budget no web with nothing to remove is priced, so
+       none needs its lists *)
+    Web_info.of_interval ~arena:st.arena
+      ~all_lists:(cfg.cost.Cost_model.regs <> None) st.tab f iv
   in
   Rp_obs.Trace.add_attr "webs" (string_of_int (List.length infos));
   (* With a register budget: measure the interval's pressure (preheader
@@ -595,7 +632,18 @@ let promote_in_interval ?(arena = Webs.arena ()) ?index ?(on_edit = ignore)
         Hashtbl.replace rewritten_bases w.Web_info.base ();
       on_edit index)
     infos;
-  cleanup_dummies f iv.Intervals.blocks
+  (* [add_dummy] places the interval's dummies in its preheader *)
+  if cfg.insert_dummies then
+    st.dummy_blocks <- Ids.IntSet.add iv.Intervals.preheader st.dummy_blocks;
+  cleanup_dummies st iv.Intervals.blocks
+
+(* One scan arena per domain, reused from function to function so its
+   buffers grow to the largest function once; [busy] while a promotion
+   of the domain holds it. *)
+type shared_arena = { arena : Webs.arena; mutable busy : bool }
+
+let shared_arena =
+  Domain.DLS.new_key (fun () -> { arena = Webs.arena (); busy = false })
 
 (* Promote one function.  Expects [f] normalised (no critical edges,
    dedicated preheaders/tails) and in SSA form, with a profile. *)
@@ -604,14 +652,24 @@ let promote_function ?(cfg = default_config) ?on_edit (f : Func.t)
   Rp_obs.Trace.with_span "promote.function" ~attrs:[ ("func", f.Func.fname) ]
   @@ fun () ->
   let stats = empty_stats () in
-  (* scratch arrays over resource ids, shared by the function's
-     intervals, and the occurrence index every interval keeps current *)
-  let arena = Webs.arena () and index = Occ_index.build f in
-  (* the root interval's [cleanup_dummies] covers the entry block, where
-     the root's own dummies sit, so no dummy outlives the last interval *)
-  List.iter
-    (promote_in_interval ~arena ~index ?on_edit cfg f tab stats)
-    tree.Intervals.all;
+  (* the domain's arena when no other thread of the domain holds it;
+     the test and the claim make no allocation, so no thread switch
+     falls between them *)
+  let shared = Domain.DLS.get shared_arena in
+  let claimed = not shared.busy in
+  if claimed then shared.busy <- true;
+  let arena = if claimed then shared.arena else Webs.arena () in
+  let release () =
+    if claimed then begin
+      Webs.release arena;
+      shared.busy <- false
+    end
+  in
+  Fun.protect ~finally:release (fun () ->
+      let st = make_state arena f tab in
+      (* the root interval holds every block, so its [cleanup_dummies]
+         removes every dummy left, its own included *)
+      List.iter (promote_in_interval ?on_edit cfg st stats) tree.Intervals.all);
   List.iter
     (fun (k, v) -> if v <> 0 then Rp_obs.Metrics.add ("promote." ^ k) v)
     (to_alist stats);

@@ -73,30 +73,39 @@ val promote_in_web :
   Resource.ResSet.t ->
   unit
 
-(** promoteInInterval (paper Figure 2) for one interval whose children
-    were already processed. [arena] holds the interval scan's scratch
-    arrays, shared by the intervals of one function. [index] is the
-    function's occurrence index, current on entry and kept current
-    through every edit (by default one is built for the call);
-    [on_edit] is called with it after each web and each run of the
-    incremental updater. *)
+(** What promotion keeps for one function from interval to interval:
+    the occurrence index and the interval scans' block records
+    ({!Rp_ssa.Webs.arena}), both kept current through every edit, and
+    the blocks holding dummies not yet cleaned up. *)
+type state
+
+(** The state of a function about to be promoted, with a fresh scan
+    arena: one walk builds the occurrence index and takes every block's
+    record. *)
+val state : Func.t -> Resource.table -> state
+
+(** The state's scan arena, holding the block records that the next
+    interval scan reuses. *)
+val arena : state -> Rp_ssa.Webs.arena
+
+(** promoteInInterval (paper Figure 2) for one interval of the state's
+    function whose children were already processed with the same
+    state. [on_edit] is called with the state's occurrence index after
+    each web and each run of the incremental updater. *)
 val promote_in_interval :
-  ?arena:Rp_ssa.Webs.arena ->
-  ?index:Rp_ssa.Occ_index.t ->
   ?on_edit:(Rp_ssa.Occ_index.t -> unit) ->
   config ->
-  Func.t ->
-  Resource.table ->
+  state ->
   stats ->
   Intervals.t ->
   unit
 
 (** Promote a whole function. Expects it normalised (no critical edges,
     dedicated preheaders/tails), in SSA form, carrying a profile. One
-    occurrence index is built for the function and kept current by
-    every interval; [on_edit] is called with it after each web and
-    each run of the incremental updater, for tests that check it
-    against a fresh build. *)
+    {!state} is built for the function and kept current by every
+    interval; [on_edit] is called with its occurrence index after each
+    web and each run of the incremental updater, for tests that check
+    it against a fresh build. *)
 val promote_function :
   ?cfg:config ->
   ?on_edit:(Rp_ssa.Occ_index.t -> unit) ->

@@ -43,6 +43,7 @@ type t = {
   loads : (ref_site * Resource.t) list;
   stores : (ref_site * Resource.t) list;
   aliased_uses : (ref_site * Resource.t) list;
+  aliased : bool;
   phis : (ref_site * Resource.t) list;
   live_in : Resource.t option;
   multiple_live_in : bool;
@@ -57,6 +58,7 @@ type acc = {
   mutable a_loads : (ref_site * Resource.t) list;
   mutable a_stores : (ref_site * Resource.t) list;
   mutable a_aliased : (ref_site * Resource.t) list;
+  mutable a_has_aliased : bool;
   mutable a_phis : (ref_site * Resource.t) list;
 }
 
@@ -69,6 +71,7 @@ let make_acc ~base ~vlo ~vhi =
     a_loads = [];
     a_stores = [];
     a_aliased = [];
+    a_has_aliased = false;
     a_phis = [];
   }
 
@@ -123,6 +126,7 @@ let on_alias_def a r = set a r f_def
 
 let on_alias_use a site r =
   a.a_aliased <- (site, r) :: a.a_aliased;
+  a.a_has_aliased <- true;
   set a r f_used
 
 (* The live-in is the least member used but not defined in the
@@ -144,6 +148,7 @@ let finish (a : acc) : t =
     loads = a.a_loads;
     stores = a.a_stores;
     aliased_uses = a.a_aliased;
+    aliased = a.a_has_aliased;
     phis = a.a_phis;
     live_in = !live_in;
     multiple_live_in = !nout > 1;
@@ -153,16 +158,17 @@ let finish (a : acc) : t =
 (* ------------------------------------------------------------------ *)
 (* Every web of an interval from one recorded scan *)
 
-let of_interval ?ids ?arena (tab : Resource.table) (f : Func.t)
+let of_interval ?arena ?(all_lists = true) (tab : Resource.table) (f : Func.t)
     (iv : Intervals.t) : t list =
-  let s = Webs.scan ?ids ?arena tab f iv.Intervals.blocks in
-  let n = s.Webs.nwebs and mres = s.Webs.mres in
-  let web_of_member m = s.Webs.web.(s.Webs.members.(m)) in
+  let s = Webs.scan ?arena tab f iv.Intervals.blocks in
+  let n = s.Webs.nwebs and web = s.Webs.web and res = s.Webs.res in
+  let members = s.Webs.members in
   (* each web's variable and version range *)
   let base = Array.make n (-1) in
   let vlo = Array.make n max_int and vhi = Array.make n min_int in
   for m = 0 to s.Webs.nmembers - 1 do
-    let w = web_of_member m and r = mres.(m) in
+    let i = members.(m) in
+    let w = web.(i) and r = res.(i) in
     if base.(w) < 0 then base.(w) <- r.Resource.base
     else if base.(w) <> r.Resource.base then several_vars ();
     if r.ver < vlo.(w) then vlo.(w) <- r.ver;
@@ -172,25 +178,41 @@ let of_interval ?ids ?arena (tab : Resource.table) (f : Func.t)
     Array.init n (fun w -> make_acc ~base:base.(w) ~vlo:vlo.(w) ~vhi:vhi.(w))
   in
   for m = 0 to s.Webs.nmembers - 1 do
-    set accs.(web_of_member m) mres.(m) f_member
+    let i = members.(m) in
+    set accs.(web.(i)) res.(i) f_member
   done;
-  (* bucket the occurrences, in scan order *)
-  let phi_web = ref (-1) in
+  (* the webs whose phi and aliased-use lists are built: with a load or
+     a store, or all *)
+  let listed = Bytes.make n (if all_lists then '\001' else '\000') in
+  if not all_lists then
+    for k = 0 to s.Webs.nocc - 1 do
+      let role = s.Webs.occ_what.(k) land Webs.role_mask in
+      if role = Webs.role_load || role = Webs.role_store then
+        Bytes.unsafe_set listed web.(s.Webs.occ_id.(k)) '\001'
+    done;
+  (* bucket the occurrences, in scan order; every occurrence is of a
+     member, and a phi's sources are in its web *)
+  let sites = s.Webs.sites in
   for k = 0 to s.Webs.nocc - 1 do
     let i = s.Webs.occ_id.(k) and what = s.Webs.occ_what.(k) in
-    let w = s.Webs.web.(i) and role = what land Webs.role_mask in
-    if role = Webs.role_phi then phi_web := w;
-    if w >= 0 then begin
-      let a = accs.(w) and r = Webs.resource s i in
-      let site = s.Webs.sites.(what lsr Webs.role_bits) in
+    let w = web.(i) in
+    let a = accs.(w) and r = res.(i) in
+    let role = what land Webs.role_mask in
+    if role = Webs.role_phi_src then set a r f_used
+    else if role = Webs.role_alias_def then on_alias_def a r
+    else if Bytes.unsafe_get listed w = '\000' then begin
+      (* a load or a store would have listed the web *)
+      if role = Webs.role_phi then set a r (f_def lor f_phi)
+      else begin
+        a.a_has_aliased <- true;
+        set a r f_used
+      end
+    end
+    else begin
+      let site = sites.(what lsr Webs.role_bits) in
       if role = Webs.role_load then on_load a site r
       else if role = Webs.role_store then on_store a site r
       else if role = Webs.role_phi then on_phi a site r
-      else if role = Webs.role_phi_src then begin
-        (* a source counts as a use of the phi's own web *)
-        if w = !phi_web then set a r f_used
-      end
-      else if role = Webs.role_alias_def then on_alias_def a r
       else on_alias_use a site r
     end
   done;

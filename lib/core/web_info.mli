@@ -26,6 +26,7 @@ type t = {
   aliased_uses : (ref_site * Resource.t) list;
       (** aliased loads (calls, pointer loads, dummies, exit uses)
           using a web resource *)
+  aliased : bool;  (** some aliased load uses a web resource *)
   phis : (ref_site * Resource.t) list;  (** memory phis of the web *)
   live_in : Resource.t option;
       (** the least member used in the interval but not defined there *)
@@ -33,18 +34,21 @@ type t = {
   facts : facts;
 }
 (** Each list is in reverse scan order: blocks by increasing id,
-    instructions in block order. *)
+    instructions in block order.  A web with no load and no store has
+    nothing to remove ({!Cost_model.nothing_to_remove}) and needs no
+    pricing: {!of_interval} may leave its [aliased_uses] and [phis]
+    empty, and [aliased] still tells whether it has aliased uses. *)
 
 (** Every web of the interval, in {!Rp_ssa.Webs.in_blocks} order, from
-    one scan of its blocks ({!Rp_ssa.Webs.scan}, over the dense resource
-    ids [ids] — by default a fresh numbering of the function — in
-    [arena]): the recorded occurrences are bucketed by web.
-    @raise Invalid_argument when a resource of a promotable variable is
-    outside [ids], or when a memory phi joins versions of two variables
-    (which {!Rp_ssa.Verify} rejects). *)
+    one scan of its blocks ({!Rp_ssa.Webs.scan} in [arena], by default a
+    fresh one): the listed occurrences are bucketed by web.  With
+    [all_lists = false] (default [true]) the webs with no load and no
+    store get empty [aliased_uses] and [phis].
+    @raise Invalid_argument when a memory phi joins versions of two
+    variables (which {!Rp_ssa.Verify} rejects). *)
 val of_interval :
-  ?ids:Res_ids.t ->
   ?arena:Rp_ssa.Webs.arena ->
+  ?all_lists:bool ->
   Resource.table ->
   Func.t ->
   Intervals.t ->

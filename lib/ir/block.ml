@@ -99,6 +99,15 @@ let add_phi (b : t) (i : Instr.t) = Iseq.push_front b.phis i
 let insert_phi_after (b : t) ~(iid : Ids.iid) (i : Instr.t) =
   Iseq.insert_after b.phis ~iid i
 
+(* Replace the opcode of [i], an instruction of the block; an edit of
+   its section, like an insertion or a removal. *)
+let set_op (b : t) (i : Instr.t) op =
+  Iseq.set_op (if Instr.is_phi i then b.phis else b.body) i op
+
+(* Grows with every edit of either section; equal stamps mean the
+   block's instructions and opcodes are unchanged. *)
+let stamp (b : t) = Iseq.edits b.phis + Iseq.edits b.body
+
 let remove_instr (b : t) ~(iid : Ids.iid) =
   Iseq.remove b.phis ~iid;
   Iseq.remove b.body ~iid

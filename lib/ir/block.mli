@@ -72,5 +72,15 @@ val insert_phi_after : t -> iid:Ids.iid -> Instr.t -> unit
     body; no-op when absent. *)
 val remove_instr : t -> iid:Ids.iid -> unit
 
+(** [set_op b i op] replaces the opcode of [i], an instruction of [b].
+    A pass that keeps what it read from a block rewrites opcodes
+    through this, so the rewrite moves {!stamp}. *)
+val set_op : t -> Instr.t -> Instr.opcode -> unit
+
+(** The block's edit stamp: it grows with every insertion, removal and
+    {!set_op} in either section, so an unchanged stamp means unchanged
+    instructions. *)
+val stamp : t -> int
+
 (** O(1) through the shared index. *)
 val find_instr : t -> iid:Ids.iid -> Instr.t option

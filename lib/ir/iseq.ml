@@ -15,6 +15,9 @@
      entry, detach removes it);
    - [tag] identifies the owning block (its bid), which is how
      [Func.find_instr] maps an index hit back to a block;
+   - every insertion and removal bumps the sequence's [edits] count,
+     and so does {!set_op}, so a pass can tell whether a sequence
+     changed since it last read it;
    - iteration captures the successor before invoking the callback, so
      the callback may remove any node (including the current one);
      nodes inserted during iteration after the current position are
@@ -33,6 +36,7 @@ type node = {
 and t = {
   sentinel : node;
   mutable len : int;
+  mutable edits : int;  (* insertions, removals and opcode rewrites *)
   index : (Ids.iid, node) Hashtbl.t;  (* shared, per function *)
   tag : int;  (* owning block id *)
 }
@@ -48,9 +52,16 @@ let create ~(tag : int) ~(index : index) : t =
   let rec s =
     { instr = sentinel_instr; prev = s; next = s; owner = None }
   in
-  { sentinel = s; len = 0; index; tag }
+  { sentinel = s; len = 0; edits = 0; index; tag }
 
 let length t = t.len
+
+let edits t = t.edits
+
+(* Rewrite an instruction of [t] in place. *)
+let set_op t (i : Instr.t) op =
+  i.Instr.op <- op;
+  t.edits <- t.edits + 1
 
 let is_empty t = t.len = 0
 
@@ -67,6 +78,7 @@ let attach_after (t : t) (pos : node) (i : Instr.t) : unit =
   pos.next.prev <- n;
   pos.next <- n;
   t.len <- t.len + 1;
+  t.edits <- t.edits + 1;
   i.Instr.at <- t.tag;
   Hashtbl.replace t.index i.Instr.iid n
 
@@ -100,6 +112,7 @@ let detach (t : t) (n : node) : unit =
   n.owner <- None;
   n.instr.Instr.at <- -1;
   t.len <- t.len - 1;
+  t.edits <- t.edits + 1;
   Hashtbl.remove t.index n.instr.Instr.iid
 
 let remove t ~iid =

@@ -8,6 +8,7 @@
     - an iid belongs to at most one sequence at a time;
     - an attached instruction's [Instr.at] is its sequence's tag, and
       a detached one's is [-1];
+    - every insertion, removal and {!set_op} bumps {!edits};
     - iteration captures the successor before each callback, so the
       callback may remove any node (including the current one); nodes
       inserted during iteration are not guaranteed to be visited. *)
@@ -27,6 +28,15 @@ val create : tag:int -> index:index -> t
 val length : t -> int
 
 val is_empty : t -> bool
+
+(** How many insertions, removals and {!set_op} rewrites the sequence
+    has had: a pass that read it at one count knows it unchanged while
+    the count stays. *)
+val edits : t -> int
+
+(** [set_op t i op] replaces the opcode of [i], an instruction of [t],
+    counting it as an edit of [t]. *)
+val set_op : t -> Instr.t -> Instr.opcode -> unit
 
 (** O(1): the owning sequence's tag and the instruction, when the iid
     is currently attached to any sequence on this index. *)

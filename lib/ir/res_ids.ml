@@ -46,13 +46,6 @@ let id t (r : Resource.t) =
     if o < 0 || r.Resource.ver < 0 || r.Resource.ver > t.top.(b) then miss
     else o + r.Resource.ver
 
-let id_exn t r =
-  let i = id t r in
-  if i = miss then
-    invalid_arg
-      (Format.asprintf "Res_ids: %a is not in the numbering" Resource.pp_raw r)
-  else i
-
 (* The numbered variable owning id [i]: the last one whose first id is
    at most [i] (offsets increase with the vid). *)
 let resource t i =
@@ -64,25 +57,3 @@ let resource t i =
   done;
   let base = t.vids.(!lo) in
   { Resource.base; ver = i - t.off.(base) }
-
-(* Scratch int arrays over the ids, kept from one numbering to the next
-   of the same function so a pass run per interval does not allocate
-   (and leave for the major collector) fresh arrays every time. *)
-type arena = { mutable slots : int array array }
-
-let arena () = { slots = [||] }
-
-let ints a t ~slot ~fill =
-  let n = Array.length a.slots in
-  if slot >= n then
-    a.slots <- Array.append a.slots (Array.make (slot + 1 - n) [||]);
-  let cur = a.slots.(slot) in
-  if Array.length cur >= t.size then begin
-    Array.fill cur 0 t.size fill;
-    cur
-  end
-  else begin
-    let grown = Array.make (max t.size (2 * Array.length cur)) fill in
-    a.slots.(slot) <- grown;
-    grown
-  end

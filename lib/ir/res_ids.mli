@@ -21,27 +21,6 @@ val miss : int
 (** The resource's id, or {!miss}. *)
 val id : t -> Resource.t -> int
 
-(** Like {!id}.
-    @raise Invalid_argument on a resource outside the numbering. *)
-val id_exn : t -> Resource.t -> int
-
 (** The resource of an id: the inverse of {!id}.
     @raise Invalid_argument outside [0 .. size - 1]. *)
 val resource : t -> int -> Resource.t
-
-(** {2 Scratch arrays}
-
-    Passes that run once per interval keep their per-resource int arrays
-    in an arena, reused from one numbering of a function to the next,
-    instead of allocating fresh ones each time. *)
-
-type arena
-
-val arena : unit -> arena
-
-(** [ints a t ~slot ~fill] is the arena's array number [slot], at least
-    [size t] long, with entries [0 .. size t - 1] set to [fill]. The
-    next request for the same slot hands out the same storage: a
-    function taking an arena may reuse any of its arrays, so none is
-    valid after it returns. *)
-val ints : arena -> t -> slot:int -> fill:int -> int array

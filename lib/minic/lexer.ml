@@ -85,7 +85,9 @@ let tokenize (src : string) : Token.spanned list =
               advance ()
             done;
             let text = String.sub src start (!pos - start) in
-            emit_at (Token.INT_LIT (int_of_string text)) l0 c0
+            (match int_of_string_opt text with
+            | Some v -> emit_at (Token.INT_LIT v) l0 c0
+            | None -> error l0 c0 "integer literal %s is out of range" text)
         | c when is_ident_start c ->
             let start = !pos and l0 = !line and c0 = !col in
             while

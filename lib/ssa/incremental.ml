@@ -291,15 +291,15 @@ let update_for_cloned_resources ?(engine = Cytron)
                     else (p, r))
                   srcs
               in
-              i.op <- Instr.Mphi { dst; srcs }
+              Block.set_op (Func.block f bid) i (Instr.Mphi { dst; srcs })
         | _ ->
             (* only the instructions that use an old resource are
                rewritten *)
             if List.exists is_old uses then
-              i.op <-
-                Instr.map_mem_uses
-                  (fun r -> if is_old r then reach ~bid ~pos r else r)
-                  i.op);
+              Block.set_op (Func.block f bid) i
+                (Instr.map_mem_uses
+                   (fun r -> if is_old r then reach ~bid ~pos r else r)
+                   i.op));
     (* --- Step 3: fill in the sources of live placed phis --- *)
     while not (Queue.is_empty phi_work) do
       let phi = Queue.pop phi_work in
@@ -322,7 +322,7 @@ let update_for_cloned_resources ?(engine = Cytron)
                 (p, rd))
               b.preds
           in
-          phi.op <- Instr.Mphi { dst; srcs }
+          Block.set_op b phi (Instr.Mphi { dst; srcs })
       | _ -> assert false
     done;
     (* delete placed phis that never became live (they still have empty
@@ -393,20 +393,20 @@ let convert_new_variable ?engine (f : Func.t) (vid : Ids.vid) : unit =
     (fun b ->
       Block.iter_instrs
         (fun i ->
-          i.op <-
-            Instr.map_mem_uses
-              (fun (r : Resource.t) -> if r.base = vid then entry else r)
-              i.op;
-          i.op <-
-            Instr.map_mem_defs
-              (fun (r : Resource.t) ->
-                if r.base = vid then begin
-                  let c = Func.fresh_ver f vid in
-                  clones := Resource.ResSet.add c !clones;
-                  c
-                end
-                else r)
-              i.op)
+          Block.set_op b i
+            (Instr.map_mem_uses
+               (fun (r : Resource.t) -> if r.base = vid then entry else r)
+               i.op);
+          Block.set_op b i
+            (Instr.map_mem_defs
+               (fun (r : Resource.t) ->
+                 if r.base = vid then begin
+                   let c = Func.fresh_ver f vid in
+                   clones := Resource.ResSet.add c !clones;
+                   c
+                 end
+                 else r)
+               i.op))
         b)
     f;
   update_for_cloned_resources ?engine f ~cloned_res:!clones

@@ -147,9 +147,17 @@ let add t bid (i : Instr.t) =
       if e.len = 0 || e.instrs.(e.len - 1) != i then push e bid i)
     i.op
 
-let build (f : Func.t) : t =
+let build ?(on_instr = fun _ _ -> ()) (f : Func.t) : t =
   let t = { f; vars = [||] } in
-  Func.iter_blocks (fun b -> Block.iter_instrs (add t b.Block.bid) b) f;
+  Func.iter_blocks
+    (fun b ->
+      let bid = b.Block.bid in
+      Block.iter_instrs
+        (fun i ->
+          add t bid i;
+          on_instr bid i)
+        b)
+    f;
   t
 
 let note t bid (i : Instr.t) =

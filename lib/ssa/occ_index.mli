@@ -18,8 +18,10 @@ open Rp_ir
 type t
 
 (** Index every variable of the function, in one walk of its live
-    blocks. *)
-val build : Func.t -> t
+    blocks by increasing id; [on_instr bid i] is called on every
+    instruction of the walk, in order, so another pass can read the
+    function in the same walk. *)
+val build : ?on_instr:(Ids.bid -> Instr.t -> unit) -> Func.t -> t
 
 (** [note t bid i]: [i] was inserted in block [bid]. Every variable [i]
     mentions re-reads that block on its next query. *)

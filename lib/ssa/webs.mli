@@ -32,24 +32,38 @@ val role_bits : int
 
 val role_mask : int
 
-(** Scratch storage for {!scan}: per-resource int arrays and the
-    occurrence record, reused from one interval of a function to the
-    next. *)
+(** Storage for {!scan}, reused from one interval of a function to the
+    next: the function's resource ids, per-id int arrays, the occurrence
+    list of the last scan, and one record per block of the occurrences
+    a walk of the block found, with the block's {!Rp_ir.Block.stamp} at
+    that walk.  A scan reuses a block's record while the stamp holds and
+    walks the block again once it moved, so every opcode rewrite of a
+    block that an arena has read must go through {!Rp_ir.Block.set_op}.
+    Ids and records belong to one function: a scan of another function
+    drops them and reuses the storage. *)
 type arena
 
+(** An arena without records. *)
 val arena : unit -> arena
 
-(** The per-resource arrays, for other passes over the same intervals. *)
-val ints : arena -> Res_ids.arena
+(** Drop the arena's ids and records, and with them its references to
+    the function's IR; the storage stays for the next function. *)
+val release : arena -> unit
+
+(** [recorder a tab f] is a visitor for one walk over [f]'s
+    instructions in scan order ([f]'s blocks by increasing id, each
+    block's instructions in order; blocks may be skipped), such as
+    {!Occ_index.build}'s [on_instr]: it takes the record of every block
+    it visits, so the first scan need not walk them again. *)
+val recorder : arena -> Resource.table -> Func.t -> Ids.bid -> Instr.t -> unit
 
 (** One interval scan. Every array lives in the arena: the scan is valid
-    until the next use of that arena. *)
+    until the next scan with that arena. *)
 type scan = private {
-  ids : Res_ids.t;
-  nocc : int;  (** occurrences recorded, in scan order *)
+  nocc : int;  (** occurrences listed, in scan order *)
   occ_id : int array;  (** the resource id of each occurrence *)
   occ_what : int array;  (** its site and role *)
-  sites : site array;  (** one per instruction with an occurrence *)
+  sites : site array;  (** indexed by the site of [occ_what] *)
   nwebs : int;
   web : int array;
       (** per resource id: its web's position in {!in_blocks} order, or
@@ -57,27 +71,18 @@ type scan = private {
   nmembers : int;
   members : int array;
       (** the ids of all web members, in first-occurrence order *)
-  mres : Resource.t array;  (** their resources, in the same order *)
-  midx : int array;  (** per member id: its index in [members] *)
+  res : Resource.t array;  (** the resource of each id *)
 }
 
-(** Scan the blocks once: run the union-find and record every memory
-    occurrence of a resource inside [ids] (by default a fresh numbering
-    of the function), in scan order — blocks by increasing id,
-    instructions in block order, and within an instruction the phi
-    target before its sources and may-defs before uses.
-    @raise Invalid_argument when a resource of a promotable variable is
-    outside [ids]. *)
-val scan :
-  ?ids:Res_ids.t ->
-  ?arena:arena ->
-  Resource.table ->
-  Func.t ->
-  Ids.IntSet.t ->
-  scan
-
-(** The resource of a member id. *)
-val resource : scan -> int -> Resource.t
+(** Scan the blocks: run the union-find and list every occurrence of a
+    web candidate — a resource of a promotable variable, or a source of
+    a memory phi whose target is one — in scan order: blocks by
+    increasing id, instructions in block order, and within an
+    instruction the phi target before its sources and may-defs before
+    uses.  Every listed resource is a member of a web.  The blocks are
+    read through [arena]'s block records (by default a fresh arena,
+    which walks them all). *)
+val scan : ?arena:arena -> Resource.table -> Func.t -> Ids.IntSet.t -> scan
 
 (** All webs of the given block set; each web is its member list. Only
     resources of promotable variables are considered.
@@ -85,12 +90,5 @@ val resource : scan -> int -> Resource.t
     The classes are those of {!Union_find} after the same
     [add]/[union] sequence.  Webs are listed by the first occurrence of
     a member in the scan, and each web's members in first-occurrence
-    order.
-    @raise Invalid_argument when a resource of the blocks is outside
-    [ids]. *)
-val in_blocks :
-  ?ids:Res_ids.t ->
-  Resource.table ->
-  Func.t ->
-  Ids.IntSet.t ->
-  Resource.t list list
+    order. *)
+val in_blocks : Resource.table -> Func.t -> Ids.IntSet.t -> Resource.t list list

@@ -99,13 +99,20 @@ let generated (n : int) : workload =
   let n = max 1 n in
   { name = Gen.name_of n; description = Gen.description n; source = Gen.source n }
 
+(* The largest [n] a "gen<n>" name resolves to.  Past it, [find]
+   answers "unknown workload": a name arrives from the command line or
+   a daemon frame, and generating gen200000000 exhausts the heap while
+   larger ones never finish.  gen10000 is about 20 times gen480, the
+   largest size the benchmarks use. *)
+let max_generated = 10_000
+
 let find name =
   match List.find_opt (fun w -> w.name = name) all with
   | Some w -> Some w
   | None ->
       if String.length name > 3 && String.sub name 0 3 = "gen" then
         match int_of_string_opt (String.sub name 3 (String.length name - 3)) with
-        | Some n when n > 0 -> Some (generated n)
+        | Some n when n > 0 && n <= max_generated -> Some (generated n)
         | _ -> None
       else None
 

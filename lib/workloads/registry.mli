@@ -7,11 +7,17 @@ type workload = { name : string; description : string; source : string }
 
 val all : workload list
 
+(** The name of a named workload, or "gen<n>" with
+    [1 <= n <= max_generated]; [None] for anything else. *)
 val find : string -> workload option
+
+(** The largest size a "gen<n>" name resolves to (10000). *)
+val max_generated : int
 
 (** Synthetic scaling workload "gen<n>": deterministic deep loop nests
     with many address-taken scalars (see [Gen]).  [find "gen<n>"]
-    resolves to the same workload. *)
+    resolves to the same workload up to {!max_generated}; this
+    function takes any size. *)
 val generated : int -> workload
 
 (** The same program with its main loop bound divided by [factor] — a

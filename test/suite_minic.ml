@@ -137,7 +137,13 @@ let test_parse_error_locations () =
     "int main() {\n  int i;\n  for (i = 0; i < 4; i++ { }\n  return 0;\n}"
     [ "3:"; "'for' header, after the step"; "expected ')'" ];
   expect_parse_error "int main() {\n  int i;\n  for i = 0; ; i++ { }\n}"
-    [ "3:"; "'for' header"; "expected '('" ]
+    [ "3:"; "'for' header"; "expected '('" ];
+  (* a literal past the native int range is a located lexer error *)
+  (match parse "int main() {\n  return 99999999999999999999999;\n}" with
+  | exception Lexer.Error m ->
+      Alcotest.(check string) "out-of-range literal"
+        "2:10: integer literal 99999999999999999999999 is out of range" m
+  | _ -> Alcotest.fail "lexer accepted an out-of-range literal")
 
 (* ------------------------------------------------------------------ *)
 (* Sema *)

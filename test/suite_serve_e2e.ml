@@ -215,6 +215,23 @@ let test_unknown_workload () =
   | Proto.Error { kind = Proto.Bad_input; _ } -> ()
   | r -> Alcotest.failf "unknown workload: %s" (response_label r)
 
+(* A generated workload past [Registry.max_generated], sent as a raw
+   frame: generating it would exhaust the daemon's heap, so it must be
+   refused as an unknown workload and the daemon must keep serving. *)
+let test_oversized_generated_workload () =
+  with_mux @@ fun mx ->
+  let conn = Mux.loopback mx in
+  Fun.protect ~finally:(fun () -> conn.Proto.close ()) @@ fun () ->
+  Proto.write_frame conn
+    (J.to_string ~minify:true
+       (Proto.request_to_json
+          (Proto.Compile (mk_compile (`Workload "gen200000000")))));
+  (match Proto.recv_response conn with
+  | Proto.Msg (Proto.Error { kind = Proto.Bad_input; _ }) -> ()
+  | r -> Alcotest.failf "gen200000000: %s" (framed_label r));
+  with_client mx @@ fun c ->
+  Alcotest.(check bool) "ping after gen200000000" true (Client.ping c)
+
 let test_malformed_frame () =
   with_mux @@ fun mx ->
   let conn = Mux.loopback mx in
@@ -689,6 +706,8 @@ let suite =
     Alcotest.test_case "fuel-exhausted structured error" `Quick
       test_fuel_exhausted;
     Alcotest.test_case "unknown workload" `Quick test_unknown_workload;
+    Alcotest.test_case "oversized generated workload" `Quick
+      test_oversized_generated_workload;
     Alcotest.test_case "malformed frame" `Quick test_malformed_frame;
     Alcotest.test_case "garbled json payload" `Quick test_garbled_json;
     Alcotest.test_case "busy shedding" `Quick test_busy_shedding;

@@ -1,6 +1,10 @@
 (* Direct tests of the section 4.2/4.3 machinery: web reference sets,
    loads_added, dependent phis, stores_added with dominance pruning —
-   checked on the paper's Figure 7 program structure. *)
+   checked on the paper's Figure 7 program structure — and the oracles
+   of the interval scan: the one-scan web records against the
+   single-web scan, and the scan merged from a promotion state's block
+   records against a fresh scan.  [RPROMOTE_JOBS] (CI sets 1 and 4)
+   sets how many functions the oracles promote in parallel. *)
 
 open Rp_ir
 open Rp_analysis
@@ -254,6 +258,7 @@ let check_same ctx (got : W.t) (want : W.t) =
   refs "stores" got.W.stores want.W.stores;
   refs "aliased uses" got.W.aliased_uses want.W.aliased_uses;
   refs "phis" got.W.phis want.W.phis;
+  if got.W.aliased <> want.W.aliased then fail "aliased flags";
   if Option.compare Resource.compare got.W.live_in want.W.live_in <> 0 then
     fail "live-ins";
   if got.W.multiple_live_in <> want.W.multiple_live_in then
@@ -277,9 +282,21 @@ let check_same ctx (got : W.t) (want : W.t) =
 (* Every web of the interval, as one scan builds them, against the
    single-web scan, and the rescan of each variable's webs against
    both; also that the webs are those of [Webs.in_blocks], in its
-   order. *)
+   order, and that a scan without all lists leaves out exactly the
+   lists of the webs with nothing to remove. *)
 let check_interval ctx (tab : Resource.table) (f : Func.t) (iv : Intervals.t) =
   let ws = W.of_interval tab f iv in
+  List.iter2
+    (fun (w : W.t) (p : W.t) ->
+      if Cm.nothing_to_remove w then begin
+        if p.W.phis <> [] || p.W.aliased_uses <> [] then
+          Alcotest.failf "%s: lists of a web with nothing to remove" ctx;
+        check_same (ctx ^ " without lists")
+          p { w with W.phis = []; aliased_uses = [] }
+      end
+      else check_same (ctx ^ " without lists") p w)
+    ws
+    (W.of_interval ~all_lists:false tab f iv);
   let webs = Rp_ssa.Webs.in_blocks tab f iv.Intervals.blocks in
   if List.length ws <> List.length webs then Alcotest.failf "%s: web count" ctx;
   List.iter2
@@ -300,6 +317,94 @@ let check_interval ctx (tab : Resource.table) (f : Func.t) (iv : Intervals.t) =
            (W.rescan index iv same) same);
   List.length ws
 
+(* The merged record of an interval's scan, read through the block
+   records of [arena] (a promotion state's), against a fresh scan of
+   the same blocks: the same occurrences in the same order (resource,
+   role, site instruction and block), the same members and webs, and
+   the same web infos built from each.  The two arenas number resources
+   apart, so resources are compared, not ids. *)
+let check_merged ctx (tab : Resource.table) (f : Func.t) arena
+    (iv : Intervals.t) =
+  let module S = Rp_ssa.Webs in
+  let blocks = iv.Intervals.blocks in
+  let fresh = S.scan tab f blocks in
+  let merged = S.scan ~arena tab f blocks in
+  let fail what = Alcotest.failf "%s: merged record: %s differ" ctx what in
+  let res (s : S.scan) i = s.S.res.(i) in
+  if merged.S.nocc <> fresh.S.nocc then fail "occurrence counts";
+  for k = 0 to fresh.S.nocc - 1 do
+    let occ (s : S.scan) =
+      let what = s.S.occ_what.(k) in
+      ( res s s.S.occ_id.(k),
+        what land S.role_mask,
+        s.S.sites.(what lsr S.role_bits) )
+    in
+    let r, role, site = occ merged and r', role', site' = occ fresh in
+    if not (Resource.equal r r') then fail "resources";
+    if role <> role' then fail "roles";
+    if site.S.instr != site'.S.instr || site.S.bid <> site'.S.bid then
+      fail "sites"
+  done;
+  if merged.S.nwebs <> fresh.S.nwebs then fail "web counts";
+  if merged.S.nmembers <> fresh.S.nmembers then fail "member counts";
+  for m = 0 to fresh.S.nmembers - 1 do
+    let i = merged.S.members.(m) and i' = fresh.S.members.(m) in
+    if not (Resource.equal (res merged i) (res fresh i')) then fail "members";
+    if merged.S.web.(i) <> fresh.S.web.(i') then fail "webs"
+  done;
+  let want = W.of_interval tab f iv in
+  let got = W.of_interval ~arena tab f iv in
+  if List.length got <> List.length want then fail "web info counts";
+  List.iter2 (check_same (ctx ^ " merged")) got want
+
+let jobs = Suite_occ_index.jobs
+
+let d = Rp_core.Pipeline.default_options
+
+let configs =
+  [
+    ("default", d);
+    ("--regs 6", Helpers.with_regs (Some 6) d);
+    ("--scalrep", { d with Rp_core.Pipeline.scalrep = true });
+  ]
+
+(* Promote every function of [src] interval by interval, checking each
+   interval as promotion meets it (its children already promoted with
+   the same state): its merged record against a fresh scan and, when
+   [webs], its web infos against the single-web scan.  Functions run
+   on [jobs] domains.  Returns the numbers of intervals and webs
+   checked. *)
+let promote_checked ~profile ~webs ~options name src =
+  let module P = Rp_core.Pipeline in
+  let prog, trees = P.prepare ~options src in
+  if profile then ignore (P.attach_profile ~options prog trees);
+  let cfg = options.P.promote and tab = prog.Func.vartab in
+  let intervals = Atomic.make 0 and nwebs = Atomic.make 0 in
+  Rp_par.Pool.with_pool ~jobs (fun pool ->
+      Rp_par.Pool.iter pool
+        (fun (f : Func.t) ->
+          match List.assoc_opt f.Func.fname trees with
+          | None -> ()
+          | Some tree ->
+              if not profile then Freq.estimate f tree;
+              let st = Pr.state f tab and stats = Pr.empty_stats () in
+              List.iter
+                (fun (iv : Intervals.t) ->
+                  let ctx =
+                    Printf.sprintf "%s/%s interval %d" name f.Func.fname
+                      iv.Intervals.id
+                  in
+                  check_merged ctx tab f (Pr.arena st) iv;
+                  if webs then
+                    ignore
+                      (Atomic.fetch_and_add nwebs
+                         (check_interval ctx tab f iv));
+                  Atomic.incr intervals;
+                  Pr.promote_in_interval cfg st stats iv)
+                tree.Intervals.all)
+        prog.Func.funcs);
+  (Atomic.get intervals, Atomic.get nwebs)
+
 let test_oracle_workloads () =
   let sources =
     List.map
@@ -308,33 +413,33 @@ let test_oracle_workloads () =
       Rp_workloads.Registry.all
     @ [ ("gen60", (Rp_workloads.Registry.generated 60).Rp_workloads.Registry.source) ]
   in
-  let intervals = ref 0 and webs = ref 0 in
   List.iter
-    (fun (name, src) ->
-      let prog, trees = Rp_core.Pipeline.prepare src in
-      ignore (Rp_core.Pipeline.attach_profile prog trees);
+    (fun (cname, options) ->
+      let intervals = ref 0 and webs = ref 0 in
       List.iter
-        (fun (f : Func.t) ->
-          match List.assoc_opt f.Func.fname trees with
-          | None -> ()
-          | Some tree ->
-              (* check each interval in the state promotion finds it
-                 in: its children already promoted *)
-              List.iter
-                (fun (iv : Intervals.t) ->
-                  let ctx =
-                    Printf.sprintf "%s/%s interval %d" name f.Func.fname
-                      iv.Intervals.id
-                  in
-                  webs := !webs + check_interval ctx prog.Func.vartab f iv;
-                  incr intervals;
-                  Pr.promote_in_interval Pr.default_config f prog.Func.vartab
-                    (Pr.empty_stats ()) iv)
-                tree.Intervals.all)
-        prog.Func.funcs)
-    sources;
-  Alcotest.(check bool) "intervals checked" true (!intervals > 50);
-  Alcotest.(check bool) "webs checked" true (!webs > 1000)
+        (fun (name, src) ->
+          let i, w =
+            promote_checked ~profile:true ~webs:true ~options
+              (cname ^ " " ^ name) src
+          in
+          intervals := !intervals + i;
+          webs := !webs + w)
+        sources;
+      Alcotest.(check bool)
+        (cname ^ ": intervals checked")
+        true (!intervals > 50);
+      Alcotest.(check bool) (cname ^ ": webs checked") true (!webs > 1000))
+    configs
+
+let prop_merged_random =
+  QCheck.Test.make ~name:"merged block records = fresh scan (random programs)"
+    ~count:100 Suite_qcheck.arb_program (fun src ->
+      List.iter
+        (fun (cname, options) ->
+          ignore
+            (promote_checked ~profile:false ~webs:false ~options cname src))
+        configs;
+      true)
 
 (* Random programs: the phi graphs of the web construction test (calls,
    an array variable, arbitrary versions) plus pointer stores and loads,
@@ -439,4 +544,5 @@ let suite =
       test_cross_variable_web;
     QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5eed |])
       prop_oracle_random;
+    Suite_qcheck.qtest prop_merged_random;
   ]
