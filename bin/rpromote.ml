@@ -97,6 +97,11 @@ let interp_of_string =
 let profile_of_string =
   parse_enum ~what:"profile source" P.profile_source_of_string
 
+(* fuel 0 is a valid budget (the run stops at its first instruction);
+   the daemon's decoder rejects a negative one as bad input *)
+let check_fuel fuel =
+  if fuel < 0 then raise (Usage_error "--fuel must be non-negative")
+
 (* the pipeline flags [promote] and [client] share *)
 type pipeline_flags = {
   fuel : int;
@@ -151,6 +156,7 @@ let mk_options
 
 let cmd_run path fuel =
  guarded @@ fun () ->
+  check_fuel fuel;
   let src = read_source path in
   let prog = Rp_minic.Lower.compile src in
   let r = I.run ~fuel prog in
@@ -170,6 +176,7 @@ let emit_json ~label ~dest report =
 let cmd_promote path flags json trace checkpoints jobs deterministic =
  guarded @@ fun () ->
   if jobs < 1 then raise (Usage_error "--jobs must be at least 1");
+  check_fuel flags.fuel;
   Rp_obs.Trace.set_deterministic deterministic;
   let src = read_source path in
   let options =
@@ -236,6 +243,7 @@ let cmd_promote path flags json trace checkpoints jobs deterministic =
 
 let cmd_baseline path fuel =
  guarded @@ fun () ->
+  check_fuel fuel;
   let src = read_source path in
   let prog, trees = P.prepare src in
   let before = I.run ~fuel prog in
@@ -373,6 +381,7 @@ let cmd_client socket path op flags json deterministic deadline =
   | Some d when not (Float.is_finite d && d >= 0.0) ->
       raise (Usage_error "--deadline must be finite and non-negative")
   | _ -> ());
+  check_fuel flags.fuel;
   let with_client f =
     let c = Client.connect ~path:socket in
     Fun.protect ~finally:(fun () -> Client.close c) (fun () -> f c)

@@ -1,10 +1,15 @@
 (* Register-allocated backend compiler.
 
    Compiles each [Func.t] to a bytecode over *physical slots*: the
-   function is cloned, critical edges are split, register phis are
-   lowered to sequentialised copies ([Rp_ssa.Destruct.lower]) and the
-   resulting virtual registers are coalesced and colored onto frame
-   slots ([Rp_regalloc.Slots]).  The execution engine ([Rengine]) then
+   function is cloned, critical edges are split, the virtual registers
+   of the SSA clone are assigned frame slots in dominator order
+   ([Rp_regalloc.Slots], at most MAXLIVE) and register phis are lowered
+   to copies at the end of each predecessor, every parallel copy
+   sequentialised over those slots ([Rp_ssa.Destruct.lower ~loc]; a
+   cycle's temporary takes one scratch slot).  The clone keeps its
+   virtual registers: the emitter maps each to its slot, and a move
+   whose source already sits in its target's slot emits nothing.  The
+   execution engine ([Rengine]) then
    runs one untagged [int array] frame per activation, carved from a
    contiguous stack, instead of the flat engine's per-value parallel
    tag/payload/offset arrays.
@@ -160,7 +165,9 @@ type rfunc = {
       (** pre-doubled slot offsets in arg order; -1 = dead parameter
           (never referenced; its argument is dropped) *)
   rlocals : int array;  (** address-taken local vids, save order *)
-  mutable rnslots : int;  (** slots incl. the shared discard slot *)
+  mutable rnslots : int;
+      (** slots incl. the shared discard slot (last) and, in a function
+          whose phi moves form a cycle, the scratch slot before it *)
   mutable frame_words : int;  (** 2*rnslots + 2*|rlocals| *)
   mutable rcode : int array;
   mutable rcode_len : int;
@@ -276,7 +283,9 @@ let binop_eval (op : Instr.binop) (a : int) (b : int) : int =
 type emitter = {
   rf : rfunc;
   fids : (string, int) Hashtbl.t;
-  slot_of : int array;  (** vreg -> slot (not doubled); -1 = absent *)
+  slot_of : int array;
+      (** vreg -> slot (not doubled), every register of the lowered
+          clone; -1 = never read or absent *)
   discard : int;  (** pre-doubled shared write-only slot *)
   orig_nblocks : int;
   block_cost : int array;  (** clone bid -> entry-segment cost *)
@@ -358,7 +367,7 @@ type emitter = {
 }
 
 let slot (e : emitter) (r : Ids.reg) : int =
-  let s = if r < Array.length e.slot_of then e.slot_of.(r) else -1 in
+  let s = e.slot_of.(r) in
   if s >= 0 then 2 * s else e.discard
 
 (* Start an emitted instruction: record its slow-path ticks.  [tk]
@@ -1395,10 +1404,17 @@ let compile_func (dec : t) (rf : rfunc) (f : Func.t) =
   rf.rnblocks <- Func.num_blocks f;
   let g = Func.clone f in
   Cfg.split_critical_edges g;
-  let moves = Destruct.lower g in
   let sl = Slots.assign g in
+  (* registers created by the lowering are cycle temporaries: they
+     share one scratch slot, past the assigned ones *)
+  let nregs = Array.length sl.Slots.slot_of in
+  let loc r = if r < nregs then sl.Slots.slot_of.(r) else sl.Slots.nslots in
+  let moves = Destruct.lower ~loc g in
+  let slot_of = Array.init g.Func.next_reg loc in
   (* one extra write-only slot absorbs defs of never-read registers *)
-  let nslots = sl.Slots.nslots + 1 in
+  let nslots =
+    sl.Slots.nslots + (if g.Func.next_reg > nregs then 1 else 0) + 1
+  in
   rf.rnslots <- nslots;
   rf.frame_words <- (2 * nslots) + (2 * Array.length rf.rlocals);
   let nblocks_g = Func.num_blocks g in
@@ -1406,7 +1422,7 @@ let compile_func (dec : t) (rf : rfunc) (f : Func.t) =
     {
       rf;
       fids = dec.rfids;
-      slot_of = sl.Slots.slot_of;
+      slot_of;
       discard = 2 * (nslots - 1);
       orig_nblocks = rf.rnblocks;
       block_cost = Array.make (max nblocks_g 1) 0;
@@ -1450,16 +1466,10 @@ let compile_func (dec : t) (rf : rfunc) (f : Func.t) =
     }
   in
   rf.rparams <-
-    (let ps = f.Func.params in
-     let a = Array.make (List.length ps) (-1) in
-     List.iteri
-       (fun i r ->
-         let s =
-           if r < Array.length e.slot_of then e.slot_of.(r) else -1
-         in
-         a.(i) <- (if s >= 0 then 2 * s else -1))
-       ps;
-     a);
+    Array.of_list
+      (List.map
+         (fun r -> if slot_of.(r) >= 0 then 2 * slot_of.(r) else -1)
+         f.Func.params);
   let schedule =
     if dec.fuse then rpo_schedule g else List.init nblocks_g Fun.id
   in

@@ -1,7 +1,8 @@
 (** Register-allocated backend compiler: clones each function, splits
-    critical edges, lowers out of SSA ([Rp_ssa.Destruct.lower]),
-    coalesces and colors the virtual registers onto physical frame
-    slots ([Rp_regalloc.Slots]), and emits a slot-addressed bytecode
+    critical edges, assigns the SSA clone's virtual registers physical
+    frame slots in dominator order ([Rp_regalloc.Slots]), lowers out of
+    SSA with each parallel copy sequentialised over those slots
+    ([Rp_ssa.Destruct.lower ~loc]), and emits a slot-addressed bytecode
     for {!Rengine}.  The source program is never mutated.
 
     Like [Decode], the image is built once and {!refresh} re-compiles

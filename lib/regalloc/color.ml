@@ -1,4 +1,4 @@
-(* Graph coloring and Table 3's color count.
+(* Table 3's color count and Chaitin spill estimates.
 
    Table 3 of the paper reports, per routine and before/after
    promotion, the number of colors the register interference graph
@@ -9,21 +9,11 @@
    count from {!Rp_analysis.Pressure}'s liveness walk and builds the
    interference graph only when a spill estimate is asked for.
 
-   [color] is Chaitin-style iterated simplification with optimistic
-   color assignment: repeatedly remove a minimum-degree node, then pop
-   the stack assigning each node the smallest color free among its
-   already-colored neighbours.  Minimum-degree elimination is not a
-   perfect elimination order on every chordal graph, so its count is
-   only an upper bound on the chromatic number.  [Slots] colors its
-   coalesced quotient graph — which is not chordal — with it, and the
-   tests use it as the oracle for [analyse]. *)
+   [simplify] is Chaitin's iterated simplification; the tests' coloring
+   oracle for [analyse] pops its removal order, assigning each node the
+   smallest color free among its already-colored neighbours. *)
 
 open Rp_ir
-
-type result = {
-  colors : int;  (** number of distinct colors used *)
-  assignment : (Ids.reg, int) Hashtbl.t;
-}
 
 (* Bucketized min-degree simplification with a register budget [k]:
    remove a node of degree < k while one exists; when every remaining
@@ -96,31 +86,6 @@ let simplify (g : Interference.t) (nodes : Ids.IntSet.t) ~(k : int) :
   done;
   (!stack, !spills)
 
-let color (g : Interference.t) (nodes : Ids.IntSet.t) : result =
-  let stack, _ = simplify g nodes ~k:max_int in
-  (* assign colors popping the stack (last removed = first colored);
-     [mark.(c) = r] records that color [c] is taken by a neighbour of
-     the node [r] being colored, so the scan for the smallest free
-     color is allocation-free *)
-  let assignment = Hashtbl.create 64 in
-  let color_of = Array.make (max (Interference.num_nodes g) 1) (-1) in
-  let mark = Array.make (Ids.IntSet.cardinal nodes + 1) (-1) in
-  let max_color = ref (-1) in
-  List.iter
-    (fun r ->
-      Interference.iter_adj g r (fun x ->
-          let c = color_of.(x) in
-          if c >= 0 then mark.(c) <- r);
-      let c = ref 0 in
-      while mark.(!c) = r do
-        incr c
-      done;
-      color_of.(r) <- !c;
-      Hashtbl.replace assignment r !c;
-      if !c > !max_color then max_color := !c)
-    stack;
-  { colors = !max_color + 1; assignment }
-
 type summary = {
   s_colors : int;
   s_maxlive : int;
@@ -151,18 +116,3 @@ let analyse (f : Func.t) ~(k : int option) : summary =
     s_maxlive = maxlive;
     s_spills = Option.map (fun k -> spills_for_func f ~k) k;
   }
-
-(* Sanity: a coloring is proper when no interfering pair shares a
-   color.  Exposed for the property tests. *)
-let proper (g : Interference.t) (r : result) : bool =
-  let ok = ref true in
-  for a = 0 to Interference.num_nodes g - 1 do
-    match Hashtbl.find_opt r.assignment a with
-    | None -> ()
-    | Some ca ->
-        Interference.iter_adj g a (fun b ->
-            match Hashtbl.find_opt r.assignment b with
-            | Some cb -> if a <> b && ca = cb then ok := false
-            | None -> ())
-  done;
-  !ok

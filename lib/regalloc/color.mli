@@ -1,23 +1,13 @@
-(** Graph coloring and the paper's Table 3 count ("number of colors
-    needed to color the register interference graph").
+(** The paper's Table 3 count ("number of colors needed to color the
+    register interference graph") and Chaitin spill estimates.
 
     On strict SSA form the interference graph is chordal and its
     chromatic number is MAXLIVE, so {!analyse} reports MAXLIVE from
     {!Rp_analysis.Pressure} and builds no graph unless a spill estimate
-    is asked for. {!color} — Chaitin-style minimum-degree
-    simplification with optimistic select — gives a proper coloring
-    whose count is only an upper bound on the chromatic number; it
-    colors {!Slots}' coalesced quotient graph, which is not chordal,
-    and serves the tests as the oracle for {!analyse}. *)
+    is asked for.  The tests hold it to a coloring oracle over
+    {!simplify}'s removal order. *)
 
 open Rp_ir
-
-type result = {
-  colors : int;  (** number of distinct colors used *)
-  assignment : (Ids.reg, int) Hashtbl.t;
-}
-
-val color : Interference.t -> Ids.IntSet.t -> result
 
 type summary = {
   s_colors : int;
@@ -34,15 +24,18 @@ type summary = {
     the only part that builds an {!Interference} graph. *)
 val analyse : Func.t -> k:int option -> summary
 
+(** Chaitin simplification of the graph restricted to [nodes] with a
+    register budget [k]: remove a node of degree below [k] while one
+    exists, else count the busiest node as a spill and remove it.
+    Returns the removal order, last removed first, and the spill
+    count; with [k = max_int] nothing spills and the order is pure
+    minimum degree. *)
+val simplify : Interference.t -> Ids.IntSet.t -> k:int -> Ids.reg list * int
+
 (** Chaitin-style spill estimation for a machine with [k] registers:
     the number of live ranges that cannot be simplified — the concrete
-    cost of the pressure increase Table 3 reports. Shares its
-    simplification loop, and so its removal order, with {!color}. *)
-val count_spills : Interference.t -> Rp_ir.Ids.IntSet.t -> k:int -> int
+    cost of the pressure increase Table 3 reports. *)
+val count_spills : Interference.t -> Ids.IntSet.t -> k:int -> int
 
 (** {!count_spills} on the function's copy-slack interference graph. *)
 val spills_for_func : Func.t -> k:int -> int
-
-(** No interfering pair shares a color; exposed for the property
-    tests. *)
-val proper : Interference.t -> result -> bool

@@ -14,10 +14,11 @@
    replaces spent more time allocating than computing.
 
    On strict SSA form the slack-free graph is chordal and its
-   chromatic number is MAXLIVE, so Table 3's color count comes from
-   {!Rp_analysis.Pressure} without building this graph ({!Color.analyse});
-   the graph serves the spill estimates, {!Slots}' coalescing and
-   coloring, and the tests' coloring oracle. *)
+   chromatic number is MAXLIVE, so neither Table 3's color count
+   ({!Color.analyse}, from {!Rp_analysis.Pressure}) nor the backend's
+   frame slots ({!Slots}, a greedy walk in dominance order) build this
+   graph; it serves the spill estimates and the tests' coloring and
+   slot oracles. *)
 
 open Rp_ir
 open Rp_analysis

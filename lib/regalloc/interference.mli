@@ -11,12 +11,6 @@ open Rp_ir
 
 type t
 
-(** An empty graph over register ids [0 .. nregs-1]. *)
-val create : int -> t
-
-(** Insert an undirected edge (no-op when both ends are the same). *)
-val add_edge : t -> Ids.reg -> Ids.reg -> unit
-
 val interfere : t -> Ids.reg -> Ids.reg -> bool
 
 val num_nodes : t -> int

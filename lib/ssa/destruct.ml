@@ -18,26 +18,28 @@
 
 open Rp_ir
 
-(* Sequentialise the parallel assignment [moves] = [(dst, src); ...].
-   Emits a minimal sequence of sequential copies, using one fresh
-   temporary per cycle. *)
-let sequentialise (f : Func.t) (moves : (Ids.reg * Instr.operand) list) :
-    (Ids.reg * Instr.operand) list =
+(* Sequentialise the parallel assignment [moves] = [(dst, src); ...]
+   over the locations [loc] gives the registers (by default each
+   register is its own location).  Emits a minimal sequence of
+   sequential copies, using one fresh temporary per cycle.  A move
+   whose source already sits in its destination's location writes
+   nothing there; it is kept, first, so later passes still see the
+   read. *)
+let sequentialise ?(loc = Fun.id) (f : Func.t)
+    (moves : (Ids.reg * Instr.operand) list) : (Ids.reg * Instr.operand) list =
   (* drop self-moves *)
-  let moves =
-    List.filter (fun (d, s) -> s <> Instr.Reg d) moves
-  in
+  let moves = List.filter (fun (d, s) -> s <> Instr.Reg d) moves in
+  let reads l = function Instr.Reg r -> loc r = l | Instr.Imm _ -> false in
+  let in_place, moves = List.partition (fun (d, s) -> reads (loc d) s) moves in
   let pending = ref moves in
-  let out = ref [] in
+  let out = ref (List.rev in_place) in
   let emit d s = out := (d, s) :: !out in
-  let is_source r =
-    List.exists (fun (_, s) -> s = Instr.Reg r) !pending
-  in
+  let is_source l = List.exists (fun (_, s) -> reads l s) !pending in
   (* every round either emits all ready moves or breaks one cycle, so
      [pending] strictly shrinks and the loop terminates *)
   while !pending <> [] do
     let ready, blocked =
-      List.partition (fun (d, _) -> not (is_source d)) !pending
+      List.partition (fun (d, _) -> not (is_source (loc d))) !pending
     in
     if ready <> [] then begin
       List.iter (fun (d, s) -> emit d s) ready;
@@ -47,17 +49,18 @@ let sequentialise (f : Func.t) (moves : (Ids.reg * Instr.operand) list) :
       match blocked with
       | [] -> ()
       | (d, s) :: rest ->
-          (* a cycle: break it by copying one destination to a temp *)
+          (* a cycle: save the value in d's location to a temp, which
+             the moves reading it then read instead *)
+          let l = loc d in
+          let saved = List.find (fun (_, s') -> reads l s') rest |> snd in
           let tmp = Func.fresh_reg ~name:"swap" f in
-          emit tmp (Instr.Reg d);
-          (* uses of d as a source now read the temp *)
+          emit tmp saved;
           let rest =
             List.map
               (fun (d', s') ->
-                if s' = Instr.Reg d then (d', Instr.Reg tmp) else (d', s'))
+                if reads l s' then (d', Instr.Reg tmp) else (d', s'))
               rest
           in
-          let s = if s = Instr.Reg d then Instr.Reg tmp else s in
           emit d s;
           pending := rest
   done;
@@ -67,8 +70,10 @@ let sequentialise (f : Func.t) (moves : (Ids.reg * Instr.operand) list) :
    the phi moves.  The backend needs the set: phi-lowering moves are an
    artefact of leaving SSA — the oracle engines evaluate phis as
    parallel assignments that consume neither fuel nor instruction
-   counts, so the compiled engine must not charge for them either. *)
-let lower (f : Func.t) : Ids.IntSet.t =
+   counts, so the compiled engine must not charge for them either.
+   [loc] is passed to {!sequentialise}: the backend orders each
+   predecessor's moves over the frame slots it assigned on SSA form. *)
+let lower ?loc (f : Func.t) : Ids.IntSet.t =
   Cfg.recompute_preds f;
   (* collect per-pred copy groups from register phis *)
   let copies = Array.make (Func.num_blocks f) [] in
@@ -94,7 +99,7 @@ let lower (f : Func.t) : Ids.IntSet.t =
           let i = Func.mk_instr f (Instr.Copy { dst = d; src = s }) in
           inserted := Ids.IntSet.add i.Instr.iid !inserted;
           Block.insert_at_end b i)
-        (sequentialise f moves))
+        (sequentialise ?loc f moves))
     copies;
   (* drop all phis, unversion all resources *)
   let unversion (r : Resource.t) = Resource.unversioned r.Resource.base in

@@ -7,15 +7,22 @@
 
 open Rp_ir
 
-(** Sequentialise one parallel assignment; exposed for the property
-    tests. *)
+(** Sequentialise one parallel assignment over the locations [loc]
+    gives the registers (default: each register is its own location),
+    breaking each cycle with a fresh temporary.  A move whose source
+    already sits in its destination's location is kept, first. *)
 val sequentialise :
-  Func.t -> (Ids.reg * Instr.operand) list -> (Ids.reg * Instr.operand) list
+  ?loc:(Ids.reg -> int) ->
+  Func.t ->
+  (Ids.reg * Instr.operand) list ->
+  (Ids.reg * Instr.operand) list
 
 (** Lower out of SSA and return the iids of the copies inserted for the
     phi moves — the backend excludes them from fuel and instruction
     accounting, since the oracle engines execute phis as free parallel
-    assignments. *)
-val lower : Func.t -> Ids.IntSet.t
+    assignments.  [loc] orders each predecessor's moves as in
+    {!sequentialise}; a temporary's location is [loc] of its register,
+    which must differ from every other location in the move set. *)
+val lower : ?loc:(Ids.reg -> int) -> Func.t -> Ids.IntSet.t
 
 val run : Func.t -> unit

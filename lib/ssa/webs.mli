@@ -87,8 +87,8 @@ val scan : ?arena:arena -> Resource.table -> Func.t -> Ids.IntSet.t -> scan
 (** All webs of the given block set; each web is its member list. Only
     resources of promotable variables are considered.
 
-    The classes are those of {!Union_find} after the same
-    [add]/[union] sequence.  Webs are listed by the first occurrence of
+    The classes are those of a textbook union-find after the same
+    [add]/[union] sequence (the test suite's reference).  Webs are listed by the first occurrence of
     a member in the scan, and each web's members in first-occurrence
     order. *)
 val in_blocks : Resource.table -> Func.t -> Ids.IntSet.t -> Resource.t list list

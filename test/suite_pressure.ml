@@ -54,9 +54,10 @@ let prop_pressure_coherent =
           && Rp_analysis.Pressure.maxlive p = (C.analyse f ~k:None).C.s_maxlive)
         prog.Func.funcs)
 
-(* the colors [Color.color] needs on a build of [f]'s graph *)
+(* the colors the coloring oracle needs on a build of [f]'s graph *)
 let oracle_colors ?copy_slack (f : Func.t) =
-  (C.color (In.build ?copy_slack f) (In.occurring f)).C.colors
+  (Color_oracle.color (In.build ?copy_slack f) (In.occurring f))
+    .Color_oracle.colors
 
 let prop_colors_exact =
   QCheck.Test.make ~name:"colors = maxlive (production build)" ~count:100

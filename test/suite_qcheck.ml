@@ -465,10 +465,10 @@ let prop_coloring_sound =
         (fun f ->
           let g = Rp_regalloc.Interference.build f in
           let res =
-            Rp_regalloc.Color.color g (Rp_regalloc.Interference.occurring f)
+            Color_oracle.color g (Rp_regalloc.Interference.occurring f)
           in
-          Rp_regalloc.Color.proper g res
-          && res.Rp_regalloc.Color.colors
+          Color_oracle.proper g res
+          && res.Color_oracle.colors
              = (Rp_regalloc.Color.analyse f ~k:None).Rp_regalloc.Color.s_colors)
         prog.Func.funcs)
 
@@ -483,8 +483,8 @@ let prop_union_find_model =
   in
   QCheck.Test.make ~name:"union-find matches naive partition" ~count:300
     (QCheck.make gen_ops) (fun unions ->
-      let uf : int Rp_ssa.Union_find.t = Rp_ssa.Union_find.create () in
-      List.iter (fun (a, b) -> Rp_ssa.Union_find.union uf a b) unions;
+      let uf : int Union_find.t = Union_find.create () in
+      List.iter (fun (a, b) -> Union_find.union uf a b) unions;
       (* naive model: closure over the union pairs *)
       let connected a b =
         let adj = Hashtbl.create 16 in
@@ -506,7 +506,7 @@ let prop_union_find_model =
       List.for_all
         (fun a ->
           List.for_all
-            (fun b -> Rp_ssa.Union_find.same uf a b = connected a b)
+            (fun b -> Union_find.same uf a b = connected a b)
             (List.init 16 Fun.id))
         (List.init 16 Fun.id))
 

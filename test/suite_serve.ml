@@ -391,6 +391,28 @@ let test_min_profit_non_finite () =
         (refused (Proto.request_to_json req)))
     [ nan; infinity; neg_infinity ]
 
+(* A negative fuel budget is a usage error in every command that takes
+   one — [client] checks it before connecting — while 0 stays a valid
+   budget, as in the protocol: [client] then gets as far as
+   connecting, and a run stops at once with exhausted fuel. *)
+let test_fuel_negative () =
+  let no_daemon = no_daemon () in
+  List.iter
+    (fun args ->
+      let args = args @ [ "--fuel=-1" ] in
+      Alcotest.(check int) (String.concat " " args) 2 (rpromote_exit_code args))
+    [
+      [ "promote"; "go" ];
+      [ "run"; "go" ];
+      [ "baseline"; "go" ];
+      [ "client"; "--socket"; no_daemon; "go" ];
+      [ "client"; "--socket"; no_daemon; "--ping" ];
+    ];
+  Alcotest.(check int) "client --fuel=0, no daemon" 1
+    (rpromote_exit_code [ "client"; "--socket"; no_daemon; "go"; "--fuel=0" ]);
+  Alcotest.(check int) "run --fuel=0: fuel exhausted" 1
+    (rpromote_exit_code [ "run"; "go"; "--fuel=0" ])
+
 (* A deadline override must be finite (JSON has no encoding for the
    rest) and non-negative (the daemon would read a negative one as "no
    deadline"): [client] refuses anything else as a usage error before
@@ -782,6 +804,7 @@ let suite =
     Alcotest.test_case "non-finite min_profit refused" `Quick
       test_min_profit_non_finite;
     Alcotest.test_case "invalid deadline refused" `Quick test_deadline_invalid;
+    Alcotest.test_case "negative fuel refused" `Quick test_fuel_negative;
     Alcotest.test_case "bad request documents rejected" `Quick
       test_bad_request_documents;
     Alcotest.test_case "cache basics" `Quick test_cache_basics;

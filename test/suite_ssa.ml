@@ -376,6 +376,61 @@ let prop_sequentialise_oracle =
           else Hashtbl.find env r = init r)
         (List.init k Fun.id))
 
+(* The same oracle over locations, as the backend lowers: registers
+   are mapped onto [m] locations (several registers may share one, the
+   targets' locations are distinct), a move reads and writes locations,
+   and every temporary the lowering creates lives in one extra scratch
+   location.  The parallel meaning: each target location receives the
+   initial value of its source's location. *)
+let prop_sequentialise_over_locations =
+  let gen =
+    QCheck.Gen.(
+      let* m = int_range 1 6 in
+      let* k = int_range 1 10 in
+      let* locs = array_size (return k) (int_range 0 (m - 1)) in
+      (* one target per location, picked among its registers *)
+      let* dsts =
+        flatten_l
+          (List.init m (fun l ->
+               let regs =
+                 List.filter (fun r -> locs.(r) = l) (List.init k Fun.id)
+               in
+               if regs = [] then return None
+               else
+                 let* use = bool in
+                 let* r = oneofl regs in
+                 return (if use then Some r else None)))
+      in
+      let dsts = List.filter_map Fun.id dsts in
+      let* srcs =
+        flatten_l (List.map (fun _ -> int_range 0 (k - 1)) dsts)
+      in
+      return (m, locs, List.map2 (fun d s -> (d, Instr.Reg s)) dsts srcs))
+  in
+  QCheck.Test.make ~name:"sequentialise over locations matches the oracle"
+    ~count:500 (QCheck.make gen) (fun (m, locs, moves) ->
+      let k = Array.length locs in
+      let f = Func.create_func ~name:"pc" in
+      f.Func.next_reg <- k;
+      let loc r = if r < k then locs.(r) else m in
+      let seq = Destruct.sequentialise ~loc f moves in
+      let init l = 1000 + l in
+      let par = Array.init m init in
+      List.iter
+        (fun (d, s) ->
+          match s with
+          | Instr.Reg r -> par.(loc d) <- init (loc r)
+          | Instr.Imm n -> par.(loc d) <- n)
+        moves;
+      let env = Array.init (m + 1) init in
+      List.iter
+        (fun (d, s) ->
+          env.(loc d) <-
+            (match s with Instr.Reg r -> env.(loc r) | Instr.Imm n -> n))
+        seq;
+      (* one temporary per cycle, and a cycle has two moves or more *)
+      Array.sub env 0 m = par && 2 * (f.Func.next_reg - k) <= List.length moves)
+
 (* Hand-built IR whose register and instruction ids lie past the
    function's counters (left at zero): SSA construction and DCE keep
    their tables in arrays sized by the counters, and must still handle
@@ -465,4 +520,7 @@ let suite =
     QCheck_alcotest.to_alcotest
       ~rand:(Random.State.make [| 0x5eed |])
       prop_sequentialise_oracle;
+    QCheck_alcotest.to_alcotest
+      ~rand:(Random.State.make [| 0x5eed |])
+      prop_sequentialise_over_locations;
   ]
