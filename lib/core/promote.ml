@@ -1,8 +1,9 @@
 (* The register promotion algorithm (paper section 4, Figures 2/4/5/6).
 
    Driver: promote bottom-up over the interval tree.  Within each
-   interval, build the memory SSA webs, and promote each web
-   independently:
+   interval, build the memory SSA webs — of the promotable variables
+   SSA construction renamed, those the function loads or stores singly
+   ({!Rp_ssa.Construct}) — and promote each web independently:
 
    - a web with no definitions gets one load in the interval preheader
      and every load in the web becomes a copy;

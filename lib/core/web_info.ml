@@ -7,8 +7,9 @@
    resource.
 
    Every web of an interval comes from one scan ({!of_interval}): the
-   scan of {!Rp_ssa.Webs} records each memory occurrence once, and the
-   occurrences are bucketed by web.  A phi joins versions of one
+   scan of {!Rp_ssa.Webs} records each occurrence of a web candidate (a
+   resource of a promotable variable the function renamed) once, and
+   the occurrences are bucketed by web.  A phi joins versions of one
    variable ({!Rp_ssa.Verify} rejects any other), so the members of a
    web are versions of one variable and its facts are one byte per
    version over the web's version range. *)

@@ -62,12 +62,19 @@ let locked c f =
   Mutex.lock c.m;
   Fun.protect ~finally:(fun () -> Mutex.unlock c.m) f
 
+(* The first element is the salt: it names the compiler build a report
+   came from.  A change that moves the bytes of a report without moving
+   [Report.schema_version] bumps it, so a daemon restarted over a store
+   an older build wrote compiles again instead of answering with the
+   older reports.  ".2": memory SSA for the loaded or stored variables
+   only, which moved [webs_seen], [webs_skipped_profit] and
+   [dummies_added]. *)
 let key ~source ~options_fp ~label ~deterministic =
   Digest.to_hex
     (Digest.string
        (String.concat "\x00"
           [
-            "rp-serve-cache";
+            "rp-serve-cache.2";
             string_of_int Rp_obs.Report.schema_version;
             label;
             (if deterministic then "det" else "wall");

@@ -35,9 +35,11 @@ val create : ?max_bytes:int -> ?max_entries:int -> ?store:Store.t -> unit -> t
 
 val store : t -> Store.t option
 
-(** Digest of (source, option fingerprint, report schema version,
-    label, deterministic flag): the content address of one compile
-    result. [options_fp] should come from
+(** Digest of (build salt, source, option fingerprint, report schema
+    version, label, deterministic flag): the content address of one
+    compile result. The salt changes whenever a change to the compiler
+    moves the bytes of its reports, so entries an older build stored
+    are misses. [options_fp] should come from
     [Protocol.options_fingerprint ~for_key:true]. *)
 val key :
   source:string -> options_fp:string -> label:string -> deterministic:bool ->

@@ -2,20 +2,32 @@
    al. [CFR+91]:
 
    - virtual registers are renamed to fresh registers,
-   - memory variables are renamed to versioned resources (section 3 of
-     the paper: "We put singleton resources in SSA form in order to
-     treat them uniformly with register resources"),
+   - memory variables with a singleton load or store in the function
+     are renamed to versioned resources (section 3 of the paper: "We
+     put singleton resources in SSA form in order to treat them
+     uniformly with register resources"),
    - phi instructions ([Rphi]/[Mphi]) are placed at the iterated
      dominance frontier of the definition sites, pruned by a pre-SSA
      liveness analysis so no dead phi is created (dead memory phis
      would otherwise join unrelated names into one SSA web and make the
      promoter insert pointless compensation code).
 
+   A variable the function never loads or stores singly is left alone:
+   its resources in the aliased lists of calls, pointer accesses and
+   exit uses keep version 0, and it gets no phi.  Promotion removes
+   singleton loads and stores, so such a variable gives it nothing to
+   work on (mem2reg's "find the promotable allocas first"); an aliased
+   use of it is a use of its one live value.  In each function a
+   variable is either wholly renamed or wholly unversioned, which
+   {!Verify} checks.  A later pass that gives an unversioned variable a
+   singleton access brings it into SSA with
+   {!Incremental.convert_new_variable}.
+
    An aliased store (call, pointer store) is a definition of every
-   resource it may touch: each gets a fresh version, exactly like the
-   paper's "x4 = foo()".  Every memory variable receives an implicit
-   entry definition (version 1) so uses before any store refer to the
-   value the function was entered with.
+   renamed resource it may touch: each gets a fresh version, exactly
+   like the paper's "x4 = foo()".  Every renamed variable receives an
+   implicit entry definition (version 1) so uses before any store refer
+   to the value the function was entered with.
 
    The placement sets — location liveness, definition sites, the IDF —
    are all {!Bitset}s; locations have no cheap upper bound before the
@@ -33,10 +45,29 @@ let loc_of_reg r = 2 * r
 
 let loc_of_var v = (2 * v) + 1
 
-(* ------------------------------------------------------------------ *)
-(* Pre-SSA location liveness (no phis exist yet) *)
+(* The variables renamed into memory SSA: those with a singleton load
+   or store in the function. *)
+let renamed_vars (f : Func.t) : Bitset.t =
+  let s = Bitset.empty () in
+  Func.iter_blocks
+    (fun b ->
+      Iseq.iter
+        (fun (i : Instr.t) ->
+          match i.op with
+          | Load { src = r; _ } | Store { dst = r; _ } ->
+              Bitset.add s r.Resource.base
+          | Bin _ | Un _ | Copy _ | Addr_of _ | Ptr_load _ | Ptr_store _
+          | Call _ | Dummy_aload _ | Exit_use _ | Rphi _ | Mphi _ | Print _ ->
+              ())
+        b.body)
+    f;
+  s
 
-let location_liveness (f : Func.t) =
+(* ------------------------------------------------------------------ *)
+(* Pre-SSA location liveness (no phis exist yet), over the registers and
+   the renamed variables *)
+
+let location_liveness (f : Func.t) (renamed : Bitset.t) =
   let n = Func.num_blocks f in
   let gen = Array.init (max n 1) (fun _ -> Bitset.empty ()) in
   let kill = Array.init (max n 1) (fun _ -> Bitset.empty ()) in
@@ -48,7 +79,10 @@ let location_liveness (f : Func.t) =
       Iseq.iter
         (fun (i : Instr.t) ->
           List.iter (fun r -> use (loc_of_reg r)) (Instr.reg_uses i.op);
-          List.iter (fun r -> use (loc_of_var r.Resource.base)) (Instr.mem_uses i.op);
+          List.iter
+            (fun (r : Resource.t) ->
+              if Bitset.mem renamed r.base then use (loc_of_var r.base))
+            (Instr.mem_uses i.op);
           (match Instr.reg_def i.op with
           | Some r -> def (loc_of_reg r)
           | None -> ());
@@ -101,13 +135,14 @@ let location_liveness (f : Func.t) =
 type idf_engine = Cytron | Sreedhar_gao
 
 (* Convert [f] (which must not already contain phi instructions) into
-   pruned SSA form.  Returns the set of memory variables that occur in
-   the function. *)
+   pruned SSA form. *)
 let run ?(engine = Cytron) (f : Func.t) : unit =
   Cfg.recompute_preds f;
   let dom = Dom.compute f in
   Hashtbl.reset f.mver;
-  let live_in = location_liveness f in
+  let renamed = renamed_vars f in
+  let is_renamed (r : Resource.t) = Bitset.mem renamed r.base in
+  let live_in = location_liveness f renamed in
   (* 1. definition sites per location, and the defined locations *)
   let def_sets = Id_table.Poly.create (2 * f.next_reg) ~default:None in
   let locs = ref [] in
@@ -131,7 +166,8 @@ let run ?(engine = Cytron) (f : Func.t) : unit =
           | Some r -> add_def (loc_of_reg r) b.bid
           | None -> ());
           List.iter
-            (fun r -> add_def (loc_of_var r.Resource.base) b.bid)
+            (fun (r : Resource.t) ->
+              if is_renamed r then add_def (loc_of_var r.base) b.bid)
             (Instr.mem_defs i.op))
         b.body)
     f;
@@ -244,13 +280,21 @@ let run ?(engine = Cytron) (f : Func.t) : unit =
     Iseq.iter
       (fun (i : Instr.t) ->
         let op = Instr.map_reg_uses top_reg i.op in
-        let op = Instr.map_mem_uses (fun r -> top_mem r.Resource.base) op in
+        let op =
+          Instr.map_mem_uses
+            (fun r -> if is_renamed r then top_mem r.Resource.base else r)
+            op
+        in
         let op =
           match Instr.reg_def op with
           | Some r -> Instr.map_reg_def (fun _ -> def_reg r) op
           | None -> op
         in
-        let op = Instr.map_mem_defs (fun r -> def_mem r.Resource.base) op in
+        let op =
+          Instr.map_mem_defs
+            (fun r -> if is_renamed r then def_mem r.Resource.base else r)
+            op
+        in
         i.op <- op)
       b.body;
     (* terminator uses *)

@@ -1,9 +1,13 @@
 (** Pruned SSA construction over both name spaces (Cytron et al.):
-    registers are renamed to fresh registers, memory variables to
-    versioned resources, with [Rphi]/[Mphi] placed at the pruned
-    iterated dominance frontier. Every memory variable gets an implicit
-    entry definition; aliased stores define fresh versions of
-    everything they may touch (the paper's "x4 = foo()"). *)
+    registers are renamed to fresh registers, and the memory variables
+    with a singleton [Load] or [Store] in the function to versioned
+    resources, with [Rphi]/[Mphi] placed at the pruned iterated
+    dominance frontier. Each renamed variable gets an implicit entry
+    definition; aliased stores define fresh versions of every renamed
+    variable they may touch (the paper's "x4 = foo()"). Every other
+    variable keeps version 0 in the aliased [mdefs]/[muses] lists and
+    gets no phi: in each function a variable is wholly renamed or
+    wholly unversioned ({!Verify} checks it). *)
 
 open Rp_ir
 

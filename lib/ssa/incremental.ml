@@ -382,9 +382,12 @@ let update_for_cloned_resources ?(engine = Cytron)
    incrementally converting resources to SSA form: when a compiler
    phase adds a new resource with multiple definitions and uses to the
    code stream".  This wrapper does exactly that: the variable's
-   stores are given fresh versions (becoming the "cloned" set), its
-   uses are pointed at a pseudo entry version, and one batch update
-   computes the phis and the renaming. *)
+   stores and may-definitions are given fresh versions (becoming the
+   "cloned" set), its uses are pointed at a pseudo entry version, and
+   one batch update computes the phis and the renaming.  SSA
+   construction leaves the variables a function never loads or stores
+   singly at version 0 ({!Construct}); a pass that gives one of them a
+   singleton access converts it here. *)
 let convert_new_variable ?engine (f : Func.t) (vid : Ids.vid) : unit =
   (* the entry version all uses start from *)
   let entry = Func.fresh_ver f vid in

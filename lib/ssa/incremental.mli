@@ -47,6 +47,10 @@ val update_for_cloned_resources :
 (** Incrementally convert a variable whose references are still
     unversioned (a resource "a compiler phase adds ... with multiple
     definitions and uses") into SSA form — the paper's other advertised
-    use of the updater. Stores get fresh versions, uses are renamed to
-    their reaching definitions, phis are placed where needed. *)
+    use of the updater. {!Construct} leaves every variable a function
+    never loads or stores singly at version 0; a pass that gives one of
+    them a singleton access converts it with this. Stores and
+    may-definitions get fresh versions, uses are renamed to their
+    reaching definitions, phis are placed where needed; the result
+    equals construction from scratch up to renaming. *)
 val convert_new_variable : ?engine:engine -> Func.t -> Ids.vid -> unit

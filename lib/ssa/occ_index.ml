@@ -139,12 +139,16 @@ let mentions v (op : Instr.opcode) ~defs ~uses =
   || match op with Instr.Mphi { srcs; _ } -> src_of_var v srcs | _ -> false
 
 (* One entry per (variable, instruction): an instruction naming a
-   variable again finds its entry still the last. *)
+   variable again finds its entry still the last.  A version-0 resource
+   is of a variable the function left unversioned, which no pass here
+   rewrites: it gets no entry. *)
 let add t bid (i : Instr.t) =
   Instr.iter_mem
     (fun (r : Resource.t) ->
-      let e = entries t r.base in
-      if e.len = 0 || e.instrs.(e.len - 1) != i then push e bid i)
+      if r.ver > 0 then begin
+        let e = entries t r.base in
+        if e.len = 0 || e.instrs.(e.len - 1) != i then push e bid i
+      end)
     i.op
 
 let build ?(on_instr = fun _ _ -> ()) (f : Func.t) : t =
@@ -163,8 +167,10 @@ let build ?(on_instr = fun _ _ -> ()) (f : Func.t) : t =
 let note t bid (i : Instr.t) =
   Instr.iter_mem
     (fun (r : Resource.t) ->
-      let e = entries t r.base in
-      if not (List.mem bid e.marked) then e.marked <- bid :: e.marked)
+      if r.ver > 0 then begin
+        let e = entries t r.base in
+        if not (List.mem bid e.marked) then e.marked <- bid :: e.marked
+      end)
     i.op
 
 let live t bid (i : Instr.t) = i.at = bid && not (Func.block t.f bid).Block.dead

@@ -1,7 +1,10 @@
 (** Memory-occurrence index of one function, keyed by variable: for
-    each variable, the instructions that mention one of its versions
-    (as a definition, a use or a memory-phi source), in scan order —
-    blocks by increasing id, phis before the body, instruction order.
+    each variable the function renamed into memory SSA, the
+    instructions that mention one of its versions (as a definition, a
+    use or a memory-phi source), in scan order — blocks by increasing
+    id, phis before the body, instruction order. Version-0 resources,
+    those of the variables {!Construct} leaves unversioned, are not
+    indexed.
 
     Built by one walk of the function and kept current by its user.
     Entries are instructions, not resources: a query re-reads each
@@ -17,8 +20,8 @@ open Rp_ir
 
 type t
 
-(** Index every variable of the function, in one walk of its live
-    blocks by increasing id; [on_instr bid i] is called on every
+(** Index every renamed variable of the function, in one walk of its
+    live blocks by increasing id; [on_instr bid i] is called on every
     instruction of the walk, in order, so another pass can read the
     function in the same walk. *)
 val build : ?on_instr:(Ids.bid -> Instr.t -> unit) -> Func.t -> t

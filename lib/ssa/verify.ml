@@ -4,8 +4,15 @@
    tests) to catch a transformation that broke SSA form:
 
    - every register has at most one definition (parameters count),
-   - every memory resource (base, version) has at most one definition;
-     version 0 (unrenamed) must not appear,
+   - in each function a memory variable is either renamed or
+     unversioned ({!Construct}).  It is renamed when some occurrence
+     carries a version; then every occurrence must, version 0 must not
+     appear, and every resource (base, version) has at most one
+     definition.  An unversioned variable occurs only at version 0 in
+     the aliased lists of calls, pointer accesses, dummies and exit
+     uses: a singleton load or store or a memory phi of it is an
+     error, and since all its occurrences name its one live value,
+     its may-definitions are not single assignments,
    - a memory phi joins versions of its target's variable only, so
      every SSA web (paper section 4.2) is made of one variable's
      versions,
@@ -70,9 +77,21 @@ let check (tab : Resource.table) (f : Func.t) : error list =
           | None -> ())
         b)
     f;
-  (* single assignment for memory resources; no version 0.  Definition
-     sites live in an array over the dense resource ids; a resource
-     outside the numbering (hand-built IR) falls back to a table. *)
+  (* the renamed variables: those with a versioned occurrence.  Derived
+     from the function itself, not from [Func.mver], which hand-built
+     IR need not keep. *)
+  let renamed = Bitset.empty () in
+  let note_version (r : Resource.t) =
+    if r.ver > 0 then Bitset.add renamed r.base
+  in
+  Func.iter_blocks
+    (fun b -> Block.iter_instrs (fun i -> Instr.iter_mem note_version i.op) b)
+    f;
+  let unversioned (r : Resource.t) = not (Bitset.mem renamed r.base) in
+  (* single assignment for the resources of renamed variables; no
+     version 0.  Definition sites live in an array over the dense
+     resource ids; a resource outside the numbering (hand-built IR)
+     falls back to a table. *)
   let ids = Res_ids.of_func f in
   let mem_def_site = Array.make (Res_ids.size ids) undefined in
   let stray : (Resource.t, Ids.iid) Hashtbl.t = Hashtbl.create 8 in
@@ -87,7 +106,7 @@ let check (tab : Resource.table) (f : Func.t) : error list =
     else Hashtbl.replace stray r iid
   in
   let check_ver (r : Resource.t) =
-    if r.ver = 0 then
+    if r.ver = 0 && not (unversioned r) then
       add
         (err f.fname "unversioned resource %s"
            (Format.asprintf "%a" (Resource.pp tab) r))
@@ -96,7 +115,8 @@ let check (tab : Resource.table) (f : Func.t) : error list =
      visit allocates nothing *)
   let def iid r =
     check_ver r;
-    if mem_def r <> undefined then
+    if unversioned r then ()
+    else if mem_def r <> undefined then
       add
         (err f.fname "resource %s defined more than once"
            (Format.asprintf "%a" (Resource.pp tab) r))
@@ -126,11 +146,22 @@ let check (tab : Resource.table) (f : Func.t) : error list =
                (Format.asprintf "%a" (Resource.pp tab) r));
         src_vers bid dst rest
   in
+  let singleton bid what (r : Resource.t) =
+    if unversioned r then
+      add
+        (err (loc bid) "%s of unversioned variable %s" what
+           (Resource.var_name tab r.base))
+  in
   let mem_instr bid (i : Instr.t) =
     match i.op with
-    | Instr.Load { src; _ } -> check_ver src
-    | Instr.Store { dst; _ } -> def i.iid dst
+    | Instr.Load { src; _ } ->
+        singleton bid "singleton load" src;
+        check_ver src
+    | Instr.Store { dst; _ } ->
+        singleton bid "singleton store" dst;
+        def i.iid dst
     | Instr.Mphi { dst; srcs } ->
+        singleton bid "memory phi" dst;
         def i.iid dst;
         src_vers bid dst srcs
     | Instr.Ptr_store { mdefs; muses; _ } | Instr.Call { mdefs; muses; _ } ->
@@ -171,7 +202,8 @@ let check (tab : Resource.table) (f : Func.t) : error list =
            (Func.reg_name f r))
   in
   let check_mem_use ~bid (r : Resource.t) ~use_bid ~use_pos =
-    let iid = mem_def r in
+    (* an unversioned variable's one value is live throughout *)
+    let iid = if unversioned r then undefined else mem_def r in
     (* no definition: the entry version, defined at entry *)
     if iid <> undefined && not (dominates_use ~def_iid:iid ~use_bid ~use_pos)
     then

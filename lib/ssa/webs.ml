@@ -201,6 +201,11 @@ let promotable a v =
   if v < Array.length a.known then Array.unsafe_get a.known v
   else Resource.promotable a.tab v
 
+(* A web candidate: a resource of a promotable variable that the
+   function renamed ({!Construct} leaves every other variable at
+   version 0, and a renamed variable has no version 0). *)
+let candidate a (r : Resource.t) = r.ver > 0 && promotable a r.base
+
 (* The id of [r], handed out when the arena first meets it. *)
 let id a (r : Resource.t) =
   let b = r.base and v = r.ver in
@@ -252,39 +257,36 @@ let put a (i : Instr.t) role r =
   end;
   push a r ((a.w_site lsl role_bits) lor role)
 
-let rec put_promotable a i role = function
+let rec put_candidates a i role = function
   | [] -> ()
   | (r : Resource.t) :: rest ->
-      if promotable a r.base then put a i role r;
-      put_promotable a i role rest
+      if candidate a r then put a i role r;
+      put_candidates a i role rest
 
 (* Record the occurrences of instruction [i] of the walked block: every
-   resource of a promotable variable, and every source of a phi whose
-   target is one. *)
+   candidate, and every source of a phi whose target is one. *)
 let record_instr a (i : Instr.t) =
   a.w_site <- -1;
   match i.op with
-  | Instr.Load { src; _ } -> if promotable a src.base then put a i role_load src
-  | Instr.Store { dst; _ } ->
-      if promotable a dst.base then put a i role_store dst
+  | Instr.Load { src; _ } -> if candidate a src then put a i role_load src
+  | Instr.Store { dst; _ } -> if candidate a dst then put a i role_store dst
   | Instr.Mphi { dst; srcs } ->
-      if promotable a dst.base then begin
+      if candidate a dst then begin
         put a i role_phi dst;
         List.iter (fun (_, s) -> put a i role_phi_src s) srcs
       end
   | Instr.Call { mdefs; muses; _ } ->
-      put_promotable a i role_alias_def mdefs;
-      put_promotable a i role_alias_use muses
+      put_candidates a i role_alias_def mdefs;
+      put_candidates a i role_alias_use muses
   | Instr.Ptr_store { mdefs; muses; _ } ->
-      put_promotable a i role_alias_def mdefs;
+      put_candidates a i role_alias_def mdefs;
       List.iter
-        (fun (r : Resource.t) ->
-          if promotable a r.base then push a r role_member)
+        (fun (r : Resource.t) -> if candidate a r then push a r role_member)
         muses
   | Instr.Ptr_load { muses; _ }
   | Instr.Dummy_aload { muses }
   | Instr.Exit_use { muses } ->
-      put_promotable a i role_alias_use muses
+      put_candidates a i role_alias_use muses
   | Instr.Bin _ | Instr.Un _ | Instr.Copy _ | Instr.Addr_of _ | Instr.Rphi _
   | Instr.Print _ ->
       ()
@@ -410,8 +412,8 @@ let scan ?(arena = arena ()) (tab : Resource.table) (f : Func.t)
   }
 
 (* All webs of the blocks in [blocks].  Each web is the list of its
-   member resources.  Only resources of promotable variables are
-   considered; arrays and heap names never form webs. *)
+   member resources.  Only candidates are considered: arrays, heap
+   names and unversioned variables never form webs. *)
 let in_blocks (tab : Resource.table) (f : Func.t) (blocks : Ids.IntSet.t) :
     Resource.t list list =
   let s = scan tab f blocks in

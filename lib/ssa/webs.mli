@@ -75,8 +75,10 @@ type scan = private {
 }
 
 (** Scan the blocks: run the union-find and list every occurrence of a
-    web candidate — a resource of a promotable variable, or a source of
-    a memory phi whose target is one — in scan order: blocks by
+    web candidate — a resource of a promotable variable that the
+    function renamed into memory SSA (version > 0: {!Construct} leaves
+    every other variable at version 0), or a source of a memory phi
+    whose target is one — in scan order: blocks by
     increasing id, instructions in block order, and within an
     instruction the phi target before its sources and may-defs before
     uses.  Every listed resource is a member of a web.  The blocks are
@@ -85,7 +87,7 @@ type scan = private {
 val scan : ?arena:arena -> Resource.table -> Func.t -> Ids.IntSet.t -> scan
 
 (** All webs of the given block set; each web is its member list. Only
-    resources of promotable variables are considered.
+    web candidates (see {!scan}) are considered.
 
     The classes are those of a textbook union-find after the same
     [add]/[union] sequence (the test suite's reference).  Webs are listed by the first occurrence of

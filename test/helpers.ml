@@ -79,20 +79,51 @@ let index_listing idx v =
       l := (bid, i.Instr.iid) :: !l);
   List.rev !l
 
-(* [idx] lists, for every variable, the instructions a fresh build of
-   [f] lists, in the same order. *)
+(* The listing an index of [f] must give, from a walk of [f]: for every
+   variable with a version (> 0) in [f], (block, iid) of each
+   instruction mentioning one of its versions, in scan order.  A
+   variable SSA construction left unversioned is not indexed. *)
+let reference_listing (f : Func.t) : (int, (int * int) list) Hashtbl.t =
+  let tbl = Hashtbl.create 16 in
+  Func.iter_blocks
+    (fun b ->
+      Block.iter_instrs
+        (fun (i : Instr.t) ->
+          let named = ref [] in
+          Instr.iter_mem
+            (fun (r : Resource.t) ->
+              if r.ver > 0 && not (List.mem r.base !named) then begin
+                named := r.base :: !named;
+                Hashtbl.replace tbl r.base
+                  ((b.Block.bid, i.Instr.iid)
+                  :: Option.value ~default:[] (Hashtbl.find_opt tbl r.base))
+              end)
+            i.op)
+        b)
+    f;
+  Hashtbl.filter_map_inplace (fun _ l -> Some (List.rev l)) tbl;
+  tbl
+
+(* [idx] and a fresh build of [f] list, for every variable, the
+   instructions of the reference listing, in the same order. *)
 let check_index ctx idx (f : Func.t) =
-  let fresh = Occ.build f in
+  let fresh = Occ.build f and reference = reference_listing f in
   List.iter
     (fun v ->
-      let got = index_listing idx v and want = index_listing fresh v in
-      if got <> want then
-        Alcotest.failf
-          "%s: variable %d: the index lists %d instructions, a fresh build %d%s"
-          ctx v (List.length got) (List.length want)
-          (if List.length got = List.length want then " (order differs)"
-           else ""))
-    (List.sort_uniq Int.compare (Occ.vars idx @ Occ.vars fresh))
+      let want = Option.value ~default:[] (Hashtbl.find_opt reference v) in
+      List.iter
+        (fun (what, got) ->
+          if got <> want then
+            Alcotest.failf
+              "%s: variable %d: %s lists %d instructions, a walk of the \
+               function %d%s"
+              ctx v what (List.length got) (List.length want)
+              (if List.length got = List.length want then " (order differs)"
+               else ""))
+        [ ("the index", index_listing idx v); ("a fresh build", index_listing fresh v) ])
+    (List.sort_uniq Int.compare
+       (Occ.vars idx @ Occ.vars fresh
+       @ Hashtbl.fold (fun v _ acc -> v :: acc) reference []))
 
 (* The IR of a function as comparable data: versions handed out, id
    counters, and every block's shape and instructions. *)

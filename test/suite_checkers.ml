@@ -211,6 +211,62 @@ let test_cross_variable_phi () =
     [ ("f/b3", "memory phi of x joins y_1, a version of another variable") ]
     (pairs_of_verify (V.check tab f))
 
+(* A variable is renamed or unversioned as a whole.  Unversioned, it
+   occurs at version 0 in aliased lists only, where two may-definitions
+   are no double assignment; a version of it anywhere makes it renamed,
+   and then its version 0 is an error. *)
+let call f b ~mdefs ~muses =
+  ignore
+    (add b f
+       (Instr.Call { dst = None; callee = Instr.Extern "g"; args = []; mdefs; muses }))
+
+let test_unversioned_in_calls () =
+  let tab, f, x = setup () in
+  let b = blocks f 1 in
+  b.(0).Block.term <- Block.Ret None;
+  Cfg.recompute_preds f;
+  call f b.(0) ~mdefs:[ res x 0 ] ~muses:[ res x 0 ];
+  call f b.(0) ~mdefs:[ res x 0 ] ~muses:[ res x 0 ];
+  ignore (add b.(0) f (Instr.Exit_use { muses = [ res x 0 ] }));
+  check "unversioned variable" [] (pairs_of_verify (V.check tab f))
+
+let test_mixed_versions () =
+  let tab, f, x = setup () in
+  let b = blocks f 1 in
+  b.(0).Block.term <- Block.Ret None;
+  Cfg.recompute_preds f;
+  call f b.(0) ~mdefs:[] ~muses:[ res x 0 ];
+  call f b.(0) ~mdefs:[ res x 2 ] ~muses:[];
+  check "version 0 of a renamed variable"
+    [ ("f", "unversioned resource x") ]
+    (pairs_of_verify (V.check tab f))
+
+let test_singleton_of_unversioned () =
+  let tab, f, x = setup () in
+  let b = blocks f 2 in
+  b.(0).Block.term <- Block.Jmp 1;
+  b.(1).Block.term <- Block.Ret None;
+  Cfg.recompute_preds f;
+  ignore (add b.(0) f (Instr.Load { dst = Func.fresh_reg f; src = res x 0 }));
+  ignore (add b.(1) f (Instr.Store { dst = res x 0; src = Imm 1 }));
+  check "singleton access"
+    [
+      ("f/b0", "singleton load of unversioned variable x");
+      ("f/b1", "singleton store of unversioned variable x");
+    ]
+    (pairs_of_verify (V.check tab f))
+
+let test_mphi_of_unversioned () =
+  let tab, f, x = setup () in
+  let b = diamond f in
+  call f b.(1) ~mdefs:[ res x 0 ] ~muses:[ res x 0 ];
+  Block.add_phi b.(3)
+    (Func.mk_instr f
+       (Instr.Mphi { dst = res x 0; srcs = [ (1, res x 0); (2, res x 0) ] }));
+  check "memory phi"
+    [ ("f/b3", "memory phi of unversioned variable x") ]
+    (pairs_of_verify (V.check tab f))
+
 (* Verify reports the structural errors first, and prints "where: what"
    lines. *)
 let test_verify_includes_validate () =
@@ -247,4 +303,12 @@ let suite =
       test_cross_variable_phi;
     Alcotest.test_case "verify: structural errors first" `Quick
       test_verify_includes_validate;
+    Alcotest.test_case "verify: unversioned variable in calls" `Quick
+      test_unversioned_in_calls;
+    Alcotest.test_case "verify: version 0 of a renamed variable" `Quick
+      test_mixed_versions;
+    Alcotest.test_case "verify: singleton access to an unversioned variable"
+      `Quick test_singleton_of_unversioned;
+    Alcotest.test_case "verify: memory phi of an unversioned variable" `Quick
+      test_mphi_of_unversioned;
   ]

@@ -1,5 +1,7 @@
 (* Tests for the incremental SSA updater — including an exact
-   reproduction of the paper's Example 2 (Figures 9 and 10). *)
+   reproduction of the paper's Example 2 (Figures 9 and 10), and the
+   conversion of a variable SSA construction left unversioned against
+   construction from scratch. *)
 
 open Rp_ir
 open Rp_ssa
@@ -350,6 +352,145 @@ let test_postcondition_cascade engine () =
   in
   Alcotest.(check bool) "updates run" true (runs > 50)
 
+(* ------------------------------------------------------------------ *)
+(* Bringing an unversioned variable into SSA *)
+
+(* SSA construction renames only the variables a function loads or
+   stores singly.  A pass that gives one of the others its first
+   singleton access calls [Incremental.convert_new_variable]; the result
+   must be, up to renaming, what construction gives the function with
+   that access in it.  Phi sources are sorted by predecessor first:
+   construction lists them in dominator-walk order, the updater in
+   predecessor order, and the order of a phi's sources means nothing. *)
+
+let sort_phi_srcs (f : Func.t) =
+  Func.iter_blocks
+    (fun b ->
+      Iseq.iter
+        (fun (i : Instr.t) ->
+          match i.op with
+          | Instr.Rphi { dst; srcs } ->
+              i.op <- Instr.Rphi { dst; srcs = List.sort compare srcs }
+          | Instr.Mphi { dst; srcs } ->
+              i.op <- Instr.Mphi { dst; srcs = List.sort compare srcs }
+          | _ -> ())
+        b.Block.phis)
+    f
+
+let alpha tab f =
+  sort_phi_srcs f;
+  Rp_alpha.Alpha.func_text tab f
+
+(* The promotable variables [f] (in SSA form) leaves unversioned, each
+   with the instructions that use it, in scan order. *)
+let unversioned_uses tab (f : Func.t) =
+  let renamed = Hashtbl.create 16 and uses = Hashtbl.create 16 in
+  Func.iter_blocks
+    (fun b ->
+      Block.iter_instrs
+        (fun (i : Instr.t) ->
+          Instr.iter_mem
+            (fun (r : Resource.t) ->
+              if r.ver > 0 then Hashtbl.replace renamed r.base ())
+            i.op;
+          List.iter
+            (fun (r : Resource.t) ->
+              if Resource.promotable tab r.base then
+                Hashtbl.replace uses r.base
+                  ((b, i) :: Option.value ~default:[] (Hashtbl.find_opt uses r.base)))
+            (List.sort_uniq Resource.compare (Instr.mem_uses i.op)))
+        b)
+    f;
+  Hashtbl.fold
+    (fun v us acc ->
+      if Hashtbl.mem renamed v then acc else (v, List.rev us) :: acc)
+    uses []
+  |> List.sort compare
+
+(* [pre] is a function before SSA construction.  For each promotable
+   variable construction leaves unversioned, [pick] chooses one of its
+   uses; a store of the variable goes right before it (so the store is
+   live), on an SSA copy followed by the conversion and on a pre-SSA
+   copy followed by construction.  Both must verify and agree up to
+   renaming.  Returns the number of conversions. *)
+let check_conversions ~ctx ~pick tab (pre : Func.t) =
+  let ssa = Func.clone pre in
+  Construct.run ssa;
+  List.fold_left
+    (fun n (v, uses) ->
+      let (b : Block.t), (use : Instr.t) = pick v uses in
+      let insert (f : Func.t) =
+        Block.insert_before (Func.block f b.Block.bid) ~iid:use.Instr.iid
+          (Func.mk_instr f
+             (Instr.Store { dst = Resource.unversioned v; src = Instr.Imm 7 }))
+      in
+      let converted = Func.clone ssa in
+      insert converted;
+      Incremental.convert_new_variable converted v;
+      let built = Func.clone pre in
+      insert built;
+      Construct.run built;
+      let where = Printf.sprintf "%s/%s/%s" ctx pre.Func.fname (Resource.var_name tab v) in
+      (match Verify.check tab converted with
+      | [] -> ()
+      | errs -> Alcotest.failf "%s: converted: %s" where (Verify.errors_to_string errs));
+      if alpha tab converted <> alpha tab built then
+        Alcotest.failf "%s: conversion differs from construction" where;
+      n + 1)
+    0 (unversioned_uses tab ssa)
+
+(* The program's functions as SSA construction first sees them:
+   lowered and normalised. *)
+let pre_ssa src =
+  let prog, _ =
+    Rp_core.Pipeline.frontend ~options:Rp_core.Pipeline.default_options src
+  in
+  List.iter (fun f -> ignore (Rp_analysis.Intervals.normalise f)) prog.Func.funcs;
+  prog
+
+let test_convert_workloads () =
+  let sources =
+    List.map
+      (fun (w : Rp_workloads.Registry.workload) ->
+        (w.Rp_workloads.Registry.name, w.Rp_workloads.Registry.source))
+      Rp_workloads.Registry.all
+    @ List.map
+        (fun n ->
+          ( Printf.sprintf "gen%d" n,
+            (Rp_workloads.Registry.generated n).Rp_workloads.Registry.source ))
+        [ 60; 240 ]
+  in
+  let runs =
+    List.fold_left
+      (fun n (name, src) ->
+        let prog = pre_ssa src in
+        List.fold_left
+          (fun n f ->
+            (* a different use for each variable: the k-th use of the
+               k-th variable, wrapping *)
+            let k = ref (-1) in
+            let pick _ uses =
+              incr k;
+              List.nth uses (!k mod List.length uses)
+            in
+            n + check_conversions ~ctx:name ~pick prog.Func.vartab f)
+          n prog.Func.funcs)
+      0 sources
+  in
+  Alcotest.(check bool) (Printf.sprintf "%d conversions" runs) true (runs > 500)
+
+let prop_convert_random =
+  QCheck.Test.make ~name:"conversion = construction (random programs)"
+    ~count:100
+    QCheck.(pair Suite_qcheck.arb_program small_nat)
+    (fun (src, seed) ->
+      let prog = pre_ssa src in
+      let pick v uses = List.nth uses ((seed + v) mod List.length uses) in
+      List.iter
+        (fun f -> ignore (check_conversions ~ctx:"random" ~pick prog.Func.vartab f))
+        prog.Func.funcs;
+      true)
+
 let suite =
   [
     Alcotest.test_case "paper example 2 (Cytron IDF)" `Quick
@@ -377,4 +518,7 @@ let suite =
       (test_postcondition_cascade Incremental.Cytron);
     Alcotest.test_case "dead phis cascade (workloads, Sreedhar-Gao)" `Quick
       (test_postcondition_cascade Incremental.Sreedhar_gao);
+    Alcotest.test_case "conversion = construction (workloads)" `Quick
+      test_convert_workloads;
+    Suite_qcheck.qtest prop_convert_random;
   ]

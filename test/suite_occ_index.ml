@@ -2,7 +2,7 @@
    ({!Rp_ssa.Occ_index}) against a fresh build of the same function:
    the same instructions per variable, in the same order, after every
    promoted web and every run of the incremental updater.  Every
-   function of the named programs, gen60 and random programs is
+   function of the named programs, gen60, gen120 and random programs is
    promoted under the default configuration and [--regs 6].
 
    [RPROMOTE_JOBS] (CI sets 1 and 4) sets how many functions are
@@ -57,7 +57,11 @@ let test_workloads () =
       (fun (w : Rp_workloads.Registry.workload) ->
         (w.Rp_workloads.Registry.name, w.Rp_workloads.Registry.source))
       Rp_workloads.Registry.all
-    @ [ ("gen60", (Rp_workloads.Registry.generated 60).Rp_workloads.Registry.source) ]
+    @ List.map
+        (fun n ->
+          ( Printf.sprintf "gen%d" n,
+            (Rp_workloads.Registry.generated n).Rp_workloads.Registry.source ))
+        [ 60; 120 ]
   in
   List.iter
     (fun (cname, options) ->

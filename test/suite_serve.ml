@@ -695,6 +695,65 @@ let test_cache_store_layering () =
   Alcotest.(check int) "store absent by default" 0
     (Cache.stats (Cache.create ())).Cache.store_hits
 
+(* A report an older build stored is not served: its key was salted
+   with the older build's salt ("rp-serve-cache", before the reports of
+   memory SSA for the loaded or stored variables only), so a daemon
+   over that store misses and compiles again. *)
+let test_old_salt_store_miss () =
+  with_tmp_dir @@ fun dir ->
+  let module Mux = Rp_serve.Mux in
+  let module Client = Rp_serve.Client in
+  let source = "int main() { return 40 + 2; }" in
+  let options = { P.default_options with P.trace = false; fuel = 10_000_000 } in
+  let options_fp = Proto.options_fingerprint ~for_key:true options in
+  let old_key =
+    Digest.to_hex
+      (Digest.string
+         (String.concat "\x00"
+            [
+              "rp-serve-cache";
+              string_of_int Rp_obs.Report.schema_version;
+              "request";
+              "det";
+              options_fp;
+              source;
+            ]))
+  in
+  let key =
+    Cache.key ~source ~options_fp ~label:"request" ~deterministic:true
+  in
+  Alcotest.(check bool) "salt moved the key" true (key <> old_key);
+  let stale = "a report from an older build" in
+  Store.add (Store.open_dir dir) ~key:old_key stale;
+  let c = Cache.create ~store:(Store.open_dir dir) () in
+  Alcotest.(check (option string)) "store miss" None (Cache.find c key);
+  Alcotest.(check int) "no store hit" 0 (Cache.stats c).Cache.store_hits;
+  let mx =
+    Mux.create
+      ~config:{ Mux.default_config with Mux.cache_dir = Some dir }
+      ()
+  in
+  Mux.start mx;
+  Fun.protect ~finally:(fun () -> Mux.stop mx) @@ fun () ->
+  let cl = Client.of_conn (Mux.loopback mx) in
+  Fun.protect ~finally:(fun () -> Client.close cl) @@ fun () ->
+  let req =
+    {
+      Proto.target = `Source source;
+      options;
+      deterministic = true;
+      deadline_s = None;
+    }
+  in
+  match Client.compile cl req with
+  | Proto.Report { cached; report } ->
+      Alcotest.(check bool) "compiled, not cached" false cached;
+      Alcotest.(check bool) "not the stale bytes" true (report <> stale);
+      Alcotest.(check (option string)) "stored under the new key"
+        (Some report)
+        (Store.find (Store.open_dir dir) key)
+  | _ -> Alcotest.fail "no report"
+
 (* ------------------------------------------------------------------ *)
 (* Cache: differential oracle against a naive assoc-list LRU *)
 
@@ -825,5 +884,7 @@ let suite =
     Alcotest.test_case "store rejects bad keys" `Quick
       test_store_rejects_bad_keys;
     Alcotest.test_case "cache-store layering" `Quick test_cache_store_layering;
+    Alcotest.test_case "store entry of an older build is a miss" `Quick
+      test_old_salt_store_miss;
     qtest prop_cache_matches_model;
   ]

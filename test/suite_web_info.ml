@@ -411,7 +411,11 @@ let test_oracle_workloads () =
       (fun (w : Rp_workloads.Registry.workload) ->
         (w.Rp_workloads.Registry.name, w.Rp_workloads.Registry.source))
       Rp_workloads.Registry.all
-    @ [ ("gen60", (Rp_workloads.Registry.generated 60).Rp_workloads.Registry.source) ]
+    @ List.map
+        (fun n ->
+          ( Printf.sprintf "gen%d" n,
+            (Rp_workloads.Registry.generated n).Rp_workloads.Registry.source ))
+        [ 60; 120 ]
   in
   List.iter
     (fun (cname, options) ->

@@ -16,13 +16,15 @@ module G = QCheck.Gen
 let qtest t =
   QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5eed |]) t
 
+(* A web candidate: a resource of a promotable variable that the
+   function renamed (SSA construction leaves the others at version 0). *)
+let candidate tab (r : Resource.t) = r.ver > 0 && Resource.promotable tab r.base
+
 (* The web construction as it was written against [Union_find]. *)
 let reference_webs (tab : Resource.table) (f : Func.t) (blocks : Ids.IntSet.t)
     : Resource.t list list =
   let uf : Resource.t Union_find.t = Union_find.create () in
-  let touch (r : Resource.t) =
-    if Resource.promotable tab r.base then Union_find.add uf r
-  in
+  let touch (r : Resource.t) = if candidate tab r then Union_find.add uf r in
   Ids.IntSet.iter
     (fun bid ->
       Block.iter_instrs
@@ -31,7 +33,7 @@ let reference_webs (tab : Resource.table) (f : Func.t) (blocks : Ids.IntSet.t)
           List.iter touch (Instr.mem_uses i.op);
           match i.op with
           | Mphi { dst; srcs } ->
-              if Resource.promotable tab dst.Resource.base then begin
+              if candidate tab dst then begin
                 Union_find.add uf dst;
                 List.iter
                   (fun (_, s) ->
@@ -44,7 +46,7 @@ let reference_webs (tab : Resource.table) (f : Func.t) (blocks : Ids.IntSet.t)
     blocks;
   Union_find.classes uf
 
-(* The promotable resources of the blocks in order of first occurrence:
+(* The candidates of the blocks in order of first occurrence:
    blocks by increasing id, instructions in block order, and within an
    instruction the definitions, then the uses, then the phi sources. *)
 let first_occurrence (tab : Resource.table) (f : Func.t) (blocks : Ids.IntSet.t)
@@ -56,7 +58,7 @@ let first_occurrence (tab : Resource.table) (f : Func.t) (blocks : Ids.IntSet.t)
         (fun (i : Instr.t) ->
           Instr.iter_mem
             (fun r ->
-              if Resource.promotable tab r.base && not (Hashtbl.mem seen r)
+              if candidate tab r && not (Hashtbl.mem seen r)
               then begin
                 Hashtbl.add seen r ();
                 order := r :: !order
@@ -102,7 +104,8 @@ let pp_webs webs =
 
 (* An instruction over variables 0..nvars-1 (versions 1..maxver): a phi
    joining versions of one variable, a load, a store, or a call that
-   defines and uses versions of several variables. *)
+   defines and uses versions of several variables, where version 0 (an
+   unversioned resource, never a candidate) may appear too. *)
 type rinstr =
   | R_phi of int * int * int list
   | R_load of int * int
@@ -114,7 +117,7 @@ let gen_graph =
   int_range 1 6 >>= fun nvars ->
   int_range 1 80 >>= fun maxver ->
   let var = int_range 0 (nvars - 1) and ver = int_range 1 maxver in
-  let res = pair var ver in
+  let res = pair var ver and res0 = pair var (int_range 0 maxver) in
   let instr =
     frequency
       [
@@ -126,8 +129,8 @@ let gen_graph =
         ( 1,
           map2
             (fun ds us -> R_call (ds, us))
-            (list_size (int_range 0 5) res)
-            (list_size (int_range 0 5) res) );
+            (list_size (int_range 0 5) res0)
+            (list_size (int_range 0 5) res0) );
       ]
   in
   int_range 1 4 >>= fun nblocks ->
