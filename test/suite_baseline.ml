@@ -86,6 +86,18 @@ let test_baseline_ignores_root () =
   Alcotest.(check int) "loads unchanged" before.I.counters.I.loads
     after.I.counters.I.loads
 
+(* The baseline's output on the workloads and a random sample, against
+   test/golden/baseline.txt: a change to the baseline or to the
+   promotion machinery it shares must leave every line in place. *)
+let test_golden () =
+  let golden =
+    String.split_on_char '\n' Baseline_golden_text.text
+    |> List.filter (fun l -> l <> "")
+  in
+  Alcotest.(check (list string))
+    "baseline digests" golden
+    (Rp_baseline_golden.Baseline_golden.lines ())
+
 let suite =
   [
     Alcotest.test_case "promotes clean loop" `Quick test_baseline_promotes_clean_loop;
@@ -94,4 +106,5 @@ let suite =
       test_paper_beats_baseline_on_cold_calls;
     Alcotest.test_case "baseline on workloads" `Slow test_baseline_on_workloads;
     Alcotest.test_case "ignores root level" `Quick test_baseline_ignores_root;
+    Alcotest.test_case "golden digests" `Quick test_golden;
   ]
