@@ -61,18 +61,6 @@ val accumulate : stats -> stats -> unit
 exception Promotion_bug of string
 (** An internal invariant of the transformation failed. *)
 
-(** Promote one web; exposed for the loop-based baseline, which drives
-    it with its own legality filter. Admission runs without a pressure
-    context — the baseline has no interval ordering to feed one. *)
-val promote_in_web :
-  config ->
-  Func.t ->
-  Dom.t ->
-  Intervals.t ->
-  stats ->
-  Resource.ResSet.t ->
-  unit
-
 (** What promotion keeps for one function from interval to interval:
     the occurrence index and the interval scans' block records
     ({!Rp_ssa.Webs.arena}), both kept current through every edit, and
@@ -91,9 +79,13 @@ val arena : state -> Rp_ssa.Webs.arena
 (** promoteInInterval (paper Figure 2) for one interval of the state's
     function whose children were already processed with the same
     state. [on_edit] is called with the state's occurrence index after
-    each web and each run of the incremental updater. *)
+    each web and each run of the incremental updater. With [admit],
+    only the interval's webs it accepts are seen, priced and promoted;
+    it is asked once per web, before the first web is promoted. The
+    loop-based baseline passes its legality filter here. *)
 val promote_in_interval :
   ?on_edit:(Rp_ssa.Occ_index.t -> unit) ->
+  ?admit:(Web_info.t -> bool) ->
   config ->
   state ->
   stats ->

@@ -66,15 +66,17 @@ let locked c f =
    came from.  A change that moves the bytes of a report without moving
    [Report.schema_version] bumps it, so a daemon restarted over a store
    an older build wrote compiles again instead of answering with the
-   older reports.  ".2": memory SSA for the loaded or stored variables
-   only, which moved [webs_seen], [webs_skipped_profit] and
-   [dummies_added]. *)
+   older reports; so does a change to what the values hold.  ".2":
+   memory SSA for the loaded or stored variables only, which moved
+   [webs_seen], [webs_skipped_profit] and [dummies_added].  ".3": the
+   values are the framed [Report {cached = true}] payloads the
+   multiplexer sends, no longer the bare reports. *)
 let key ~source ~options_fp ~label ~deterministic =
   Digest.to_hex
     (Digest.string
        (String.concat "\x00"
           [
-            "rp-serve-cache.2";
+            "rp-serve-cache.3";
             string_of_int Rp_obs.Report.schema_version;
             label;
             (if deterministic then "det" else "wall");

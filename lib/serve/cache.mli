@@ -4,8 +4,9 @@
     under [--deterministic] the pipeline's JSON report is byte-identical
     across runs and across [jobs] settings (the PR 2 contract), so a
     finished report can be stored under a digest of its inputs and
-    replayed verbatim. Keys are built with {!key}; values are the
-    serialised report strings.
+    replayed verbatim. Keys are built with {!key}; the values are
+    opaque strings — the compile service stores the framed response
+    it sends on a hit.
 
     The cache is a bounded LRU with byte-size accounting: each entry
     costs its key plus its value plus a fixed overhead estimate, and
@@ -38,7 +39,8 @@ val store : t -> Store.t option
 (** Digest of (build salt, source, option fingerprint, report schema
     version, label, deterministic flag): the content address of one
     compile result. The salt changes whenever a change to the compiler
-    moves the bytes of its reports, so entries an older build stored
+    moves the bytes of its reports, or a change to the service moves
+    the format of the stored values, so entries an older build stored
     are misses. [options_fp] should come from
     [Protocol.options_fingerprint ~for_key:true]. *)
 val key :

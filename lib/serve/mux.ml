@@ -124,11 +124,6 @@ type t = {
   (* deterministic compiles already running, for single-flight dedup:
      a second identical request attaches to the first one's future *)
   keyed : (string, string Pool.future) Hashtbl.t;
-  (* cache key -> ready-to-send [Report {cached = true}] frame payload.
-     Keys are content digests, so an entry can never go stale; serving
-     from here skips re-encoding the multi-KiB report on every warm
-     hit.  Loop-thread only — no lock. *)
-  framed : (string, string) Hashtbl.t;
   stopping : bool Atomic.t;
   wake_r : Unix.file_descr;
   wake_w : Unix.file_descr;
@@ -182,7 +177,6 @@ let create ?(config = default_config) ?(shards = [||]) () =
       };
     inflight = 0;
     keyed = Hashtbl.create 16;
-    framed = Hashtbl.create 256;
     stopping = Atomic.make false;
     wake_r;
     wake_w;
@@ -442,7 +436,12 @@ let compile_task t ~label ~source ~deterministic ~key (options : P.options) () =
         in
         s
       in
-      if deterministic then Cache.add t.cache ~key s;
+      (* the cache holds the payload a hit sends, serialised once here;
+         a report too large to frame is never cached *)
+      (if deterministic then
+         match serialize (Protocol.Report { cached = true; report = s }) with
+         | Protocol.Report _, p -> Cache.add t.cache ~key p
+         | _ -> ());
       Protocol.Report { cached = false; report = s }
     with e -> error_of_exn e
   in
@@ -493,30 +492,10 @@ let dispatch_compile t (c : Protocol.compile) (raw : string) : dispatch =
           if not deterministic then None else Cache.find t.cache key
         in
         match cached with
-        | Some s -> (
-            match Hashtbl.find_opt t.framed key with
-            | Some p ->
-                locked t (fun () ->
-                    t.counters.resp_cached <- t.counters.resp_cached + 1);
-                Now p
-            | None ->
-                let resp, p =
-                  serialize (Protocol.Report { cached = true; report = s })
-                in
-                (locked t @@ fun () ->
-                 let c = t.counters in
-                 match resp with
-                 | Protocol.Report _ -> c.resp_cached <- c.resp_cached + 1
-                 | _ -> c.resp_error <- c.resp_error + 1);
-                (match resp with
-                | Protocol.Report _ ->
-                    (* memoize genuine reports only, never the
-                       oversize-fallback error, and bound the table *)
-                    if Hashtbl.length t.framed >= t.cfg.cache_max_entries
-                    then Hashtbl.reset t.framed;
-                    Hashtbl.replace t.framed key p
-                | _ -> ());
-                Now p)
+        | Some p ->
+            locked t (fun () ->
+                t.counters.resp_cached <- t.counters.resp_cached + 1);
+            Now p
         | None -> (
             let admitted =
               locked t @@ fun () ->

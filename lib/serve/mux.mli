@@ -28,7 +28,9 @@
     [Pipeline.run_fresh_json] output: compile execution is serialised
     by {!Obs_guard} around the process-global observability registries,
     so cross-request throughput comes from the cache and the loop, not
-    from overlapping compiles.  Only deterministic reports are cached;
+    from overlapping compiles.  Only deterministic reports are cached,
+    each as the framed [Report {cached = true}] payload a hit sends,
+    serialised once when its compile finishes;
     a non-deterministic request asks for fresh wall-clock measurements
     and bypasses the cache on both lookup and fill.  A pipeline
     exception is captured in its future and answered as a structured

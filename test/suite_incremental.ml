@@ -426,6 +426,22 @@ let check_conversions ~ctx ~pick tab (pre : Func.t) =
       in
       let converted = Func.clone ssa in
       insert converted;
+      let mentions (blk : Block.t) =
+        let found = ref false in
+        Block.iter_instrs
+          (fun (i : Instr.t) ->
+            Instr.iter_mem
+              (fun (r : Resource.t) -> if r.base = v then found := true)
+              i.op)
+          blk;
+        !found
+      in
+      let untouched =
+        Func.fold_blocks
+          (fun acc blk ->
+            if mentions blk then acc else (blk, Block.stamp blk) :: acc)
+          [] converted
+      in
       Incremental.convert_new_variable converted v;
       let built = Func.clone pre in
       insert built;
@@ -434,6 +450,14 @@ let check_conversions ~ctx ~pick tab (pre : Func.t) =
       (match Verify.check tab converted with
       | [] -> ()
       | errs -> Alcotest.failf "%s: converted: %s" where (Verify.errors_to_string errs));
+      (* a block that mentions the variable neither before nor after
+         the conversion was not edited *)
+      List.iter
+        (fun ((blk : Block.t), stamp) ->
+          if (not (mentions blk)) && Block.stamp blk <> stamp then
+            Alcotest.failf "%s: b%d without the variable was edited" where
+              blk.Block.bid)
+        untouched;
       if alpha tab converted <> alpha tab built then
         Alcotest.failf "%s: conversion differs from construction" where;
       n + 1)

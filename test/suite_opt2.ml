@@ -1,4 +1,4 @@
-(* Tests for the second-wave SSA optimizations: SCCP, GVN, DSE. *)
+(* Tests for the second-wave SSA optimizations: GVN, DSE. *)
 
 open Rp_ir
 open Rp_analysis
@@ -22,12 +22,6 @@ let count pred prog =
         acc f)
     0 prog.Func.funcs
 
-let live_blocks prog =
-  List.fold_left
-    (fun acc (f : Func.t) ->
-      Func.fold_blocks (fun acc _ -> acc + 1) acc f)
-    0 prog.Func.funcs
-
 let behaviour_preserved name src transform =
   let prog = prep src in
   let before = I.run prog in
@@ -37,130 +31,6 @@ let behaviour_preserved name src transform =
   Alcotest.(check bool) (name ^ ": behaviour") true
     (I.same_behaviour before after);
   prog
-
-(* ------------------------------------------------------------------ *)
-(* SCCP *)
-
-let test_sccp_folds_constants () =
-  let src =
-    {|
-int main() {
-  int a = 3;
-  int b = 4;
-  int c = a * b + 2;
-  print(c);
-  return 0;
-}
-|}
-  in
-  let prog =
-    behaviour_preserved "sccp const" src (fun prog ->
-        List.iter (fun f -> ignore (Rp_opt.Sccp.run f)) prog.Func.funcs;
-        Rp_opt.Cleanup.run_prog prog)
-  in
-  (* print must now take the folded immediate *)
-  let folded = ref false in
-  List.iter
-    (fun (f : Func.t) ->
-      Func.iter_blocks
-        (fun b ->
-          Iseq.iter
-            (fun (i : Instr.t) ->
-              match i.Instr.op with
-              | Instr.Print { src = Instr.Imm 14 } -> folded := true
-              | _ -> ())
-            b.Block.body)
-        f)
-    prog.Func.funcs;
-  Alcotest.(check bool) "print takes immediate 14" true !folded
-
-let test_sccp_folds_branches () =
-  let src =
-    {|
-int g = 0;
-int main() {
-  int flag = 1;
-  if (flag) { g = 10; } else { g = 20; }
-  if (3 < 2) { g = g + 100; }
-  print(g);
-  return 0;
-}
-|}
-  in
-  let prog =
-    behaviour_preserved "sccp branch" src (fun prog ->
-        List.iter
-          (fun f ->
-            ignore (Rp_opt.Sccp.run f);
-            Cfg.remove_unreachable f)
-          prog.Func.funcs;
-        Rp_opt.Cleanup.run_prog prog)
-  in
-  (* the never-taken branches are gone *)
-  let main = Option.get (Func.find_func prog "main") in
-  let brs =
-    Func.fold_blocks
-      (fun acc b ->
-        match b.Block.term with Block.Br _ -> acc + 1 | _ -> acc)
-      0 main
-  in
-  Alcotest.(check int) "no conditional branches left" 0 brs;
-  ignore (live_blocks prog)
-
-let test_sccp_conditional_constant () =
-  (* the classic SCCP win: x is 5 on both paths of a branch SCCP can
-     decide, so the phi folds — plain constant propagation would not
-     see it *)
-  let src =
-    {|
-int main() {
-  int x = 0;
-  if (1 == 1) { x = 5; } else { x = x + 1; }
-  print(x + 2);
-  return 0;
-}
-|}
-  in
-  let prog =
-    behaviour_preserved "sccp conditional" src (fun prog ->
-        List.iter (fun f -> ignore (Rp_opt.Sccp.run f)) prog.Func.funcs;
-        Rp_opt.Cleanup.run_prog prog)
-  in
-  let folded = ref false in
-  List.iter
-    (fun (f : Func.t) ->
-      Func.iter_blocks
-        (fun b ->
-          Iseq.iter
-            (fun (i : Instr.t) ->
-              match i.Instr.op with
-              | Instr.Print { src = Instr.Imm 7 } -> folded := true
-              | _ -> ())
-            b.Block.body)
-        f)
-    prog.Func.funcs;
-  Alcotest.(check bool) "phi folded to 7" true !folded
-
-let test_sccp_no_trap_folding () =
-  (* 1/0 must still trap at runtime, not be folded away or crash SCCP *)
-  let src = "int main() { int z = 0; print(10 / z); return 0; }" in
-  let prog = prep src in
-  List.iter (fun f -> ignore (Rp_opt.Sccp.run f)) prog.Func.funcs;
-  match I.run prog with
-  | exception I.Runtime_error _ -> ()
-  | _ -> Alcotest.fail "division by zero disappeared"
-
-let test_sccp_on_workloads () =
-  List.iter
-    (fun (w : Rp_workloads.Registry.workload) ->
-      ignore
-        (behaviour_preserved
-           ("sccp " ^ w.Rp_workloads.Registry.name)
-           w.Rp_workloads.Registry.source
-           (fun prog ->
-             List.iter (fun f -> ignore (Rp_opt.Sccp.run f)) prog.Func.funcs;
-             Rp_opt.Cleanup.run_prog prog)))
-    [ List.hd Rp_workloads.Registry.all ]
 
 (* ------------------------------------------------------------------ *)
 (* GVN *)
@@ -343,29 +213,19 @@ let test_all_passes_after_promotion () =
           w.Rp_workloads.Registry.source
       in
       let prog = report.Rp_core.Pipeline.prog in
-      List.iter
-        (fun f ->
-          ignore (Rp_opt.Sccp.run f);
-          ignore (Rp_opt.Gvn.run f))
-        prog.Func.funcs;
+      List.iter (fun f -> ignore (Rp_opt.Gvn.run f)) prog.Func.funcs;
       ignore (Rp_opt.Dse.run_prog prog);
       Rp_opt.Cleanup.run_prog prog;
       List.iter (Verify.assert_ok prog.Func.vartab) prog.Func.funcs;
       let final = I.run ~fuel:80_000_000 prog in
       Alcotest.(check bool)
-        (w.Rp_workloads.Registry.name ^ ": promote+sccp+gvn+dse behaviour")
+        (w.Rp_workloads.Registry.name ^ ": promote+gvn+dse behaviour")
         true
         (I.same_behaviour report.Rp_core.Pipeline.baseline final))
     Rp_workloads.Registry.all
 
 let suite =
   [
-    Alcotest.test_case "sccp folds constants" `Quick test_sccp_folds_constants;
-    Alcotest.test_case "sccp folds branches" `Quick test_sccp_folds_branches;
-    Alcotest.test_case "sccp conditional constant" `Quick
-      test_sccp_conditional_constant;
-    Alcotest.test_case "sccp preserves traps" `Quick test_sccp_no_trap_folding;
-    Alcotest.test_case "sccp on workloads" `Quick test_sccp_on_workloads;
     Alcotest.test_case "gvn arithmetic" `Quick test_gvn_arithmetic;
     Alcotest.test_case "gvn same-version loads" `Quick test_gvn_loads_same_version;
     Alcotest.test_case "gvn respects dominance" `Quick test_gvn_respects_dominance;

@@ -639,6 +639,60 @@ let test_mux_store_restart () =
       Alcotest.(check string) "bytes survive the restart" report1 report
   | r -> Alcotest.failf "after restart: %s" (response_label r)
 
+(* One compile request, answered as the raw payload of its response
+   frame. *)
+let raw_compile mx req =
+  let conn = Mux.loopback mx in
+  Fun.protect ~finally:(fun () -> conn.Proto.close ()) @@ fun () ->
+  Proto.write_frame conn
+    (J.to_string ~minify:true (Proto.request_to_json (Proto.Compile req)));
+  match Proto.read_frame conn with
+  | Proto.Frame p -> p
+  | Proto.Eof -> Alcotest.fail "no response frame"
+  | Proto.Bad m -> Alcotest.failf "bad response frame: %s" m
+
+(* Warm hits come from the cache alone: a memory hit and a hit
+   promoted from the store send exactly the framing of the compiled
+   report as a cached [Report], and the cache accounts for the payload
+   it serves. *)
+let test_mux_warm_hits_one_map () =
+  with_tmp_dir @@ fun dir ->
+  let config = { Mux.default_config with Mux.cache_dir = Some dir } in
+  let source = "int main() { return 40 + 2; }" in
+  let req = mk_compile (`Source source) in
+  let key =
+    Cache.key ~source
+      ~options_fp:(Proto.options_fingerprint ~for_key:true mux_options)
+      ~label:"request" ~deterministic:true
+  in
+  let want =
+    with_mux ~config @@ fun mx ->
+    let report =
+      match
+        Result.bind (J.parse (raw_compile mx req)) Proto.response_of_json
+      with
+      | Ok (Proto.Report { cached = false; report }) -> report
+      | Ok r -> Alcotest.failf "cold compile: %s" (response_label r)
+      | Error m -> Alcotest.failf "cold compile: %s" m
+    in
+    let want =
+      J.to_string ~minify:true
+        (Proto.response_to_json (Proto.Report { cached = true; report }))
+    in
+    Alcotest.(check string) "memory hit bytes" want (raw_compile mx req);
+    let s = Cache.stats (Mux.cache mx) in
+    Alcotest.(check int) "one memory hit" 1 s.Cache.hits;
+    let alone = Cache.create () in
+    Cache.add alone ~key want;
+    Alcotest.(check int) "cache.bytes counts the served payload"
+      (Cache.stats alone).Cache.bytes s.Cache.bytes;
+    want
+  in
+  with_mux ~config @@ fun mx ->
+  Alcotest.(check string) "store hit bytes" want (raw_compile mx req);
+  Alcotest.(check int) "one store hit" 1
+    (Cache.stats (Mux.cache mx)).Cache.store_hits
+
 let test_mux_shard_router () =
   with_tmp_dir @@ fun dir ->
   let w = Option.get (R.find "compr") in
@@ -733,5 +787,7 @@ let suite =
       test_mux_oversized_poisons;
     Alcotest.test_case "mux store survives restart" `Quick
       test_mux_store_restart;
+    Alcotest.test_case "mux warm hits from one map" `Quick
+      test_mux_warm_hits_one_map;
     Alcotest.test_case "mux shard router" `Slow test_mux_shard_router;
   ]
