@@ -16,6 +16,9 @@ type t = {
   tout : int array;  (** DFS exit time *)
   rpo_num : int array;  (** reverse-postorder number, -1 for unreachable *)
   order : Ids.bid list;  (** reverse postorder of live blocks *)
+  mutable derived : Func.cache_entry option;
+      (** one analysis computed from this tree and the CFG it was built
+          on (the dominance frontier), kept with the tree *)
 }
 
 let compute (f : Func.t) : t =
@@ -76,7 +79,7 @@ let compute (f : Func.t) : t =
     tout.(b) <- !clock
   in
   dfs f.entry;
-  { idom; children; entry = f.entry; tin; tout; rpo_num; order }
+  { idom; children; entry = f.entry; tin; tout; rpo_num; order; derived = None }
 
 (* The cached variant lives on the function itself, stamped with the
    CFG generation it was computed at, so repeated incremental SSA
@@ -97,6 +100,10 @@ let compute_cached (f : Func.t) : t =
       let d = compute f in
       f.Func.analysis_cache <- Some (f.Func.cfg_gen, Dom_tree d);
       d
+
+let derived t = t.derived
+
+let set_derived t e = t.derived <- Some e
 
 let entry t = t.entry
 

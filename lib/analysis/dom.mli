@@ -15,6 +15,14 @@ val compute : Func.t -> t
     time (the pipeline's invariant). *)
 val compute_cached : Func.t -> t
 
+(** The analysis kept with the tree by {!set_derived}, if any: a result
+    computed from the tree and the CFG it was built on, which stays
+    valid as long as the tree does (and so, for a tree from
+    {!compute_cached}, for the same [cfg_gen]). *)
+val derived : t -> Func.cache_entry option
+
+val set_derived : t -> Func.cache_entry -> unit
+
 (** The entry block the tree was computed from. *)
 val entry : t -> Ids.bid
 

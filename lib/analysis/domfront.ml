@@ -43,29 +43,58 @@ let compute (f : Func.t) (dom : Dom.t) : t =
     f;
   { df }
 
+(* Kept with the tree: the Figure-11 updater runs once per promoted
+   web on a CFG that promotion does not change, so every batch after
+   the first reuses the frontier of the cached tree. *)
+type Func.cache_entry += Frontier of t
+
+let cached (f : Func.t) (dom : Dom.t) : t =
+  match Dom.derived dom with
+  | Some (Frontier df) -> df
+  | _ ->
+      let df = compute f dom in
+      Dom.set_derived dom (Frontier df);
+      df
+
 let frontier t b = t.df.(b)
 
 (* Iterated dominance frontier of a set of blocks: the limit of
-   DF(S), DF(S ∪ DF(S)), ... *)
-let iterated t (init : Bitset.t) : Bitset.t =
-  let result = Bitset.create (Array.length t.df) in
-  let worklist = Queue.create () in
-  let enqueued = Bitset.create (Array.length t.df) in
+   DF(S), DF(S ∪ DF(S)), ...  Each block enters the worklist at most
+   once, so an array of the block count is a large enough stack; the
+   sets and the stack are reused by every query made through one
+   [scratch]. *)
+type scratch = { result : Bitset.t; enqueued : Bitset.t; stack : int array }
+
+let scratch t =
+  let n = Array.length t.df in
+  {
+    result = Bitset.create n;
+    enqueued = Bitset.create n;
+    stack = Array.make n 0;
+  }
+
+let iterated_in (s : scratch) t (init : Bitset.t) : Bitset.t =
+  Bitset.clear s.result;
+  Bitset.clear s.enqueued;
+  let top = ref 0 in
   let push b =
-    if not (Bitset.mem enqueued b) then begin
-      Bitset.add enqueued b;
-      Queue.add b worklist
+    if not (Bitset.mem s.enqueued b) then begin
+      Bitset.add s.enqueued b;
+      s.stack.(!top) <- b;
+      incr top
+    end
+  in
+  let reach d =
+    if not (Bitset.mem s.result d) then begin
+      Bitset.add s.result d;
+      push d
     end
   in
   Bitset.iter push init;
-  while not (Queue.is_empty worklist) do
-    let b = Queue.pop worklist in
-    Bitset.iter
-      (fun d ->
-        if not (Bitset.mem result d) then begin
-          Bitset.add result d;
-          push d
-        end)
-      t.df.(b)
+  while !top > 0 do
+    decr top;
+    Bitset.iter reach t.df.(s.stack.(!top))
   done;
-  result
+  s.result
+
+let iterated t (init : Bitset.t) : Bitset.t = iterated_in (scratch t) t init

@@ -39,7 +39,7 @@ type t = {
     pricing: {!of_interval} may leave its [aliased_uses] and [phis]
     empty, and [aliased] still tells whether it has aliased uses. *)
 
-(** Every web of the interval, in {!Rp_ssa.Webs.in_blocks} order, from
+(** Every web of the interval, in {!Rp_ssa.Webs.scan}'s web order, from
     one scan of its blocks ({!Rp_ssa.Webs.scan} in [arena], by default a
     fresh one): the listed occurrences are bucketed by web.  With
     [all_lists = false] (default [true]) the webs with no load and no

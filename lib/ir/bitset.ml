@@ -85,6 +85,11 @@ let diff_into ~(into : t) (src : t) : bool =
   done;
   !changed
 
+let disjoint a b =
+  let n = min (Array.length a.words) (Array.length b.words) in
+  let rec go w = w >= n || (a.words.(w) land b.words.(w) = 0 && go (w + 1)) in
+  go 0
+
 let is_empty t =
   let rec go w = w >= Array.length t.words || (t.words.(w) = 0 && go (w + 1)) in
   go 0

@@ -37,6 +37,9 @@ val diff_into : into:t -> t -> bool
 
 val is_empty : t -> bool
 
+(** No common element. *)
+val disjoint : t -> t -> bool
+
 val equal : t -> t -> bool
 
 val cardinal : t -> int

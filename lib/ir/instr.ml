@@ -224,6 +224,16 @@ let is_aliased_store (op : opcode) =
 
 let map_operand f = function Reg r -> Reg (f r) | (Imm _ as o) -> o
 
+(* [List.map], keeping the list itself, or its unchanged tail, where
+   [f] returns every element as it was (physically); elements are
+   visited in order *)
+let rec map_shared f = function
+  | [] -> []
+  | x :: rest as l ->
+      let y = f x in
+      let rest' = map_shared f rest in
+      if y == x && rest' == rest then l else y :: rest'
+
 (* Rewrite register uses (not defs, not phi sources). *)
 let map_reg_uses (f : reg -> reg) (op : opcode) : opcode =
   let fo = map_operand f in

@@ -141,6 +141,12 @@ val is_aliased_store : opcode -> bool
 
 val map_operand : (reg -> reg) -> operand -> operand
 
+(** [List.map] that returns the list itself (or shares its tail) where
+    the function returns the elements unchanged (physically equal), so
+    a rewrite that changes nothing allocates nothing. Elements are
+    visited in order. *)
+val map_shared : ('a -> 'a) -> 'a list -> 'a list
+
 (** Rewrite register uses (not defs, not phi sources). *)
 val map_reg_uses : (reg -> reg) -> opcode -> opcode
 

@@ -43,6 +43,7 @@ let check_func (tab : Resource.table) (f : Func.t) : error list =
     | [] | [ _ ] -> true
   in
   let seen_iids = Id_table.create f.next_iid ~default:0 in
+  let phi_errors = ref [] and dup_errors = ref [] in
   Func.iter_blocks
     (fun b ->
       (* the location "fname/bN", built only for an error *)
@@ -62,17 +63,6 @@ let check_func (tab : Resource.table) (f : Func.t) : error list =
           (err "stale predecessor cache: cached {%s} actual {%s}"
              (String.concat "," (List.map string_of_int preds))
              (String.concat "," (List.map string_of_int expect)));
-      (* phi placement and arity *)
-      Iseq.iter
-        (fun (i : Instr.t) ->
-          if not (Instr.is_phi i) then
-            add (err "non-phi instruction in phi section (iid %d)" i.iid))
-        b.phis;
-      Iseq.iter
-        (fun (i : Instr.t) ->
-          if Instr.is_phi i then
-            add (err "phi instruction in body (iid %d)" i.iid))
-        b.body;
       (* sources listed in the cached preds order match; any other
          order is sorted and compared *)
       let rec in_pred_order srcs preds =
@@ -85,26 +75,39 @@ let check_func (tab : Resource.table) (f : Func.t) : error list =
         if not (in_pred_order srcs b.preds) then begin
           let sorted = List.sort Int.compare (List.map fst srcs) in
           if not (List.equal Int.equal sorted preds) then
-            add
-              (err "phi sources {%s} do not match preds {%s}"
-                 (String.concat "," (List.map string_of_int sorted))
-                 (String.concat "," (List.map string_of_int preds)))
+            phi_errors :=
+              err "phi sources {%s} do not match preds {%s}"
+                (String.concat "," (List.map string_of_int sorted))
+                (String.concat "," (List.map string_of_int preds))
+              :: !phi_errors
         end
       in
+      (* iid uniqueness *)
+      let seen (i : Instr.t) =
+        if Id_table.get seen_iids i.iid <> 0 then
+          dup_errors := err "duplicate instruction id %d" i.iid :: !dup_errors
+        else Id_table.set seen_iids i.iid 1
+      in
+      (* one walk of each section; the block's errors are reported by
+         class: phi placement, phi arity, duplicate ids *)
       Iseq.iter
         (fun (i : Instr.t) ->
-          match i.op with
+          (match i.op with
           | Rphi { srcs; _ } -> check_phi_srcs srcs
           | Mphi { srcs; _ } -> check_phi_srcs srcs
-          | _ -> ())
+          | _ -> add (err "non-phi instruction in phi section (iid %d)" i.iid));
+          seen i)
         b.phis;
-      (* iid uniqueness *)
-      Block.iter_instrs
+      Iseq.iter
         (fun (i : Instr.t) ->
-          if Id_table.get seen_iids i.iid <> 0 then
-            add (err "duplicate instruction id %d" i.iid)
-          else Id_table.set seen_iids i.iid 1)
-        b)
+          if Instr.is_phi i then
+            add (err "phi instruction in body (iid %d)" i.iid);
+          seen i)
+        b.body;
+      (* both lists, like [errors], are latest first *)
+      errors := !dup_errors @ !phi_errors @ !errors;
+      phi_errors := [];
+      dup_errors := [])
     f;
   List.rev !errors
 

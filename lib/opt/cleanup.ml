@@ -1,17 +1,17 @@
-(* The standard clean-up bundle: copy propagation then DCE, iterated to
-   a fixed point (propagating a copy can make its definition dead,
-   removing a dead phi can expose another copy chain). *)
+(* The standard clean-up bundle: copy propagation, then DCE, once.
+
+   One round reaches the fixed point on valid SSA.  Copy propagation
+   resolves whole copy chains, so after it no use names a copy's target
+   that a second run would rewrite; DCE is a complete mark-and-sweep
+   from the effectful roots, so a second sweep finds everything live,
+   and removing dead code creates no new copy.  The [cleanup] property
+   suite checks that both passes report nothing left to do after
+   [run]. *)
 
 open Rp_ir
 
 let run (f : Func.t) : unit =
-  let budget = ref 16 in
-  let continue = ref true in
-  while !continue && !budget > 0 do
-    decr budget;
-    let a = Copyprop.run f in
-    let b = Dce.run f in
-    continue := a + b > 0
-  done
+  ignore (Copyprop.run f);
+  ignore (Dce.run f)
 
 let run_prog (p : Func.prog) : unit = List.iter run p.Func.funcs

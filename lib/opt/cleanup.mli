@@ -1,5 +1,5 @@
-(** The standard clean-up bundle: copy propagation then DCE, iterated
-    to a fixed point. *)
+(** The standard clean-up bundle: one copy propagation then one DCE,
+    which leaves nothing for either pass to do on valid SSA. *)
 
 val run : Rp_ir.Func.t -> unit
 

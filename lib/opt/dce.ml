@@ -19,17 +19,7 @@
 open Rp_ir
 
 let run (f : Func.t) : int =
-  (* def site per register *)
   let def_of = Id_table.Poly.create f.Func.next_reg ~default:None in
-  Func.iter_blocks
-    (fun b ->
-      Block.iter_instrs
-        (fun i ->
-          match Instr.reg_def i.op with
-          | Some r -> Id_table.Poly.set def_of r (Some i)
-          | None -> ())
-        b)
-    f;
   let live = Id_table.create f.Func.next_iid ~default:0 in
   let work : Instr.t Queue.t = Queue.create () in
   let mark (i : Instr.t) =
@@ -54,14 +44,22 @@ let run (f : Func.t) : int =
     | Instr.Addr_of _ | Instr.Rphi _ ->
         false
   in
+  (* one walk notes each register's definition site and marks the
+     effectful roots; the marks are propagated once every site is known *)
   Func.iter_blocks
     (fun b ->
-      Block.iter_instrs (fun i -> if is_root i then mark i) b;
-      List.iter mark_reg (Block.term_uses b))
+      Block.iter_instrs
+        (fun i ->
+          (match Instr.reg_def i.op with
+          | Some r -> Id_table.Poly.set def_of r (Some i)
+          | None -> ());
+          if is_root i then mark i)
+        b)
     f;
+  Func.iter_blocks (fun b -> List.iter mark_reg (Block.term_uses b)) f;
   while not (Queue.is_empty work) do
     let i = Queue.pop work in
-    List.iter mark_reg (Instr.reg_uses i.op);
+    Instr.iter_reg_uses mark_reg i.op;
     List.iter (fun (_, r) -> mark_reg r) (Instr.rphi_srcs i.op)
   done;
   let removed = ref 0 in

@@ -26,15 +26,30 @@
    An aliased store (call, pointer store) is a definition of every
    renamed resource it may touch: each gets a fresh version, exactly
    like the paper's "x4 = foo()".  Every renamed variable receives an
-   implicit entry definition (version 1) so uses before any store refer
-   to the value the function was entered with.
+   implicit entry definition so uses before any store refer to the
+   value the function was entered with.  Its version is handed out at
+   the variable's first touch in the renaming walk; when that touch is
+   a definition, the definition's version comes first.
 
-   The placement sets — location liveness, definition sites, the IDF —
-   are all {!Bitset}s; locations have no cheap upper bound before the
-   walk, so the sets rely on Bitset's auto-grow.  The per-location,
-   per-register and per-instruction tables (definition sites, rename
-   stacks, the origin of each placed phi) are {!Id_table.Poly} arrays,
-   which grow to cover ids past the function's counters. *)
+   Placement works on the global names only (Briggs, Cooper, Harvey and
+   Simpson, "Practical Improvements to the Construction and Destruction
+   of Static Single Assignment Form", SP&E 1998): the locations that
+   some block reads before it defines them there.  Any other location
+   is live into no block, so the pruned placement never gives it a
+   phi; location liveness, definition sites and the IDF run over the
+   global names alone, numbered densely in ascending location order,
+   and place exactly the phis an all-locations placement would, in the
+   same order.  One walk finds the global names, a second collects the
+   liveness and definition sets over them.
+
+   Renaming keeps one current name per register and per variable.  A
+   global name's definitions are undone when the dominator-tree walk
+   leaves their block; any other name is read only in the block that
+   defined it, after the definition, so its current name is simply
+   overwritten.  Each instruction is rewritten in one opcode
+   construction, uses before definitions.  The tables over registers,
+   locations and instructions are {!Id_table.Poly} arrays, which grow
+   to cover ids past the function's counters. *)
 
 open Rp_ir
 open Rp_analysis
@@ -45,60 +60,166 @@ let loc_of_reg r = 2 * r
 
 let loc_of_var v = (2 * v) + 1
 
-(* The variables renamed into memory SSA: those with a singleton load
-   or store in the function. *)
-let renamed_vars (f : Func.t) : Bitset.t =
-  let s = Bitset.empty () in
-  Func.iter_blocks
-    (fun b ->
-      Iseq.iter
-        (fun (i : Instr.t) ->
-          match i.op with
-          | Load { src = r; _ } | Store { dst = r; _ } ->
-              Bitset.add s r.Resource.base
-          | Bin _ | Un _ | Copy _ | Addr_of _ | Ptr_load _ | Ptr_store _
-          | Call _ | Dummy_aload _ | Exit_use _ | Rphi _ | Mphi _ | Print _ ->
-              ())
-        b.body)
-    f;
-  s
+let no_phis (f : Func.t) =
+  invalid_arg
+    (Printf.sprintf "Construct.run: %s already contains phi instructions"
+       f.fname)
+
+(* the location of an operand, and those of a resource list *)
+let operand use = function
+  | Instr.Reg r -> use (loc_of_reg r)
+  | Instr.Imm _ -> ()
+
+let rec vars visit = function
+  | [] -> ()
+  | (r : Resource.t) :: rest ->
+      visit (loc_of_var r.base);
+      vars visit rest
+
+(* Visit the locations an instruction reads, then those it writes:
+   [use] for each read, [def] for a strong definition (a register
+   result, a singleton store), [may_def] for the may-definitions of an
+   aliased store.  Memory reads and may-definitions are visited for
+   every variable; the callers filter the renamed ones. *)
+let iter_locs ~use ~def ~may_def (f : Func.t) (op : Instr.opcode) =
+  match op with
+  | Instr.Bin { dst; l; r; _ } ->
+      operand use l;
+      operand use r;
+      def (loc_of_reg dst)
+  | Instr.Un { dst; src; _ } | Instr.Copy { dst; src } ->
+      operand use src;
+      def (loc_of_reg dst)
+  | Instr.Load { dst; src } ->
+      use (loc_of_var src.base);
+      def (loc_of_reg dst)
+  | Instr.Store { dst; src } ->
+      operand use src;
+      def (loc_of_var dst.base)
+  | Instr.Addr_of { dst; off; _ } ->
+      operand use off;
+      def (loc_of_reg dst)
+  | Instr.Ptr_load { dst; addr; muses } ->
+      operand use addr;
+      vars use muses;
+      def (loc_of_reg dst)
+  | Instr.Ptr_store { addr; src; mdefs; muses } ->
+      operand use addr;
+      operand use src;
+      vars use muses;
+      vars may_def mdefs
+  | Instr.Call { dst; args; mdefs; muses; _ } ->
+      List.iter (operand use) args;
+      vars use muses;
+      (match dst with Some r -> def (loc_of_reg r) | None -> ());
+      vars may_def mdefs
+  | Instr.Dummy_aload { muses } | Instr.Exit_use { muses } -> vars use muses
+  | Instr.Print { src } -> operand use src
+  | Instr.Rphi _ | Instr.Mphi _ -> no_phis f
+
+let iter_term_uses use (b : Block.t) =
+  List.iter (fun r -> use (loc_of_reg r)) (Block.term_uses b)
 
 (* ------------------------------------------------------------------ *)
-(* Pre-SSA location liveness (no phis exist yet), over the registers and
-   the renamed variables *)
+(* The global-name walk *)
 
-let location_liveness (f : Func.t) (renamed : Bitset.t) =
-  let n = Func.num_blocks f in
-  let gen = Array.init (max n 1) (fun _ -> Bitset.empty ()) in
-  let kill = Array.init (max n 1) (fun _ -> Bitset.empty ()) in
+type names = {
+  renamed : Bitset.t;
+      (** the variables renamed into memory SSA: those with a singleton
+          load or store in the function *)
+  gid : int Id_table.Poly.t;  (** location -> dense id, or -1 *)
+  globals : int array;  (** dense id -> location, ascending *)
+}
+
+(* One walk: a location is a global name when some block reads it
+   before defining it strongly there.  Only strong definitions count:
+   an aliased may-definition does not guarantee the old value is gone.
+   A variable that is not renamed is no name at all. *)
+let global_names (f : Func.t) : names =
+  let renamed = Bitset.empty () and exposed = Bitset.empty () in
+  (* the block that last defined each location strongly *)
+  let killed = Id_table.Poly.create (2 * f.next_reg) ~default:(-1) in
+  let bid = ref (-1) in
+  let use l =
+    if Id_table.Poly.get killed l <> !bid then Bitset.add exposed l
+  in
+  let def l = Id_table.Poly.set killed l !bid in
+  let may_def _ = () in
   Func.iter_blocks
     (fun b ->
-      let g = gen.(b.bid) and k = kill.(b.bid) in
-      let use l = if not (Bitset.mem k l) then Bitset.add g l in
-      let def l = Bitset.add k l in
+      if not (Iseq.is_empty b.phis) then no_phis f;
+      bid := b.bid;
       Iseq.iter
         (fun (i : Instr.t) ->
-          List.iter (fun r -> use (loc_of_reg r)) (Instr.reg_uses i.op);
-          List.iter
-            (fun (r : Resource.t) ->
-              if Bitset.mem renamed r.base then use (loc_of_var r.base))
-            (Instr.mem_uses i.op);
-          (match Instr.reg_def i.op with
-          | Some r -> def (loc_of_reg r)
-          | None -> ());
-          (* only strong definitions kill: an aliased may-def does not
-             guarantee the old value is gone *)
-          match i.op with
-          | Store { dst; _ } -> def (loc_of_var dst.Resource.base)
-          | Bin _ | Un _ | Copy _ | Load _ | Addr_of _ | Ptr_load _
-          | Ptr_store _ | Call _ | Dummy_aload _ | Exit_use _ | Rphi _
-          | Mphi _ | Print _ ->
-              ())
+          (match i.op with
+          | Load { src = r; _ } | Store { dst = r; _ } ->
+              Bitset.add renamed r.Resource.base
+          | Bin _ | Un _ | Copy _ | Addr_of _ | Ptr_load _ | Ptr_store _
+          | Call _ | Dummy_aload _ | Exit_use _ | Rphi _ | Mphi _ | Print _ ->
+              ());
+          iter_locs ~use ~def ~may_def f i.op)
         b.body;
-      List.iter (fun r -> use (loc_of_reg r)) (Block.term_uses b))
+      iter_term_uses use b)
     f;
-  let live_in = Array.init (max n 1) (fun _ -> Bitset.empty ()) in
-  let live_out = Array.init (max n 1) (fun _ -> Bitset.empty ()) in
+  let gid = Id_table.Poly.create (2 * f.next_reg) ~default:(-1) in
+  let globals =
+    Bitset.fold
+      (fun l acc ->
+        if l land 1 = 0 || Bitset.mem renamed (l / 2) then l :: acc else acc)
+      exposed []
+    |> List.rev |> Array.of_list
+  in
+  Array.iteri (fun k l -> Id_table.Poly.set gid l k) globals;
+  { renamed; gid; globals }
+
+(* ------------------------------------------------------------------ *)
+(* Placement sets over the global names: per block the names it reads
+   before defining them ([gen]) and those it defines strongly ([kill]),
+   per name the blocks defining it, may-definitions included *)
+
+let placement_sets (f : Func.t) (names : names) =
+  let n = max (Func.num_blocks f) 1 and ng = Array.length names.globals in
+  let gen = Array.init n (fun _ -> Bitset.create ng) in
+  let kill = Array.init n (fun _ -> Bitset.create ng) in
+  let defs = Array.init ng (fun _ -> Bitset.create n) in
+  let bid = ref (-1) in
+  let g l = Id_table.Poly.get names.gid l in
+  let use l =
+    let k = g l in
+    if k >= 0 && not (Bitset.mem kill.(!bid) k) then Bitset.add gen.(!bid) k
+  in
+  let def l =
+    let k = g l in
+    if k >= 0 then begin
+      Bitset.add kill.(!bid) k;
+      Bitset.add defs.(k) !bid
+    end
+  in
+  let may_def l =
+    let k = g l in
+    if k >= 0 then Bitset.add defs.(k) !bid
+  in
+  Func.iter_blocks
+    (fun b ->
+      bid := b.bid;
+      Iseq.iter
+        (fun (i : Instr.t) -> iter_locs ~use ~def ~may_def f i.op)
+        b.body;
+      iter_term_uses use b)
+    f;
+  (* parameters are defined at the entry block *)
+  List.iter
+    (fun r ->
+      let k = g (loc_of_reg r) in
+      if k >= 0 then Bitset.add defs.(k) f.entry)
+    f.params;
+  (gen, kill, defs)
+
+(* Pre-SSA liveness of the global names (no phis exist yet) *)
+let live_in (f : Func.t) ~gen ~kill =
+  let n = Array.length gen in
+  let live_in = Array.init n (fun _ -> Bitset.empty ()) in
+  let live_out = Array.init n (fun _ -> Bitset.empty ()) in
   let out_acc = Bitset.empty () in
   let in_acc = Bitset.empty () in
   let order = Cfg.postorder f in
@@ -134,139 +255,107 @@ let location_liveness (f : Func.t) (renamed : Bitset.t) =
 
 type idf_engine = Cytron | Sreedhar_gao
 
-(* Convert [f] (which must not already contain phi instructions) into
+(* Convert [f], which must not already contain phi instructions, into
    pruned SSA form. *)
 let run ?(engine = Cytron) (f : Func.t) : unit =
-  Cfg.recompute_preds f;
+  let names = global_names f in
+  (* refreshes the predecessor lists; renaming leaves the CFG alone *)
   let dom = Dom.compute f in
   Hashtbl.reset f.mver;
-  let renamed = renamed_vars f in
-  let is_renamed (r : Resource.t) = Bitset.mem renamed r.base in
-  let live_in = location_liveness f renamed in
-  (* 1. definition sites per location, and the defined locations *)
-  let def_sets = Id_table.Poly.create (2 * f.next_reg) ~default:None in
-  let locs = ref [] in
-  let add_def l bid =
-    let cur =
-      match Id_table.Poly.get def_sets l with
-      | Some s -> s
-      | None ->
-          let s = Bitset.empty () in
-          locs := l :: !locs;
-          Id_table.Poly.set def_sets l (Some s);
-          s
-    in
-    Bitset.add cur bid
-  in
-  Func.iter_blocks
-    (fun b ->
-      Iseq.iter
-        (fun (i : Instr.t) ->
-          (match Instr.reg_def i.op with
-          | Some r -> add_def (loc_of_reg r) b.bid
-          | None -> ());
-          List.iter
-            (fun (r : Resource.t) ->
-              if is_renamed r then add_def (loc_of_var r.base) b.bid)
-            (Instr.mem_defs i.op))
-        b.body)
-    f;
-  (* parameters are defined at the entry block *)
-  List.iter (fun r -> add_def (loc_of_reg r) f.entry) f.params;
-  (* 2. phi placement at the pruned iterated dominance frontier, by
-     ascending location id *)
+  let is_renamed (r : Resource.t) = Bitset.mem names.renamed r.base in
+  let is_global l = Id_table.Poly.get names.gid l >= 0 in
+  let gen, kill, defs = placement_sets f names in
+  let live_in = live_in f ~gen ~kill in
+  (* 1. phi placement at the pruned iterated dominance frontier, by
+     ascending location *)
   let idf =
     match engine with
     | Cytron ->
         let df = Domfront.compute f dom in
-        fun init -> Domfront.iterated df init
+        let scratch = Domfront.scratch df in
+        fun init -> Domfront.iterated_in scratch df init
     | Sreedhar_gao ->
         let dj = Djgraph.build f dom in
         fun init -> Djgraph.idf dj init
   in
-  (* remember which location each placed phi stands for: once the
-     target is renamed the original location is no longer recoverable
-     from the instruction itself *)
-  let phi_origin = Id_table.Poly.create f.next_iid ~default:(-1) in
+  (* the location each placed phi stands for, by iid: once the target
+     is renamed it is no longer recoverable from the instruction *)
+  let first_phi = f.next_iid in
+  let phi_loc = Id_table.Poly.create 64 ~default:(-1) in
   (* every placed phi, so the source lists accumulated backwards during
      renaming can be reversed once at the end *)
   let placed_phis : Instr.t list ref = ref [] in
-  List.iter
-    (fun l ->
-      let targets = idf (Option.get (Id_table.Poly.get def_sets l)) in
-      Bitset.iter
-        (fun bid ->
-          if Bitset.mem live_in.(bid) l then begin
-            let b = Func.block f bid in
-            let op =
-              if l land 1 = 0 then
-                Instr.Rphi { dst = l / 2; srcs = [] }
-              else
-                Instr.Mphi { dst = Resource.unversioned (l / 2); srcs = [] }
-            in
-            let i = Func.mk_instr f op in
-            Id_table.Poly.set phi_origin i.iid l;
-            placed_phis := i :: !placed_phis;
-            Block.add_phi b i
-          end)
-        targets)
-    (List.sort Int.compare !locs);
-  (* 3. renaming along the dominator tree *)
-  let module S = Id_table.Poly in
-  let reg_stack : Ids.reg list S.t = S.create f.next_reg ~default:[] in
-  let mem_stack : Resource.t list S.t = S.create 64 ~default:[] in
+  Array.iteri
+    (fun k l ->
+      if not (Bitset.is_empty defs.(k)) then
+        Bitset.iter
+          (fun bid ->
+            if Bitset.mem live_in.(bid) k then begin
+              let b = Func.block f bid in
+              let op =
+                if l land 1 = 0 then Instr.Rphi { dst = l / 2; srcs = [] }
+                else
+                  Instr.Mphi { dst = Resource.unversioned (l / 2); srcs = [] }
+              in
+              let i = Func.mk_instr f op in
+              Id_table.Poly.set phi_loc (i.iid - first_phi) l;
+              placed_phis := i :: !placed_phis;
+              Block.add_phi b i
+            end)
+          (idf defs.(k)))
+    names.globals;
+  (* 2. renaming along the dominator tree *)
+  let named = Bitset.empty () in
+  Hashtbl.iter (fun r _ -> if r >= 0 then Bitset.add named r) f.reg_names;
+  (* the current name of each register, -1 while it is its own (a
+     parameter, or a use without a definition, which Verify flags) *)
+  let cur_reg = Id_table.Poly.create f.next_reg ~default:(-1) in
   let top_reg r =
-    match S.get reg_stack r with
-    | x :: _ -> x
-    | [] -> r (* use without def: leave; Verify will flag it *)
+    let x = Id_table.Poly.get cur_reg r in
+    if x < 0 then r else x
   in
-  let push_reg r x = S.set reg_stack r (x :: S.get reg_stack r) in
-  let pop_reg r =
-    match S.get reg_stack r with
-    | _ :: rest -> S.set reg_stack r rest
-    | [] -> ()
-  in
+  (* the current version of each variable; [unset] until the first
+     touch, which materialises the implicit entry definition *)
+  let unset = Resource.unversioned (-1) in
+  let cur_mem = Id_table.Poly.create 64 ~default:unset in
   let top_mem v =
-    match S.get mem_stack v with
-    | x :: _ -> x
-    | [] ->
-        (* first touch: the implicit entry definition *)
-        let r = Func.fresh_ver f v in
-        S.set mem_stack v [ r ];
-        r
+    let x = Id_table.Poly.get cur_mem v in
+    if x != unset then x
+    else begin
+      let r = Func.fresh_ver f v in
+      Id_table.Poly.set cur_mem v r;
+      r
+    end
   in
-  let push_mem v x =
-    let cur =
-      match S.get mem_stack v with
-      | [] -> [ top_mem v ] (* materialise the entry version below it *)
-      | l -> l
-    in
-    S.set mem_stack v (x :: cur)
+  let rename = function
+    | Instr.Reg r as o ->
+        let r' = top_reg r in
+        if r' = r then o else Instr.Reg r'
+    | Instr.Imm _ as o -> o
   in
-  let pop_mem v =
-    match S.get mem_stack v with
-    | _ :: rest -> S.set mem_stack v rest
-    | [] -> ()
-  in
-  (* parameters keep their register ids and act as entry definitions *)
-  List.iter (fun r -> push_reg r r) f.params;
+  let use_res r = if is_renamed r then top_mem r.Resource.base else r in
   let rec visit bid =
     let b = Func.block f bid in
-    let pushed_regs = ref [] and pushed_mems = ref [] in
+    let undo_regs = ref [] and undo_mems = ref [] in
     let def_reg r =
-      let fresh =
-        Func.fresh_reg ?name:(Hashtbl.find_opt f.reg_names r) f
+      let name =
+        if Bitset.mem named r then Hashtbl.find_opt f.reg_names r else None
       in
-      push_reg r fresh;
-      pushed_regs := r :: !pushed_regs;
+      let fresh = Func.fresh_reg ?name f in
+      if is_global (loc_of_reg r) then
+        undo_regs := (r, Id_table.Poly.get cur_reg r) :: !undo_regs;
+      Id_table.Poly.set cur_reg r fresh;
       fresh
     in
     let def_mem v =
       let fresh = Func.fresh_ver f v in
-      push_mem v fresh;
-      pushed_mems := v :: !pushed_mems;
+      (* materialise the entry version below it *)
+      let prev = top_mem v in
+      if is_global (loc_of_var v) then undo_mems := (v, prev) :: !undo_mems;
+      Id_table.Poly.set cur_mem v fresh;
       fresh
     in
+    let def_res r = if is_renamed r then def_mem r.Resource.base else r in
     (* phi targets *)
     Iseq.iter
       (fun (i : Instr.t) ->
@@ -276,32 +365,59 @@ let run ?(engine = Cytron) (f : Func.t) : unit =
             i.op <- Mphi { dst = def_mem dst.Resource.base; srcs }
         | _ -> ())
       b.phis;
-    (* body: uses then defs, in instruction order *)
+    (* body: one rewrite per instruction, uses then definitions *)
     Iseq.iter
       (fun (i : Instr.t) ->
-        let op = Instr.map_reg_uses top_reg i.op in
-        let op =
-          Instr.map_mem_uses
-            (fun r -> if is_renamed r then top_mem r.Resource.base else r)
-            op
-        in
-        let op =
-          match Instr.reg_def op with
-          | Some r -> Instr.map_reg_def (fun _ -> def_reg r) op
-          | None -> op
-        in
-        let op =
-          Instr.map_mem_defs
-            (fun r -> if is_renamed r then def_mem r.Resource.base else r)
-            op
-        in
-        i.op <- op)
+        i.op <-
+          (match i.op with
+          | Bin { dst; op; l; r } ->
+              let l = rename l in
+              let r = rename r in
+              Bin { dst = def_reg dst; op; l; r }
+          | Un { dst; op; src } ->
+              let src = rename src in
+              Un { dst = def_reg dst; op; src }
+          | Copy { dst; src } ->
+              let src = rename src in
+              Copy { dst = def_reg dst; src }
+          | Load { dst; src } ->
+              let src = use_res src in
+              Load { dst = def_reg dst; src }
+          | Store { dst; src } ->
+              let src = rename src in
+              Store { dst = def_res dst; src }
+          | Addr_of { dst; var; off } ->
+              let off = rename off in
+              Addr_of { dst = def_reg dst; var; off }
+          | Ptr_load { dst; addr; muses } ->
+              let addr = rename addr in
+              let muses = Instr.map_shared use_res muses in
+              Ptr_load { dst = def_reg dst; addr; muses }
+          | Ptr_store { addr; src; mdefs; muses } ->
+              let addr = rename addr in
+              let src = rename src in
+              let muses = Instr.map_shared use_res muses in
+              let mdefs = Instr.map_shared def_res mdefs in
+              Ptr_store { addr; src; mdefs; muses }
+          | Call { dst; callee; args; mdefs; muses } ->
+              let args = Instr.map_shared rename args in
+              let muses = Instr.map_shared use_res muses in
+              let dst =
+                match dst with Some r -> Some (def_reg r) | None -> None
+              in
+              let mdefs = Instr.map_shared def_res mdefs in
+              Call { dst; callee; args; mdefs; muses }
+          | Dummy_aload { muses } ->
+              Dummy_aload { muses = Instr.map_shared use_res muses }
+          | Exit_use { muses } ->
+              Exit_use { muses = Instr.map_shared use_res muses }
+          | Print { src } -> Print { src = rename src }
+          | Rphi _ | Mphi _ -> no_phis f))
       b.body;
     (* terminator uses *)
     (match b.term with
-    | Br { cond; t; f = fl } ->
-        b.term <- Br { cond = Instr.map_operand top_reg cond; t; f = fl }
-    | Ret (Some o) -> b.term <- Ret (Some (Instr.map_operand top_reg o))
+    | Br { cond; t; f = fl } -> b.term <- Br { cond = rename cond; t; f = fl }
+    | Ret (Some o) -> b.term <- Ret (Some (rename o))
     | Jmp _ | Ret None -> ());
     (* fill phi sources of successors with the names live at the end of
        this block.  Sources are PREPENDED — O(1) instead of an append
@@ -310,23 +426,20 @@ let run ?(engine = Cytron) (f : Func.t) : unit =
        visit order. *)
     Block.iter_succs
       (fun s ->
-        let sb = Func.block f s in
         Iseq.iter
           (fun (i : Instr.t) ->
-            match Id_table.Poly.get phi_origin i.iid with
-            | -1 -> () (* pre-existing phi: none exist before SSA *)
-            | l -> (
-                match i.op with
-                | Rphi { dst; srcs } ->
-                    i.op <- Rphi { dst; srcs = (bid, top_reg (l / 2)) :: srcs }
-                | Mphi { dst; srcs } ->
-                    i.op <- Mphi { dst; srcs = (bid, top_mem (l / 2)) :: srcs }
-                | _ -> ()))
-          sb.phis)
+            let l = Id_table.Poly.get phi_loc (i.iid - first_phi) in
+            match i.op with
+            | Rphi { dst; srcs } ->
+                i.op <- Rphi { dst; srcs = (bid, top_reg (l / 2)) :: srcs }
+            | Mphi { dst; srcs } ->
+                i.op <- Mphi { dst; srcs = (bid, top_mem (l / 2)) :: srcs }
+            | _ -> ())
+          (Func.block f s).phis)
       b;
     List.iter visit (Dom.children dom bid);
-    List.iter pop_reg !pushed_regs;
-    List.iter pop_mem !pushed_mems
+    List.iter (fun (r, prev) -> Id_table.Poly.set cur_reg r prev) !undo_regs;
+    List.iter (fun (v, prev) -> Id_table.Poly.set cur_mem v prev) !undo_mems
   in
   visit f.entry;
   (* restore predecessor-visit order in every placed phi's sources *)
@@ -336,7 +449,4 @@ let run ?(engine = Cytron) (f : Func.t) : unit =
       | Rphi { dst; srcs } -> i.op <- Rphi { dst; srcs = List.rev srcs }
       | Mphi { dst; srcs } -> i.op <- Mphi { dst; srcs = List.rev srcs }
       | _ -> ())
-    !placed_phis;
-  (* entry versions for variables only ever used in unreachable-from-
-     entry positions do not exist; nothing else to do *)
-  Cfg.recompute_preds f
+    !placed_phis

@@ -14,5 +14,9 @@ open Rp_ir
 type idf_engine = Cytron | Sreedhar_gao
 
 (** Convert a function that contains no phi instructions into pruned
-    SSA form, in place. *)
+    SSA form, in place. Placement runs over the function's global names
+    (the locations some block reads before defining them there) and
+    places exactly the phis of an all-locations placement.
+    @raise Invalid_argument when the function already contains phi
+    instructions; the function is then left unchanged. *)
 val run : ?engine:idf_engine -> Func.t -> unit

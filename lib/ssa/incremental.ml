@@ -183,8 +183,7 @@ let update_for_cloned_resources ?(engine = Cytron)
     let idf_set =
       match engine with
       | Cytron ->
-          let df = Domfront.compute f dom in
-          Domfront.iterated df init_def_bbs
+          Domfront.iterated (Domfront.cached f dom) init_def_bbs
       | Sreedhar_gao ->
           let dj = Djgraph.build f dom in
           Djgraph.idf dj init_def_bbs

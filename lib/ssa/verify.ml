@@ -35,59 +35,38 @@ let undefined = -2
 
 let check (tab : Resource.table) (f : Func.t) : error list =
   let loc bid = Printf.sprintf "%s/b%d" f.fname bid in
-  let errors = ref [] in
-  let add e = errors := e :: !errors in
-  (match Validate.check_func tab f with
-  | [] -> ()
-  | es ->
-      List.iter
-        (fun (e : Validate.error) ->
-          add { where = e.Validate.where; what = e.Validate.what })
-        es);
+  (* each class of errors is collected apart and reported in a fixed
+     order: structure, register single assignment, memory, dominance *)
+  let structural =
+    List.map
+      (fun (e : Validate.error) ->
+        { where = e.Validate.where; what = e.Validate.what })
+      (Validate.check_func tab f)
+  in
+  let reg_errors = ref [] and mem_errors = ref [] and dom_errors = ref [] in
+  let add_reg e = reg_errors := e :: !reg_errors in
+  let add_mem e = mem_errors := e :: !mem_errors in
+  let add_dom e = dom_errors := e :: !dom_errors in
   let dom = Dom.compute f in
   (* instruction positions within their block: phis all at -1 (they are
      parallel), body instructions at 0,1,2,... *)
   let pos = Id_table.create f.next_iid ~default:0
   and block_of = Id_table.create f.next_iid ~default:0 in
-  Func.iter_blocks
-    (fun b ->
-      Iseq.iter
-        (fun (i : Instr.t) ->
-          Id_table.set pos i.iid (-1);
-          Id_table.set block_of i.iid b.bid)
-        b.phis;
-      Iseq.iteri
-        (fun k (i : Instr.t) ->
-          Id_table.set pos i.iid k;
-          Id_table.set block_of i.iid b.bid)
-        b.body)
-    f;
   (* single assignment for registers *)
   let reg_def_site = Id_table.create f.next_reg ~default:undefined in
   List.iter (fun r -> Id_table.set reg_def_site r (-1)) f.params;
-  Func.iter_blocks
-    (fun b ->
-      Block.iter_instrs
-        (fun i ->
-          match Instr.reg_def i.op with
-          | Some r ->
-              if Id_table.get reg_def_site r <> undefined then
-                add (err f.fname "register %s defined more than once" (Func.reg_name f r))
-              else Id_table.set reg_def_site r i.iid
-          | None -> ())
-        b)
-    f;
   (* the renamed variables: those with a versioned occurrence.  Derived
      from the function itself, not from [Func.mver], which hand-built
-     IR need not keep. *)
-  let renamed = Bitset.empty () in
-  let note_version (r : Resource.t) =
-    if r.ver > 0 then Bitset.add renamed r.base
+     IR need not keep.  The memory checks run in the same walk that
+     finds them, so they first take a version-0 resource to be of an
+     unversioned variable; when some renamed variable also occurs at
+     version 0 that guess was wrong, and the memory checks run again
+     with the renamed set known. *)
+  let renamed = Bitset.empty () and at_ver0 = Bitset.empty () in
+  let exact = ref false in
+  let unversioned (r : Resource.t) =
+    if !exact then not (Bitset.mem renamed r.base) else r.ver = 0
   in
-  Func.iter_blocks
-    (fun b -> Block.iter_instrs (fun i -> Instr.iter_mem note_version i.op) b)
-    f;
-  let unversioned (r : Resource.t) = not (Bitset.mem renamed r.base) in
   (* single assignment for the resources of renamed variables; no
      version 0.  Definition sites live in an array over the dense
      resource ids; a resource outside the numbering (hand-built IR)
@@ -105,9 +84,11 @@ let check (tab : Resource.table) (f : Func.t) : error list =
     if k <> Res_ids.miss then mem_def_site.(k) <- iid
     else Hashtbl.replace stray r iid
   in
+  (* every memory occurrence passes through here *)
   let check_ver (r : Resource.t) =
+    Bitset.add (if r.ver > 0 then renamed else at_ver0) r.base;
     if r.ver = 0 && not (unversioned r) then
-      add
+      add_mem
         (err f.fname "unversioned resource %s"
            (Format.asprintf "%a" (Resource.pp tab) r))
   in
@@ -117,7 +98,7 @@ let check (tab : Resource.table) (f : Func.t) : error list =
     check_ver r;
     if unversioned r then ()
     else if mem_def r <> undefined then
-      add
+      add_mem
         (err f.fname "resource %s defined more than once"
            (Format.asprintf "%a" (Resource.pp tab) r))
     else set_mem_def r iid
@@ -139,7 +120,7 @@ let check (tab : Resource.table) (f : Func.t) : error list =
     | (_, (r : Resource.t)) :: rest ->
         check_ver r;
         if r.base <> dst.base then
-          add
+          add_mem
             (err (loc bid)
                "memory phi of %s joins %s, a version of another variable"
                (Resource.var_name tab dst.base)
@@ -148,7 +129,7 @@ let check (tab : Resource.table) (f : Func.t) : error list =
   in
   let singleton bid what (r : Resource.t) =
     if unversioned r then
-      add
+      add_mem
         (err (loc bid) "%s of unversioned variable %s" what
            (Resource.var_name tab r.base))
   in
@@ -174,7 +155,34 @@ let check (tab : Resource.table) (f : Func.t) : error list =
     | Instr.Print _ ->
         ()
   in
-  Func.iter_blocks (fun b -> Block.iter_instrs (mem_instr b.bid) b) f;
+  let bid = ref (-1) in
+  let visit k (i : Instr.t) =
+    Id_table.set pos i.iid k;
+    Id_table.set block_of i.iid !bid;
+    (match Instr.reg_def i.op with
+    | Some r ->
+        if Id_table.get reg_def_site r <> undefined then
+          add_reg
+            (err f.fname "register %s defined more than once"
+               (Func.reg_name f r))
+        else Id_table.set reg_def_site r i.iid
+    | None -> ());
+    mem_instr !bid i
+  in
+  let visit_phi i = visit (-1) i in
+  Func.iter_blocks
+    (fun b ->
+      bid := b.bid;
+      Iseq.iter visit_phi b.phis;
+      Iseq.iteri visit b.body)
+    f;
+  if not (Bitset.disjoint renamed at_ver0) then begin
+    exact := true;
+    mem_errors := [];
+    Array.fill mem_def_site 0 (Array.length mem_def_site) undefined;
+    Hashtbl.reset stray;
+    Func.iter_blocks (fun b -> Block.iter_instrs (mem_instr b.bid) b) f
+  end;
   (* dominance of uses.  A definition at (db, dpos) reaches an ordinary
      use at (ub, upos) iff db strictly dominates ub, or db = ub and
      dpos < upos.  Entry definitions (parameters, entry versions of
@@ -193,11 +201,11 @@ let check (tab : Resource.table) (f : Func.t) : error list =
   let check_reg_use ~bid r ~use_bid ~use_pos =
     let iid = Id_table.get reg_def_site r in
     if iid = undefined then
-      add
+      add_dom
         (err (loc bid) "register %s used but never defined"
            (Func.reg_name f r))
     else if not (dominates_use ~def_iid:iid ~use_bid ~use_pos) then
-      add
+      add_dom
         (err (loc bid) "use of %s not dominated by its definition"
            (Func.reg_name f r))
   in
@@ -207,7 +215,7 @@ let check (tab : Resource.table) (f : Func.t) : error list =
     (* no definition: the entry version, defined at entry *)
     if iid <> undefined && not (dominates_use ~def_iid:iid ~use_bid ~use_pos)
     then
-      add
+      add_dom
         (err (loc bid) "use of %s not dominated by its definition"
            (Format.asprintf "%a" (Resource.pp tab) r))
   in
@@ -218,10 +226,11 @@ let check (tab : Resource.table) (f : Func.t) : error list =
         check_mem_use ~bid r ~use_bid:bid ~use_pos:k;
         mem_uses bid k rest
   in
+  let use_pos = ref 0 in
+  let reg_use r = check_reg_use ~bid:!bid r ~use_bid:!bid ~use_pos:!use_pos in
   let body_instr bid k (i : Instr.t) =
-    Instr.iter_reg_uses
-      (fun r -> check_reg_use ~bid r ~use_bid:bid ~use_pos:k)
-      i.op;
+    use_pos := k;
+    Instr.iter_reg_uses reg_use i.op;
     match i.op with
     | Instr.Load { src; _ } -> check_mem_use ~bid src ~use_bid:bid ~use_pos:k
     | Instr.Ptr_load { muses; _ }
@@ -255,6 +264,7 @@ let check (tab : Resource.table) (f : Func.t) : error list =
   in
   Func.iter_blocks
     (fun b ->
+      bid := b.bid;
       let bid = b.bid in
       Iseq.iteri (body_instr bid) b.body;
       (match b.term with
@@ -263,7 +273,8 @@ let check (tab : Resource.table) (f : Func.t) : error list =
       | Block.Br _ | Block.Ret _ | Block.Jmp _ -> ());
       Iseq.iter (phi_instr bid) b.phis)
     f;
-  List.rev !errors
+  structural @ List.rev_append !reg_errors
+    (List.rev_append !mem_errors (List.rev !dom_errors))
 
 let errors_to_string errs =
   String.concat "\n"

@@ -410,16 +410,3 @@ let scan ?(arena = arena ()) (tab : Resource.table) (f : Func.t)
     members;
     res = a.res;
   }
-
-(* All webs of the blocks in [blocks].  Each web is the list of its
-   member resources.  Only candidates are considered: arrays, heap
-   names and unversioned variables never form webs. *)
-let in_blocks (tab : Resource.table) (f : Func.t) (blocks : Ids.IntSet.t) :
-    Resource.t list list =
-  let s = scan tab f blocks in
-  let cls = Array.make s.nwebs [] in
-  for m = s.nmembers - 1 downto 0 do
-    let i = s.members.(m) in
-    cls.(s.web.(i)) <- s.res.(i) :: cls.(s.web.(i))
-  done;
-  Array.to_list cls

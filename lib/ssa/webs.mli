@@ -66,8 +66,9 @@ type scan = private {
   sites : site array;  (** indexed by the site of [occ_what] *)
   nwebs : int;
   web : int array;
-      (** per resource id: its web's position in {!in_blocks} order, or
-          -1 for a resource in no web *)
+      (** per resource id: its web's position, or -1 for a resource in
+          no web.  Webs are numbered by the first occurrence of a
+          member in the scan. *)
   nmembers : int;
   members : int array;
       (** the ids of all web members, in first-occurrence order *)
@@ -85,12 +86,3 @@ type scan = private {
     read through [arena]'s block records (by default a fresh arena,
     which walks them all). *)
 val scan : ?arena:arena -> Resource.table -> Func.t -> Ids.IntSet.t -> scan
-
-(** All webs of the given block set; each web is its member list. Only
-    web candidates (see {!scan}) are considered.
-
-    The classes are those of a textbook union-find after the same
-    [add]/[union] sequence (the test suite's reference).  Webs are listed by the first occurrence of
-    a member in the scan, and each web's members in first-occurrence
-    order. *)
-val in_blocks : Resource.table -> Func.t -> Ids.IntSet.t -> Resource.t list list

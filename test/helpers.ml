@@ -176,3 +176,43 @@ let update ?engine ?protect (f : Func.t) ~cloned_res =
   if ir_of f <> ir_of g then
     Alcotest.fail "the updater left different IR with and without an index";
   check_index "index after the update" index g
+
+(* ------------------------------------------------------------------ *)
+(* Webs as member lists *)
+
+(* All webs of the blocks in [blocks], each the list of its member
+   resources, from one {!Rp_ssa.Webs.scan}.  Only web candidates are
+   considered: arrays, heap names and unversioned variables never form
+   webs.  The classes are those of a textbook union-find after the same
+   add/union sequence; webs are listed by the first occurrence of a
+   member in the scan, and each web's members in first-occurrence
+   order. *)
+let webs_in_blocks (tab : Resource.table) (f : Func.t)
+    (blocks : Ids.IntSet.t) : Resource.t list list =
+  let s = Rp_ssa.Webs.scan tab f blocks in
+  let cls = Array.make s.nwebs [] in
+  for m = s.nmembers - 1 downto 0 do
+    let i = s.members.(m) in
+    cls.(s.web.(i)) <- s.res.(i) :: cls.(s.web.(i))
+  done;
+  Array.to_list cls
+
+(* ------------------------------------------------------------------ *)
+(* The program set of the construction and clean-up equivalence suites *)
+
+(* (label, options, source): the named workloads, blur, dot and lpc
+   again with scalar replacement, and gen60 to gen480 in steps of 60 *)
+let equivalence_programs : (string * Rp_core.Pipeline.options * string) list =
+  let module R = Rp_workloads.Registry in
+  let d = Rp_core.Pipeline.default_options in
+  let scalrep = { d with Rp_core.Pipeline.scalrep = true } in
+  List.map (fun (w : R.workload) -> (w.R.name, d, w.R.source)) R.all
+  @ List.filter_map
+      (fun (w : R.workload) ->
+        if List.mem w.R.name [ "blur"; "dot"; "lpc" ] then
+          Some (w.R.name ^ " --scalrep", scalrep, w.R.source)
+        else None)
+      R.all
+  @ List.init 8 (fun k ->
+        let n = 60 * (k + 1) in
+        (Printf.sprintf "gen%d" n, d, (R.generated n).R.source))

@@ -164,7 +164,7 @@ int main() {
       (fun acc b -> Ids.IntSet.add b.Block.bid acc)
       Ids.IntSet.empty main
   in
-  let webs = Webs.in_blocks prog.Func.vartab main blocks in
+  let webs = Helpers.webs_in_blocks prog.Func.vartab main blocks in
   (* x has: entry version + store version + foo's def + bar's def;
      no phis in straight-line code, so each is its own web *)
   let x_webs =
@@ -185,7 +185,7 @@ let test_webs_join_phis () =
       (fun acc b -> Ids.IntSet.add b.Block.bid acc)
       Ids.IntSet.empty main
   in
-  let webs = Webs.in_blocks prog.Func.vartab main blocks in
+  let webs = Helpers.webs_in_blocks prog.Func.vartab main blocks in
   (* in the loop, x's entry version, phi version and store version are
      all connected into one web *)
   let x_web =
@@ -213,7 +213,7 @@ int main() {
       (fun acc b -> Ids.IntSet.add b.Block.bid acc)
       Ids.IntSet.empty main
   in
-  let webs = Webs.in_blocks prog.Func.vartab main blocks in
+  let webs = Helpers.webs_in_blocks prog.Func.vartab main blocks in
   Alcotest.(check int) "no webs for arrays" 0 (List.length webs)
 
 (* ------------------------------------------------------------------ *)

@@ -41,7 +41,7 @@ int main() {
       (fun (iv : Intervals.t) -> not iv.Intervals.is_root)
       tree.Intervals.all
   in
-  let webs = Rp_ssa.Webs.in_blocks prog.Func.vartab f loop.Intervals.blocks in
+  let webs = Helpers.webs_in_blocks prog.Func.vartab f loop.Intervals.blocks in
   (* x is variable 0 (first global declared); take its phi-connected
      web (the one with several members), not a singleton call-def web *)
   let x_web =
@@ -142,7 +142,7 @@ int main() {
       (fun (iv : Intervals.t) -> not iv.Intervals.is_root)
       tree.Intervals.all
   in
-  let webs = Rp_ssa.Webs.in_blocks prog.Func.vartab f loop.Intervals.blocks in
+  let webs = Helpers.webs_in_blocks prog.Func.vartab f loop.Intervals.blocks in
   let x_web =
     List.find
       (fun w ->
@@ -281,7 +281,7 @@ let check_same ctx (got : W.t) (want : W.t) =
 
 (* Every web of the interval, as one scan builds them, against the
    single-web scan, and the rescan of each variable's webs against
-   both; also that the webs are those of [Webs.in_blocks], in its
+   both; also that the webs are those of [Helpers.webs_in_blocks], in its
    order, and that a scan without all lists leaves out exactly the
    lists of the webs with nothing to remove. *)
 let check_interval ctx (tab : Resource.table) (f : Func.t) (iv : Intervals.t) =
@@ -297,7 +297,7 @@ let check_interval ctx (tab : Resource.table) (f : Func.t) (iv : Intervals.t) =
       else check_same (ctx ^ " without lists") p w)
     ws
     (W.of_interval ~all_lists:false tab f iv);
-  let webs = Rp_ssa.Webs.in_blocks tab f iv.Intervals.blocks in
+  let webs = Helpers.webs_in_blocks tab f iv.Intervals.blocks in
   if List.length ws <> List.length webs then Alcotest.failf "%s: web count" ctx;
   List.iter2
     (fun w members ->

@@ -1,10 +1,11 @@
 (* Web construction on dense resource ids against the reference.
 
-   [Webs.in_blocks] runs its union-find over int arrays; its classes
-   must be those of the [Union_find] reference, as sets.  Promotion
-   visits webs in the order [in_blocks] lists them, which must be the
-   order of first occurrence in the scan: webs by their earliest
-   member, and each web's members by their own first occurrence.
+   [Webs.scan] runs its union-find over int arrays; its classes, as
+   [Helpers.webs_in_blocks] lists them, must be those of the
+   [Union_find] reference, as sets.  Promotion visits webs in that
+   order, which must be the order of first occurrence in the scan: webs
+   by their earliest member, and each web's members by their own first
+   occurrence.
    Checked on random phi graphs and on every interval of the named
    workloads and gen60.  Also here: the stale-numbering contract of
    [Res_ids], and versions created after a scan arena's first walk. *)
@@ -188,7 +189,7 @@ let prop_random_graphs =
     (QCheck.make gen_graph ~print:print_graph)
     (fun g ->
       let tab, f, blocks = build_graph g in
-      let got = Webs.in_blocks tab f blocks
+      let got = Helpers.webs_in_blocks tab f blocks
       and want = reference_webs tab f blocks in
       as_sets got = as_sets want
       || QCheck.Test.fail_reportf "got  %s\nwant %s" (pp_webs got) (pp_webs want))
@@ -199,7 +200,7 @@ let prop_first_occurrence =
     (QCheck.make gen_graph ~print:print_graph)
     (fun g ->
       let tab, f, blocks = build_graph g in
-      let got = Webs.in_blocks tab f blocks in
+      let got = Helpers.webs_in_blocks tab f blocks in
       match order_error tab f blocks got with
       | None -> true
       | Some why -> QCheck.Test.fail_reportf "%s: %s" why (pp_webs got))
@@ -227,7 +228,7 @@ let test_workload_intervals () =
               List.iter
                 (fun (iv : Rp_analysis.Intervals.t) ->
                   let blocks = iv.Rp_analysis.Intervals.blocks in
-                  let got = Webs.in_blocks prog.Func.vartab f blocks in
+                  let got = Helpers.webs_in_blocks prog.Func.vartab f blocks in
                   let want = reference_webs prog.Func.vartab f blocks in
                   incr checked;
                   match check_webs prog.Func.vartab f blocks ~got ~want with

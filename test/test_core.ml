@@ -30,4 +30,6 @@ let () =
       ("serve_e2e", Suite_serve_e2e.suite);
       ("webs", Suite_webs.suite);
       ("fingerprint", Suite_fingerprint.suite);
+      ("construct", Suite_construct_oracle.suite);
+      ("cleanup", Suite_cleanup.suite);
     ]
