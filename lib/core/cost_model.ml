@@ -56,24 +56,33 @@ let loads_added (w : Web_info.t) : PointSet.t =
 
 (* The phis an aliased load transitively depends on, as marks over the
    web's slots: backward closure from the aliased loads' used resources
-   through phi operands. *)
+   through phi operands.  The slots span the web's version range, which
+   the may-definitions of calls make wide, so no table of phi operands
+   is built over them: passes over the web's phis mark the operands of
+   each marked phi until a pass marks nothing new.  The list runs in
+   reverse scan order, against the flow of values, so a pass or two
+   usually reaches the fixed point. *)
 let needed_phis (w : Web_info.t) : Bytes.t =
-  let n = Web_info.slots w in
-  let phi_of = Array.make n [] and needed = Bytes.make n '\000' in
-  List.iter
-    (fun ((site : Web_info.ref_site), dst) ->
-      phi_of.(Web_info.slot w dst) <- Instr.mphi_srcs site.instr.Instr.op)
-    w.Web_info.phis;
-  let rec need r =
+  let needed = Bytes.make (Web_info.slots w) '\000' in
+  let grew = ref false in
+  let need r =
     if Web_info.phi_defined w r then begin
       let k = Web_info.slot w r in
       if Bytes.get needed k = '\000' then begin
         Bytes.set needed k '\001';
-        List.iter (fun (_, x) -> need x) phi_of.(k)
+        grew := true
       end
     end
   in
   List.iter (fun (_, r) -> need r) w.Web_info.aliased_uses;
+  while !grew do
+    grew := false;
+    List.iter
+      (fun ((site : Web_info.ref_site), dst) ->
+        if Bytes.get needed (Web_info.slot w dst) <> '\000' then
+          List.iter (fun (_, x) -> need x) (Instr.mphi_srcs site.instr.Instr.op))
+      w.Web_info.phis
+  done;
   needed
 
 let dependent_phis (w : Web_info.t) : Resource.ResSet.t =
@@ -97,81 +106,90 @@ let same_point p q =
    point".  Set 1: store-defined operands of phis an aliased load
    depends on, at the end of the operand's predecessor.  Set 2: stores
    used directly by an aliased load, before that instruction.  Then the
-   dominance pruning from the paper. *)
+   dominance pruning from the paper.  Both sets start from the aliased
+   uses, so a web without one adds no store. *)
 let stores_added (f : Func.t) (dom : Dom.t) (w : Web_info.t) :
     (Resource.t * Web_info.point) list =
-  let needed = needed_phis w in
-  let set1 =
-    List.fold_left
-      (fun acc ((site : Web_info.ref_site), dst) ->
-        if Bytes.get needed (Web_info.slot w dst) <> '\000' then
+  if w.Web_info.aliased_uses = [] then []
+  else
+    let set1 =
+      match w.Web_info.phis with
+      | [] -> []
+      | phis ->
+          let needed = needed_phis w in
           List.fold_left
-            (fun acc (l, x) ->
-              if Web_info.store_defined w x then
-                (x, Web_info.At_block_end l) :: acc
+            (fun acc ((site : Web_info.ref_site), dst) ->
+              if Bytes.get needed (Web_info.slot w dst) <> '\000' then
+                List.fold_left
+                  (fun acc (l, x) ->
+                    if Web_info.store_defined w x then
+                      (x, Web_info.At_block_end l) :: acc
+                    else acc)
+                  acc
+                  (Instr.mphi_srcs site.instr.Instr.op)
               else acc)
-            acc
-            (Instr.mphi_srcs site.instr.Instr.op)
-        else acc)
-      [] w.Web_info.phis
-  in
-  let set2 =
-    List.filter_map
-      (fun ((site : Web_info.ref_site), r) ->
-        if Web_info.store_defined w r then
-          Some (r, Web_info.Before_instr (site.bid, site.instr))
-        else None)
-      w.Web_info.aliased_uses
-  in
-  (* dedupe *)
-  let all =
-    List.sort_uniq
-      (fun (r1, p1) (r2, p2) ->
-        let c = Resource.compare r1 r2 in
-        if c <> 0 then c
-        else
+            [] phis
+    in
+    let candidates =
+      List.fold_left
+        (fun acc ((site : Web_info.ref_site), r) ->
+          if Web_info.store_defined w r then
+            (r, Web_info.Before_instr (site.bid, site.instr)) :: acc
+          else acc)
+        set1 w.Web_info.aliased_uses
+    in
+    match candidates with
+    | [] | [ _ ] -> candidates (* nothing to dedupe or prune *)
+    | _ :: _ :: _ ->
+        let all =
+          List.sort_uniq
+            (fun (r1, p1) (r2, p2) ->
+              let c = Resource.compare r1 r2 in
+              if c <> 0 then c
+              else
+                match (p1, p2) with
+                | Web_info.At_block_end b1, Web_info.At_block_end b2 ->
+                    Int.compare b1 b2
+                | Web_info.Before_instr (_, i1), Web_info.Before_instr (_, i2)
+                  ->
+                    Int.compare i1.Instr.iid i2.Instr.iid
+                | Web_info.At_block_end _, Web_info.Before_instr _ -> -1
+                | Web_info.Before_instr _, Web_info.At_block_end _ -> 1)
+            candidates
+        in
+        (* [p1] comes before [p2] in their block: a block end after
+           every instruction of the body, two instructions in body
+           order.  Few pairs share a block, so the body is searched
+           for each rather than indexed. *)
+        let earlier p1 p2 =
           match (p1, p2) with
-          | Web_info.At_block_end b1, Web_info.At_block_end b2 ->
-              Int.compare b1 b2
-          | Web_info.Before_instr (_, i1), Web_info.Before_instr (_, i2) ->
-              Int.compare i1.Instr.iid i2.Instr.iid
-          | Web_info.At_block_end _, Web_info.Before_instr _ -> -1
-          | Web_info.Before_instr _, Web_info.At_block_end _ -> 1)
-      (set1 @ set2)
-  in
-  (* positions for same-block comparisons, indexed lazily: only the
-     handful of blocks that actually appear in [all] get scanned *)
-  let pos_in_block : (Ids.iid, int) Hashtbl.t = Hashtbl.create 32 in
-  let indexed_blocks : (Ids.bid, unit) Hashtbl.t = Hashtbl.create 8 in
-  let ensure_indexed bid =
-    if not (Hashtbl.mem indexed_blocks bid) then begin
-      Hashtbl.add indexed_blocks bid ();
-      Iseq.iteri
-        (fun k (i : Instr.t) -> Hashtbl.replace pos_in_block i.iid k)
-        (Func.block f bid).Block.body
-    end
-  in
-  let point_pos = function
-    | Web_info.At_block_end _ -> max_int
-    | Web_info.Before_instr (bid, i) -> (
-        ensure_indexed bid;
-        match Hashtbl.find_opt pos_in_block i.Instr.iid with
-        | Some p -> p
-        | None -> max_int)
-  in
-  let dominates p1 p2 =
-    let b1 = Web_info.point_bid p1 and b2 = Web_info.point_bid p2 in
-    if b1 = b2 then point_pos p1 < point_pos p2
-    else Dom.strictly_dominates dom ~a:b1 ~b:b2
-  in
-  List.filter
-    (fun (x, p) ->
-      not
-        (List.exists
-           (fun (x', p') ->
-             Resource.equal x x' && (not (same_point p' p)) && dominates p' p)
-           all))
-    all
+          | Web_info.Before_instr (bid, i1), Web_info.Before_instr (_, i2) -> (
+              match
+                Iseq.find_opt
+                  (fun (i : Instr.t) -> i.iid = i1.iid || i.iid = i2.iid)
+                  (Func.block f bid).Block.body
+              with
+              | Some i -> i.iid = i1.Instr.iid
+              | None -> false)
+          | Web_info.Before_instr (bid, i1), Web_info.At_block_end _ ->
+              Iseq.mem (Func.block f bid).Block.body i1.Instr.iid
+          | Web_info.At_block_end _, _ -> false
+        in
+        let dominates p1 p2 =
+          let b1 = Web_info.point_bid p1 and b2 = Web_info.point_bid p2 in
+          if b1 = b2 then earlier p1 p2
+          else Dom.strictly_dominates dom ~a:b1 ~b:b2
+        in
+        List.filter
+          (fun (x, p) ->
+            not
+              (List.exists
+                 (fun (x', p') ->
+                   Resource.equal x x'
+                   && (not (same_point p' p))
+                   && dominates p' p)
+                 all))
+          all
 
 (* ------------------------------------------------------------------ *)
 (* Pricing *)
@@ -208,15 +226,14 @@ let evaluate ~(allow_store_removal : bool) ~(freq : float array) (f : Func.t)
     (* both halves of stores_added start from store-defined resources:
        a web without singleton stores adds none *)
     let sa = if w.Web_info.stores = [] then [] else stores_added f dom w in
-    let removable_loads =
-      List.filter
-        (fun (_, r) -> Web_info.store_defined w r || Web_info.phi_defined w r)
-        w.Web_info.loads
+    let removable (_, r) =
+      Web_info.store_defined w r || Web_info.phi_defined w r
     in
     let load_benefit =
       List.fold_left
-        (fun acc ((s : Web_info.ref_site), _) -> acc +. freq s.bid)
-        0.0 removable_loads
+        (fun acc (((s : Web_info.ref_site), _) as load) ->
+          if removable load then acc +. freq s.bid else acc)
+        0.0 w.Web_info.loads
     in
     let load_cost = PointSet.fold (fun (_, l) acc -> acc +. freq l) la 0.0 in
     let store_benefit =
@@ -242,7 +259,7 @@ let evaluate ~(allow_store_removal : bool) ~(freq : float array) (f : Func.t)
     in
     {
       profit;
-      effective = removable_loads <> [] || remove_stores;
+      effective = List.exists removable w.Web_info.loads || remove_stores;
       remove_stores;
       la;
       sa;

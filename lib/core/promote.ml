@@ -282,25 +282,36 @@ let reaching_def_at_end (index : Occ_index.t) (dom : Dom.t) ~(base : Ids.vid)
    block. *)
 let insert_stores_at_tails (ctx : web_ctx) (dom : Dom.t) (iv : Intervals.t) :
     Resource.ResSet.t =
-  let base = ctx.w.Web_info.base in
+  let w = ctx.w in
+  let base = w.Web_info.base in
   let outside bid = not (Ids.IntSet.mem bid iv.Intervals.blocks) in
-  (* used in a block outside the interval; a phi source is used at the
-     end of its predecessor *)
-  let live_outside (r : Resource.t) =
-    let found = ref false in
-    Occ_index.iter ctx.index base (fun bid (i : Instr.t) ~defs:_ ~uses ->
-        if outside bid && List.exists (Resource.equal r) uses then
-          found := true;
-        List.iter
-          (fun (p, s) -> if Resource.equal r s && outside p then found := true)
-          (Instr.mphi_srcs i.op));
-    !found
+  (* Marks over the web's slots of the members used in a block outside
+     the interval (a phi source is used at the end of its predecessor),
+     from one walk of the variable's entries at the first exit edge
+     that asks.  The stores placed here use no resource, so the marks
+     hold for every later edge. *)
+  let used_outside =
+    lazy
+      (let used = Bytes.make (Web_info.slots w) '\000' in
+       let note r =
+         let k = Web_info.slot w r in
+         if k >= 0 then Bytes.set used k '\001'
+       in
+       Occ_index.iter ctx.index base (fun bid (i : Instr.t) ~defs:_ ~uses ->
+           if outside bid then List.iter note uses;
+           List.iter
+             (fun (p, s) -> if outside p then note s)
+             (Instr.mphi_srcs i.op));
+       used)
+  in
+  let live_outside r =
+    Bytes.get (Lazy.force used_outside) (Web_info.slot w r) <> '\000'
   in
   List.fold_left
     (fun acc (src, tail) ->
       match reaching_def_at_end ctx.index dom ~base src with
       | Some r
-        when (Web_info.store_defined ctx.w r || Web_info.phi_defined ctx.w r)
+        when (Web_info.store_defined w r || Web_info.phi_defined w r)
              && live_outside r ->
           let v = materialize ctx r in
           let clone = Func.fresh_ver ctx.f r.Resource.base in
@@ -378,12 +389,13 @@ let add_dummy (f : Func.t) (index : Occ_index.t) (w : Web_info.t)
 
 (* ------------------------------------------------------------------ *)
 
-(* Returns true when the store-removal path ran, i.e. when the
-   incremental updater rewrote the function.  That is the only web
-   transformation that can touch instructions of OTHER webs (the
-   updater renames uses and sweeps dead definitions across every
-   version of the variable), so the caller uses it to invalidate
-   precomputed web infos of the same base. *)
+(* Returns true when the incremental updater rewrote the function,
+   which the store-removal path does only when it inserted clones.
+   That is the only web transformation that can touch instructions of
+   OTHER webs (the updater renames uses and sweeps dead definitions
+   across every version of the variable), so the caller uses it to
+   invalidate precomputed web infos of the same base.  Store removal
+   without the updater deletes only the web's own stores. *)
 let promote_web (cfg : config) ~(freq : float array) ~(index : Occ_index.t)
     ~(on_edit : Occ_index.t -> unit) (f : Func.t) (dom : Dom.t)
     (iv : Intervals.t) (stats : stats) (pctx : Cost_model.pressure_ctx option)
@@ -469,27 +481,30 @@ let promote_web (cfg : config) ~(freq : float array) ~(index : Occ_index.t)
       init_vr_map ctx;
       insert_loads_at_phi_leaves ctx d.la;
       replace_loads_by_copies ctx;
-      if d.remove_stores then begin
-        let cloned1 = insert_stores ctx d.sa in
-        let cloned2 =
-          Rp_obs.Trace.with_span "promote.tails" @@ fun () ->
-          insert_stores_at_tails ctx dom iv
-        in
-        let cloned = Resource.ResSet.union cloned1 cloned2 in
-        Incremental.update_for_cloned_resources ~engine:cfg.engine ~index f
-          ~cloned_res:cloned;
-        (* the updater runs only when there are clones to wire up *)
-        let updated = not (Resource.ResSet.is_empty cloned) in
-        if updated then on_edit index;
-        (Rp_obs.Trace.with_span "promote.deadstores" @@ fun () ->
-         delete_dead_stores ctx ~updated);
-        stats.webs_store_removal <- stats.webs_store_removal + 1
-      end;
+      let updated =
+        if not d.remove_stores then false
+        else
+          let cloned1 = insert_stores ctx d.sa in
+          let cloned2 =
+            Rp_obs.Trace.with_span "promote.tails" @@ fun () ->
+            insert_stores_at_tails ctx dom iv
+          in
+          let cloned = Resource.ResSet.union cloned1 cloned2 in
+          Incremental.update_for_cloned_resources ~engine:cfg.engine ~index f
+            ~cloned_res:cloned;
+          (* the updater runs only when there are clones to wire up *)
+          let updated = not (Resource.ResSet.is_empty cloned) in
+          if updated then on_edit index;
+          (Rp_obs.Trace.with_span "promote.deadstores" @@ fun () ->
+           delete_dead_stores ctx ~updated);
+          stats.webs_store_removal <- stats.webs_store_removal + 1;
+          updated
+      in
       stats.webs_promoted <- stats.webs_promoted + 1;
       (* "if there are aliased loads in web, add a dummy aliased load
          in the preheader that aliases the live-in resource" *)
       if w.Web_info.aliased then add_dummy f index w stats cfg iv;
-      d.remove_stores
+      updated
     end
   end
 
@@ -552,8 +567,10 @@ let promote_in_interval ?(on_edit = ignore) ?admit (cfg : config)
      Promoting a web only touches its own resources (plus fresh clones
      outside any web) — except when the store-removal path runs the
      incremental updater, which renames uses and sweeps dead definitions
-     across every version of the variable.  Track those bases and rescan
-     for their later webs instead of using the stale precomputation. *)
+     across every version of the variable.  Track the bases the updater
+     rewrote and rescan for their later webs instead of using the stale
+     precomputation; store removal without clones deletes only the
+     web's own stores and needs no rescan. *)
   let infos =
     Rp_obs.Trace.with_span "promote.webinfo" @@ fun () ->
     (* without a budget no web with nothing to remove is priced, so

@@ -9,16 +9,24 @@
 
    Step 1  collect the definition blocks of the old and cloned
            resources, compute their iterated dominance frontier, and
-           place an (empty) phi at the head of each IDF block;
+           place a candidate phi at the head of each IDF block: a
+           version and a definition for renaming, not yet an
+           instruction;
    Step 2  rename every use of an old resource to the definition that
            reaches it, found by walking up the dominator tree
            (computeReachingDef);
-   Step 3  propagate liveness into the placed phis with a worklist,
-           filling their source operands from the reaching definition
-           at the end of each predecessor;
+   Step 3  propagate liveness into the candidates with a worklist,
+           building each live one with its source operands from the
+           reaching definition at the end of each predecessor;
    Step 4  delete every definition (old store, cloned store, or placed
            phi) whose resource ends up with no uses, cascading through
            phi operands, so the transformation leaves no dead code.
+
+   A candidate step 3 never reaches is never built.  That is the same
+   program as placing it and deleting it unused: nothing refers to its
+   version, so removing the unused definition preserves meaning. Its
+   version is still reserved in step 1, so version numbers do not
+   depend on which candidates turn out live.
 
    The IDF engine is pluggable — Cytron's iterated dominance frontier
    or the Sreedhar–Gao DJ-graph algorithm the paper cites [SrG95] — so
@@ -153,8 +161,24 @@ let update_for_cloned_resources ?(engine = Cytron)
              Resource.pp_raw r)
       else r.ver
     in
+    (* An instruction's position is its rank among the variable's
+       entries in its block: the index lists them in block order, and
+       positions are only compared within one block. *)
+    let iter_ranked fn =
+      let cur = ref (-1) and rank = ref 0 in
+      Occ_index.iter index base (fun bid i ~defs ~uses ->
+          if bid <> !cur then begin
+            cur := bid;
+            rank := 0
+          end
+          else incr rank;
+          fn bid !rank i ~defs ~uses)
+    in
+    (* per-block def lists of every old, cloned and placed resource *)
+    let ctx = { dom; block_defs = Array.make (Func.num_blocks f) [] } in
     (* complete the old set — every resource of this variable in [f] —
-       and note the block defining each version (-1: entry) *)
+       note the block defining each version (-1: entry), and enter each
+       definition in its block's list *)
     let kind = Array.make (top0 + 1) absent in
     let def_block = Array.make (top0 + 1) (-1) in
     Resource.ResSet.iter (fun r -> kind.(ver_of r) <- cloned) cloned_res;
@@ -164,14 +188,22 @@ let update_for_cloned_resources ?(engine = Cytron)
         if kind.(v) = absent then kind.(v) <- old
       end
     in
-    Occ_index.iter index base (fun bid i ~defs ~uses ->
+    iter_ranked (fun bid pos i ~defs ~uses ->
         List.iter
           (fun (r : Resource.t) ->
             note r;
-            def_block.(r.ver) <- bid)
+            def_block.(r.ver) <- bid;
+            add_block_def ctx bid { dpos = pos; dres = r })
           defs;
         List.iter note uses;
         List.iter (fun (_, r) -> note r) (Instr.mphi_srcs i.op));
+    (* the entry definition, if this variable has one: only an old
+       resource can be entry-defined *)
+    for v = 0 to top0 do
+      if kind.(v) = old && def_block.(v) < 0 then
+        add_block_def ctx f.entry
+          { dpos = -max_int; dres = { Resource.base; ver = v } }
+    done;
     (* --- Step 1: place phis at the IDF of all definition blocks --- *)
     let init_def_bbs = Bitset.empty () in
     Array.iteri
@@ -188,19 +220,11 @@ let update_for_cloned_resources ?(engine = Cytron)
           let dj = Djgraph.build f dom in
           Djgraph.idf dj init_def_bbs
     in
-    let placed_phis = ref [] in
-    Bitset.iter
-      (fun bid ->
-        let b = Func.block f bid in
-        let dst = Func.fresh_ver f base in
-        let i = Func.mk_instr f (Instr.Mphi { dst; srcs = [] }) in
-        (* prepended: an existing phi of the same variable in this block
-           comes later in scan order and shadows the new one, which then
-           dies in step 4 — the paper's "inserted redundant phi" *)
-        Block.add_phi b i;
-        Occ_index.note index bid i;
-        placed_phis := (dst.Resource.ver, i, bid) :: !placed_phis)
-      idf_set;
+    (* each IDF block's candidate: its version, reserved in block order;
+       step 3 builds the instruction if the candidate is live *)
+    let candidates =
+      Bitset.fold (fun bid acc -> (bid, Func.fresh_ver f base) :: acc) idf_set []
+    in
     Rp_obs.Trace.add_attr "phis_placed"
       (string_of_int (Bitset.cardinal idf_set));
     Rp_obs.Metrics.add "ssa.update.phis_placed" (Bitset.cardinal idf_set);
@@ -215,51 +239,37 @@ let update_for_cloned_resources ?(engine = Cytron)
       if r.base = base && r.ver >= 0 && r.ver < nv then kind.(r.ver)
       else absent
     in
-    let placed_instr = Array.make nv None and placed_bid = Array.make nv (-1) in
+    let placed_bid = Array.make nv (-1) in
+    (* a candidate defines its version at the head of its block: after
+       the entry definition, before every instruction of the block, so
+       an existing phi of the same variable there shadows it (the
+       paper's "inserted redundant phi", which then stays unbuilt) *)
     List.iter
-      (fun (v, i, bid) ->
-        kind.(v) <- placed;
-        placed_instr.(v) <- Some i;
-        placed_bid.(v) <- bid)
-      !placed_phis;
-    (* per-block def lists of every old, cloned and placed resource *)
-    let ctx = { dom; block_defs = Array.make (Func.num_blocks f) [] } in
-    (* An instruction's position is its rank among the variable's
-       entries in its block: the index lists them in block order, and
-       positions are only compared within one block. *)
-    let iter_ranked fn =
-      let cur = ref (-1) and rank = ref 0 in
-      Occ_index.iter index base (fun bid i ~defs ~uses ->
-          if bid <> !cur then begin
-            cur := bid;
-            rank := 0
-          end
-          else incr rank;
-          fn bid !rank i ~defs ~uses)
+      (fun (bid, (dst : Resource.t)) ->
+        kind.(dst.ver) <- placed;
+        placed_bid.(dst.ver) <- bid;
+        add_block_def ctx bid { dpos = -1; dres = dst })
+      candidates;
+    (* Step 4 counts the uses each version has once the update is done,
+       and lists its deletable definitions (singleton stores and phis of
+       an old, cloned or placed resource).  Steps 2 and 3 fill both as
+       they go: step 2 visits every instruction of the variable and
+       knows its final uses, step 3 builds the only new ones. *)
+    let counts = Array.make nv 0 in
+    let bump r =
+      if kind_of r <> absent then counts.(r.ver) <- counts.(r.ver) + 1
     in
-    iter_ranked (fun bid pos _ ~defs ~uses:_ ->
-        List.iter
-          (fun r ->
-            if kind_of r <> absent then
-              add_block_def ctx bid { dpos = pos; dres = r })
-          defs);
-    (* the entry definition, if this variable has one.  Only the old
-       resources can be entry-defined: the def scan above predates phi
-       placement, so the placed phi targets (and any cloned resource)
-       would look "entry-defined" to it — their real definitions are
-       picked up by the instruction scan. *)
-    for v = 0 to top0 do
-      if kind.(v) = old && def_block.(v) < 0 then
-        add_block_def ctx f.entry
-          { dpos = -max_int; dres = { Resource.base; ver = v } }
-    done;
+    let defs = Array.make nv [] in
+    let deletable b (i : Instr.t) (dst : Resource.t) =
+      if kind_of dst <> absent then defs.(dst.ver) <- (b, i) :: defs.(dst.ver)
+    in
     (* --- Step 2: rename uses of old resources --- *)
-    let phi_work : Instr.t Queue.t = Queue.create () in
-    let in_work = Array.make nv false and live_phi = Array.make nv false in
+    let phi_work : Resource.t Queue.t = Queue.create () in
+    let in_work = Array.make nv false in
     let enqueue_if_placed_phi (r : Resource.t) =
       if kind_of r = placed && not in_work.(r.ver) then begin
         in_work.(r.ver) <- true;
-        Queue.add (Option.get placed_instr.(r.ver)) phi_work
+        Queue.add r phi_work
       end
     in
     let reach ~bid ~pos (r : Resource.t) =
@@ -274,76 +284,76 @@ let update_for_cloned_resources ?(engine = Cytron)
           r
     in
     let is_old r = kind_of r = old in
+    (* does renaming give this use another definition? *)
+    let moves ~bid ~pos r =
+      is_old r && not (Resource.equal (reach ~bid ~pos r) r)
+    in
+    (* Only an instruction where some use of an old resource gets another
+       reaching definition is rewritten: the others keep their opcode,
+       and their block its stamp.  [reach] is asked again for the uses
+       the test already asked about; it answers the same. *)
     iter_ranked (fun bid pos (i : Instr.t) ~defs:_ ~uses ->
+        let b = Func.block f bid in
         match i.op with
         | Instr.Mphi { dst; srcs } ->
             (* phi-source uses of pre-existing phis: virtual use at the
                end of the predecessor *)
-            if
-              kind_of dst <> placed
-              && List.exists (fun (_, r) -> is_old r) srcs
-            then
-              let srcs =
-                List.map
-                  (fun (p, r) ->
-                    if is_old r then (p, reach ~bid:p ~pos:max_int r)
-                    else (p, r))
-                  srcs
-              in
-              Block.set_op (Func.block f bid) i (Instr.Mphi { dst; srcs })
-        | _ ->
-            (* only the instructions that use an old resource are
-               rewritten *)
-            if List.exists is_old uses then
-              Block.set_op (Func.block f bid) i
-                (Instr.map_mem_uses
-                   (fun r -> if is_old r then reach ~bid ~pos r else r)
-                   i.op));
-    (* --- Step 3: fill in the sources of live placed phis --- *)
-    while not (Queue.is_empty phi_work) do
-      let phi = Queue.pop phi_work in
-      match phi.op with
-      | Instr.Mphi { dst; _ } ->
-          live_phi.(dst.Resource.ver) <- true;
-          let b = Func.block f placed_bid.(dst.Resource.ver) in
-          let srcs =
-            List.map
-              (fun p ->
-                let rd =
-                  match compute_reaching_def ctx ~bid:p ~pos:max_int with
-                  | Some rd -> rd
-                  | None ->
-                      invalid_arg
-                        "Incremental.update: no definition reaches a live \
-                         phi source"
+            let srcs =
+              if List.exists (fun (p, r) -> moves ~bid:p ~pos:max_int r) srcs
+              then begin
+                let srcs =
+                  List.map
+                    (fun (p, r) ->
+                      if is_old r then (p, reach ~bid:p ~pos:max_int r)
+                      else (p, r))
+                    srcs
                 in
-                enqueue_if_placed_phi rd;
-                (p, rd))
-              b.preds
-          in
-          Block.set_op b phi (Instr.Mphi { dst; srcs })
-      | _ -> assert false
+                Block.set_op b i (Instr.Mphi { dst; srcs });
+                srcs
+              end
+              else srcs
+            in
+            List.iter (fun (_, r) -> bump r) srcs;
+            deletable b i dst
+        | op ->
+            let uses =
+              if List.exists (moves ~bid ~pos) uses then begin
+                let rename r = if is_old r then reach ~bid ~pos r else r in
+                Block.set_op b i (Instr.map_mem_uses rename op);
+                List.map rename uses
+              end
+              else uses
+            in
+            List.iter bump uses;
+            (match op with Instr.Store { dst; _ } -> deletable b i dst | _ -> ()));
+    (* --- Step 3: build the live candidates with their sources --- *)
+    while not (Queue.is_empty phi_work) do
+      let dst = Queue.pop phi_work in
+      let bid = placed_bid.(dst.Resource.ver) in
+      let b = Func.block f bid in
+      let srcs =
+        List.map
+          (fun p ->
+            let rd =
+              match compute_reaching_def ctx ~bid:p ~pos:max_int with
+              | Some rd -> rd
+              | None ->
+                  invalid_arg
+                    "Incremental.update: no definition reaches a live phi \
+                     source"
+            in
+            enqueue_if_placed_phi rd;
+            bump rd;
+            (p, rd))
+          b.preds
+      in
+      (* prepended: first in the phi section, where renaming put it *)
+      let i = Func.mk_instr f (Instr.Mphi { dst; srcs }) in
+      Block.add_phi b i;
+      Occ_index.note index bid i;
+      deletable b i dst
     done;
-    (* delete placed phis that never became live (they still have empty
-       source lists and would be structurally invalid) *)
-    List.iter
-      (fun (v, (i : Instr.t), bid) ->
-        if not live_phi.(v) then Block.remove_instr (Func.block f bid) ~iid:i.iid)
-      !placed_phis;
     (* --- Step 4: delete definitions with no uses, cascading --- *)
-    let counts = Array.make nv 0 in
-    let bump r = if kind_of r <> absent then counts.(r.ver) <- counts.(r.ver) + 1 in
-    (* the deletable definitions of each version: singleton stores and
-       phis of an old, cloned or placed resource *)
-    let defs = Array.make nv [] in
-    Occ_index.iter index base (fun bid i ~defs:_ ~uses ->
-        List.iter bump uses;
-        List.iter (fun (_, r) -> bump r) (Instr.mphi_srcs i.op);
-        match i.op with
-        | Instr.Store { dst; _ } | Instr.Mphi { dst; _ } ->
-            if kind_of dst <> absent then
-              defs.(dst.ver) <- (Func.block f bid, i) :: defs.(dst.ver)
-        | _ -> ());
     let swept = Array.make nv false in
     let doomed = Stack.create () in
     let sweep v =

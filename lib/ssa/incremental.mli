@@ -1,10 +1,10 @@
 (** Incremental SSA update for cloned definitions (paper section 4.5,
     Figure 11): one batch iterated-dominance-frontier computation
-    places phis for all cloned definitions at once, uses are renamed to
-    their new reaching definitions by dominator-tree walks, phi
-    liveness is propagated by a worklist, and definitions left without
-    uses are deleted (cascading), so the transformation introduces no
-    dead code.
+    places candidate phis for all cloned definitions at once, uses are
+    renamed to their new reaching definitions by dominator-tree walks,
+    phi liveness is propagated by a worklist that builds only the live
+    candidates, and definitions left without uses are deleted
+    (cascading), so the transformation introduces no dead code.
 
     Deleting a dead store is sound in this IR because every observation
     of memory is an explicit use (loads, aliased loads, the [Exit_use]
@@ -34,7 +34,7 @@ val engine_of_string : string -> engine option
     Every walk over the variable's instructions reads [index] (by
     default one built for the call), which must be current for [f]:
     the cloned definitions registered with {!Occ_index.note}. The
-    phis the update places are registered in it, so it stays current
+    phis the update builds are registered in it, so it stays current
     for the caller. *)
 val update_for_cloned_resources :
   ?engine:engine ->

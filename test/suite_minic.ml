@@ -39,6 +39,35 @@ let test_lexer_bad_char () =
   Alcotest.check_raises "bad char" (Lexer.Error "1:1: unexpected character @")
     (fun () -> ignore (toks "@"))
 
+(* The end of the input and a NUL byte in it: the lexer's look-ahead
+   reads NUL past the end, which must neither end a token early nor
+   hide a NUL of the input. *)
+let test_lexer_end_of_input () =
+  let raises what msg src =
+    Alcotest.check_raises what (Lexer.Error msg) (fun () -> ignore (toks src))
+  in
+  raises "NUL byte" "1:3: unexpected character \000" "x \000 y";
+  raises "NUL byte first" "1:1: unexpected character \000" "\000";
+  raises "NUL after an operator" "2:2: unexpected character \000" "x\n<\000";
+  Alcotest.(check int) "NUL in comments" 2
+    (List.length (toks "// \000\n/* \000 */ x"));
+  raises "unterminated comment at the end" "2:3: unterminated comment"
+    "x\ny /*";
+  raises "unterminated comment, star last" "1:1: unterminated comment" "/**";
+  raises "unterminated comment, slash inside" "1:3: unterminated comment"
+    "x /*/";
+  (match toks "x<" with
+  | [ IDENT "x"; LT; EOF ] -> ()
+  | _ -> Alcotest.fail "operator at the end mislexed");
+  match Lexer.tokenize "ab\n12" with
+  | [ a; b; eof ] ->
+      Alcotest.(check (list (pair int int)))
+        "positions up to EOF" [ (1, 1); (2, 1); (2, 3) ]
+        (List.map
+           (fun (t : Token.spanned) -> (t.Token.line, t.Token.col))
+           [ a; b; eof ])
+  | _ -> Alcotest.fail "expected two tokens"
+
 (* ------------------------------------------------------------------ *)
 (* Parser *)
 
@@ -412,4 +441,5 @@ let suite =
     Alcotest.test_case "lower struct fields" `Quick test_lower_struct_fields;
     Alcotest.test_case "lower singleton deref opt" `Quick test_lower_singleton_deref_opt;
     Alcotest.test_case "lower workloads validate" `Quick test_lower_validates;
+    Alcotest.test_case "lexer end of input" `Quick test_lexer_end_of_input;
   ]
