@@ -66,32 +66,8 @@ let ptr_store b addr src ~may_def =
   let rs = List.map Resource.unversioned may_def in
   ignore (emit b (Instr.Ptr_store { addr; src; mdefs = rs; muses = rs }))
 
-(* Call with a result register; returns the result operand. *)
-let call_ret b callee args ~may_def ~may_use : Instr.operand =
-  let dst = fresh_reg b in
-  ignore
-    (emit b
-       (Instr.Call
-          {
-            dst = Some dst;
-            callee;
-            args;
-            mdefs = List.map Resource.unversioned may_def;
-            muses = List.map Resource.unversioned may_use;
-          }));
-  Reg dst
-
-let call_instr b ~(dst : Ids.reg option) callee args ~may_def ~may_use =
-  ignore
-    (emit b
-       (Instr.Call
-          {
-            dst;
-            callee;
-            args;
-            mdefs = List.map Resource.unversioned may_def;
-            muses = List.map Resource.unversioned may_use;
-          }))
+let call_instr b ~(dst : Ids.reg option) callee args =
+  ignore (emit b (Instr.Call { dst; callee; args; mdefs = []; muses = [] }))
 
 let print b src = ignore (emit b (Instr.Print { src }))
 

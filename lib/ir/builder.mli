@@ -34,15 +34,6 @@ val addr_of : t -> Ids.vid -> Instr.operand -> Instr.operand
 
 val ptr_load : t -> Instr.operand -> may_use:Ids.vid list -> Instr.operand
 
-(** Call with a result register. *)
-val call_ret :
-  t ->
-  Instr.call_kind ->
-  Instr.operand list ->
-  may_def:Ids.vid list ->
-  may_use:Ids.vid list ->
-  Instr.operand
-
 (** {2 Effects} *)
 
 val copy : t -> dst:Ids.reg -> Instr.operand -> unit
@@ -51,14 +42,9 @@ val store : t -> Ids.vid -> Instr.operand -> unit
 
 val ptr_store : t -> Instr.operand -> Instr.operand -> may_def:Ids.vid list -> unit
 
+(** A call listing nothing: its set is the function's {!Func.t.clobbers}. *)
 val call_instr :
-  t ->
-  dst:Ids.reg option ->
-  Instr.call_kind ->
-  Instr.operand list ->
-  may_def:Ids.vid list ->
-  may_use:Ids.vid list ->
-  unit
+  t -> dst:Ids.reg option -> Instr.call_kind -> Instr.operand list -> unit
 
 val print : t -> Instr.operand -> unit
 

@@ -24,6 +24,10 @@ type t = {
       (** optional name hints for registers, for readable dumps *)
   mver : (Ids.vid, int) Hashtbl.t;
       (** highest SSA version handed out per memory variable *)
+  mutable clobbers : Ids.vid array;
+      (** what a call may define and use, ascending; unlisted members
+          are implicit, at version 0 *)
+  mutable exit_vars : Ids.vid array;  (** the same for an [Exit_use] *)
   mutable freq : (Ids.bid, float) Hashtbl.t;  (** block execution frequency *)
   efreq : (Ids.bid * Ids.bid, float) Hashtbl.t;  (** edge frequency *)
   mutable cfg_gen : int;
@@ -55,6 +59,8 @@ let create_func ~name =
     next_iid = 0;
     reg_names = Hashtbl.create 16;
     mver = Hashtbl.create 16;
+    clobbers = [||];
+    exit_vars = [||];
     freq = Hashtbl.create 16;
     efreq = Hashtbl.create 16;
     cfg_gen = 0;
@@ -80,6 +86,8 @@ let clone (f : t) : t =
   g.entry <- f.entry;
   g.next_reg <- f.next_reg;
   g.next_iid <- f.next_iid;
+  g.clobbers <- f.clobbers;
+  g.exit_vars <- f.exit_vars;
   Hashtbl.iter (fun r n -> Hashtbl.replace g.reg_names r n) f.reg_names;
   Hashtbl.iter (fun v n -> Hashtbl.replace g.mver v n) f.mver;
   Hashtbl.iter (fun b x -> Hashtbl.replace g.freq b x) f.freq;
@@ -99,6 +107,36 @@ let clone (f : t) : t =
     Vec.push g.blocks nb
   done;
   g
+
+(* [rs] with the members of [set] from the [k]-th on that [keep] accepts
+   merged in at version 0; shared, with no allocation, where none is *)
+let rec add_members set keep k rs =
+  if k = Array.length set then rs
+  else
+    let v = set.(k) in
+    match rs with
+    | (r : Resource.t) :: rest when r.base <= v ->
+        let k = if r.base = v then k + 1 else k in
+        let rest' = add_members set keep k rest in
+        if rest' == rest then rs else r :: rest'
+    | _ ->
+        let rs' = add_members set keep (k + 1) rs in
+        if keep v then Resource.unversioned v :: rs' else rs'
+
+let expand ~keep f (op : Instr.opcode) =
+  match op with
+  | Call c ->
+      let mdefs = add_members f.clobbers keep 0 c.mdefs in
+      let muses =
+        if c.muses == c.mdefs then mdefs
+        else add_members f.clobbers keep 0 c.muses
+      in
+      if mdefs == c.mdefs && muses == c.muses then op
+      else Call { c with mdefs; muses }
+  | Exit_use { muses } ->
+      let m = add_members f.exit_vars keep 0 muses in
+      if m == muses then op else Exit_use { muses = m }
+  | _ -> op
 
 (* ------------------------------------------------------------------ *)
 (* Fresh ids *)

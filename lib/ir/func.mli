@@ -25,6 +25,10 @@ type t = {
       (** optional name hints for readable dumps *)
   mver : (Ids.vid, int) Hashtbl.t;
       (** highest SSA version handed out per memory variable *)
+  mutable clobbers : Ids.vid array;
+      (** what a call may define and use, ascending: a call lists the
+          members SSA renamed, the others are implicit at version 0 *)
+  mutable exit_vars : Ids.vid array;  (** the same for an [Exit_use] *)
   mutable freq : (Ids.bid, float) Hashtbl.t;  (** block execution frequency *)
   efreq : (Ids.bid * Ids.bid, float) Hashtbl.t;  (** edge frequency *)
   mutable cfg_gen : int;
@@ -49,9 +53,14 @@ val find_func : prog -> string -> t option
 
 (** Deep copy for destructive backend lowering: preserved block /
     instruction / register ids, fresh instruction cells and sequence
-    index, copied profile.  The clone shares nothing mutable with the
-    original. *)
+    index, copied profile, the same implicit sets.  The clone shares
+    nothing mutable with the original. *)
 val clone : t -> t
+
+(** A call or exit use with the members of its implicit set that [keep]
+    accepts merged into its lists (sorted by variable) at version 0;
+    [op] itself when none is added or for any other instruction. *)
+val expand : keep:(Ids.vid -> bool) -> t -> Instr.opcode -> Instr.opcode
 
 (** {2 Fresh ids} *)
 

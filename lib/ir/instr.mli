@@ -3,9 +3,9 @@
     Virtual registers and singleton memory resources are both
     first-class SSA names: singleton loads/stores move scalar values
     between the two name spaces, aliased references (calls, pointer
-    loads/stores) carry explicit sets of singleton resources they may
-    define ([mdefs]) or use ([muses]) — the paper's aggregate
-    resources. Phi instructions exist for both name spaces.
+    loads/stores) carry sets of singleton resources they may define
+    ([mdefs]) or use ([muses]) — the paper's aggregate resources.
+    Phi instructions exist for both name spaces.
 
     An instruction is a mutable cell [{ iid; op }] so transformations
     can rewrite it in place (e.g. replace a load by a copy) while sets
@@ -65,14 +65,16 @@ type opcode =
       mdefs : Resource.t list;  (** aliased-store side of the call *)
       muses : Resource.t list;  (** aliased-load side of the call *)
     }
+      (** both sides are [Func.clobbers]: the lists hold its renamed
+          members, by variable; the others are implicit, at version 0 *)
   | Dummy_aload of { muses : Resource.t list }
       (** dummy aliased load left in interval preheaders by the
           promoter to summarise an inner interval for its parent (paper
           section 4.4); removed by cleanup *)
   | Exit_use of { muses : Resource.t list }
       (** virtual aliased load of every program-lifetime variable at
-          each return: callers may observe globals, so their memory
-          image must be valid at the exit; a no-op at execution time *)
+          each return ([Func.exit_vars], listed like a call's set):
+          callers may observe globals; a no-op at execution time *)
   | Rphi of { dst : reg; srcs : (Ids.bid * reg) list }
   | Mphi of { dst : Resource.t; srcs : (Ids.bid * Resource.t) list }
   | Print of { src : operand }  (** observable output; no memory effect *)

@@ -27,7 +27,7 @@ let pp_call_kind fmt = function
 
 let pp_instr tab (f : Func.t) fmt (i : Instr.t) =
   let op = pp_operand f in
-  match i.op with
+  match Func.expand ~keep:(fun _ -> true) f i.op with
   | Bin { dst; op = b; l; r } ->
       fprintf fmt "%s = %s %a, %a" (Func.reg_name f dst) (Instr.binop_name b)
         op l op r

@@ -10,10 +10,10 @@
    means "not yet renamed" (pre-SSA IR uses version 0 everywhere); SSA
    construction assigns versions starting from 1.
 
-   Aggregate resources from the paper are represented as the [mdefs] /
-   [muses] singleton-resource lists carried by aliased instructions
-   (calls, pointer loads/stores, array accesses): an aggregate is exactly
-   the set of singletons it may touch, so we store the set inline. *)
+   Aggregate resources from the paper are sets of singletons: a pointer
+   access lists its set inline ([mdefs] / [muses]); a call's and an exit
+   use's set is held once per function ([Func.clobbers], [exit_vars]),
+   the instruction listing its renamed members, the others implicit. *)
 
 type var_kind =
   | Global  (** file-scope scalar variable *)

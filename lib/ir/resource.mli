@@ -3,9 +3,9 @@
     A {e memory variable} is a named location the compiler knows about;
     a {e singleton memory resource} is an SSA name for one: the pair of
     the base variable and an SSA version. Version 0 means "not yet
-    renamed". The paper's aggregate resources are represented as the
-    per-instruction lists of singleton resources an aliased operation
-    may define or use (see {!Instr}). *)
+    renamed". The paper's aggregate resources are sets of singleton
+    resources an aliased operation may define or use (see {!Instr} and
+    [Func.clobbers]: a call lists only its renamed members). *)
 
 type var_kind =
   | Global  (** file-scope scalar variable *)

@@ -142,7 +142,9 @@ let tokenize (src : string) : Token.spanned list =
         else emitn Token.GT 1
     | '=' ->
         if peek 1 = '=' then emitn Token.EQ_EQ 2 else emitn Token.ASSIGN 1
-    | c -> error !line !col "unexpected character %c" c
+    | c when c >= ' ' && c <= '~' ->
+        error !line !col "unexpected character %c" c
+    | c -> error !line !col "unexpected character \\x%02X" (Char.code c)
   done;
   toks := { Token.tok = Token.EOF; line = !line; col = !col } :: !toks;
   List.rev !toks

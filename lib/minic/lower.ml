@@ -9,10 +9,12 @@
 
    Accesses to memory variables become singleton loads/stores; calls
    and pointer dereferences become aliased operations carrying the
-   may-def/may-use sets computed by {!Alias}.  Every return is preceded
-   by an [Exit_use] of all program-lifetime memory variables, which is
-   how the promoter learns that globals must be in memory at function
-   exits.
+   may-def/may-use sets computed by {!Alias}, a call's held once on the
+   function ([Func.clobbers]: all program-lifetime variables and the
+   escaped locals).  Every return is preceded by an [Exit_use] of all
+   program-lifetime memory variables ([Func.exit_vars]), which is how
+   the promoter learns that globals must be in memory at function
+   exits.  Calls and exit uses list nothing.
 
    With [opt_singleton_deref] a dereference whose points-to set is a
    single scalar variable is lowered as a singleton access (a strong
@@ -37,7 +39,7 @@ type genv = {
   prog : Func.prog;
   gvars : Ids.vid StrMap.t;  (** global scalars, pointers, arrays *)
   fields : (string * string, Ids.vid) Hashtbl.t;
-  program_vars : Ids.vid list;  (** everything with program lifetime *)
+  program_vars : Ids.vid array;  (** program lifetime, ascending *)
   opt_singleton_deref : bool;
 }
 
@@ -52,7 +54,6 @@ type fenv = {
   mutable break_targets : Rp_ir.Block.t list;
   mutable continue_targets : Rp_ir.Block.t list;
   returns : bool;
-  clobbers : Ids.vid list;  (** what a call made in this function may touch *)
   locals_mem : (string, Ids.vid) Hashtbl.t;  (** addr-taken locals *)
 }
 
@@ -192,8 +193,7 @@ and lower_call (fe : fenv) pos name args : Instr.operand option =
         else error pos "unknown function %s" name
   in
   let dst = if returns then Some (Builder.fresh_reg ~name:"ret" b) else None in
-  Builder.call_instr b ~dst callee arg_ops ~may_def:fe.clobbers
-    ~may_use:fe.clobbers;
+  Builder.call_instr b ~dst callee arg_ops;
   match dst with Some r -> Some (Instr.Reg r) | None -> None
 
 and lower_addr (fe : fenv) pos (lv : Ast.lvalue) : Instr.operand =
@@ -302,10 +302,7 @@ and lower_lval_write (fe : fenv) pos (lv : Ast.lvalue) (v : Instr.operand) :
 (* Statements *)
 
 let emit_exit_use (fe : fenv) =
-  ignore
-    (Builder.emit fe.b
-       (Instr.Exit_use
-          { muses = List.map Resource.unversioned fe.g.program_vars }))
+  ignore (Builder.emit fe.b (Instr.Exit_use { muses = [] }))
 
 let rec lower_stmt (fe : fenv) (s : Ast.stmt) : unit =
   let b = fe.b in
@@ -488,7 +485,7 @@ let lower ?(opt_singleton_deref = false) (sema : Sema.t) (alias : Alias.t) :
       prog;
       gvars = !gvars;
       fields;
-      program_vars = List.rev !program_vars;
+      program_vars = Array.of_list (List.rev !program_vars);
       opt_singleton_deref;
     }
   in
@@ -561,11 +558,13 @@ let lower ?(opt_singleton_deref = false) (sema : Sema.t) (alias : Alias.t) :
           break_targets = [];
           continue_targets = [];
           returns = astf.freturns;
-          clobbers =
-            List.sort_uniq Int.compare (genv.program_vars @ escaped_vids);
           locals_mem;
         }
       in
+      func.Func.clobbers <-
+        Array.of_list (List.sort_uniq Int.compare
+          (Array.to_list genv.program_vars @ escaped_vids));
+      func.Func.exit_vars <- genv.program_vars;
       let entry = Builder.new_block b in
       Builder.set_block b entry;
       (* spill address-taken parameters *)

@@ -4,7 +4,8 @@
     address-exposed memory variables, all other locals become virtual
     registers. Calls and dereferences become aliased operations
     carrying may-def/may-use sets from {!Alias}; every return is
-    preceded by an [Exit_use] of all program-lifetime variables. *)
+    preceded by an [Exit_use] of all program-lifetime variables. Both
+    list nothing: their sets are held on the function ([Func.clobbers]). *)
 
 exception Error of string
 

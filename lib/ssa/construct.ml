@@ -13,15 +13,16 @@
      promoter insert pointless compensation code).
 
    A variable the function never loads or stores singly is left alone:
-   its resources in the aliased lists of calls, pointer accesses and
-   exit uses keep version 0, and it gets no phi.  Promotion removes
+   pointer accesses list it at version 0, calls and exit uses hold it
+   implicitly ({!Func.t.clobbers}), and it gets no phi.  Promotion removes
    singleton loads and stores, so such a variable gives it nothing to
    work on (mem2reg's "find the promotable allocas first"); an aliased
    use of it is a use of its one live value.  In each function a
    variable is either wholly renamed or wholly unversioned, which
    {!Verify} checks.  A later pass that gives an unversioned variable a
    singleton access brings it into SSA with
-   {!Incremental.convert_new_variable}.
+   {!Incremental.convert_new_variable}.  Calls and exit uses list exactly
+   the renamed members of their implicit sets (added below at version 0).
 
    An aliased store (call, pointer store) is a definition of every
    renamed resource it may touch: each gets a fresh version, exactly
@@ -39,8 +40,9 @@
    phi; location liveness, definition sites and the IDF run over the
    global names alone, numbered densely in ascending location order,
    and place exactly the phis an all-locations placement would, in the
-   same order.  One walk finds the global names, a second collects the
-   liveness and definition sets over them.
+   same order.  One walk finds the renamed variables, a second lists
+   them at calls and exit uses and finds the global names, a third
+   collects the liveness and definition sets over them.
 
    Renaming keeps one current name per register and per variable.  A
    global name's definitions are undone when the dominator-tree walk
@@ -124,19 +126,32 @@ let iter_term_uses use (b : Block.t) =
 (* The global-name walk *)
 
 type names = {
-  renamed : Bitset.t;
-      (** the variables renamed into memory SSA: those with a singleton
-          load or store in the function *)
   gid : int Id_table.Poly.t;  (** location -> dense id, or -1 *)
   globals : int array;  (** dense id -> location, ascending *)
 }
 
-(* One walk: a location is a global name when some block reads it
-   before defining it strongly there.  Only strong definitions count:
-   an aliased may-definition does not guarantee the old value is gone.
-   A variable that is not renamed is no name at all. *)
-let global_names (f : Func.t) : names =
-  let renamed = Bitset.empty () and exposed = Bitset.empty () in
+(* The variables renamed into memory SSA: those with a singleton load or
+   store in the function, which must have no phi yet. *)
+let renamed_vars (f : Func.t) =
+  let renamed = Bitset.empty () in
+  Func.iter_instrs
+    (fun _ (i : Instr.t) ->
+      match i.op with
+      | Load { src = r; _ } | Store { dst = r; _ } ->
+          Bitset.add renamed r.Resource.base
+      | Rphi _ | Mphi _ -> no_phis f
+      | _ -> ())
+    f;
+  renamed
+
+(* One walk, which first lists the renamed members of each call's and
+   exit use's implicit set: a location is a global name when some block
+   reads it before defining it strongly there.  Only strong definitions
+   count: an aliased may-definition does not guarantee the old value is
+   gone.  A variable that is not renamed is no name at all. *)
+let global_names (f : Func.t) renamed : names =
+  let exposed = Bitset.empty () in
+  let keep = Bitset.mem renamed in
   (* the block that last defined each location strongly *)
   let killed = Id_table.Poly.create (2 * f.next_reg) ~default:(-1) in
   let bid = ref (-1) in
@@ -147,17 +162,12 @@ let global_names (f : Func.t) : names =
   let may_def _ = () in
   Func.iter_blocks
     (fun b ->
-      if not (Iseq.is_empty b.phis) then no_phis f;
       bid := b.bid;
       Iseq.iter
         (fun (i : Instr.t) ->
-          (match i.op with
-          | Load { src = r; _ } | Store { dst = r; _ } ->
-              Bitset.add renamed r.Resource.base
-          | Bin _ | Un _ | Copy _ | Addr_of _ | Ptr_load _ | Ptr_store _
-          | Call _ | Dummy_aload _ | Exit_use _ | Rphi _ | Mphi _ | Print _ ->
-              ());
-          iter_locs ~use ~def ~may_def f i.op)
+          let op = Func.expand ~keep f i.op in
+          if op != i.op then i.op <- op;
+          iter_locs ~use ~def ~may_def f op)
         b.body;
       iter_term_uses use b)
     f;
@@ -170,7 +180,7 @@ let global_names (f : Func.t) : names =
     |> List.rev |> Array.of_list
   in
   Array.iteri (fun k l -> Id_table.Poly.set gid l k) globals;
-  { renamed; gid; globals }
+  { gid; globals }
 
 (* ------------------------------------------------------------------ *)
 (* Placement sets over the global names: per block the names it reads
@@ -258,11 +268,12 @@ type idf_engine = Cytron | Sreedhar_gao
 (* Convert [f], which must not already contain phi instructions, into
    pruned SSA form. *)
 let run ?(engine = Cytron) (f : Func.t) : unit =
-  let names = global_names f in
+  let renamed = renamed_vars f in
+  let names = global_names f renamed in
   (* refreshes the predecessor lists; renaming leaves the CFG alone *)
   let dom = Dom.compute f in
   Hashtbl.reset f.mver;
-  let is_renamed (r : Resource.t) = Bitset.mem names.renamed r.base in
+  let is_renamed (r : Resource.t) = Bitset.mem renamed r.base in
   let is_global l = Id_table.Poly.get names.gid l >= 0 in
   let gen, kill, defs = placement_sets f names in
   let live_in = live_in f ~gen ~kill in

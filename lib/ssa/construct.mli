@@ -4,10 +4,11 @@
     resources, with [Rphi]/[Mphi] placed at the pruned iterated
     dominance frontier. Each renamed variable gets an implicit entry
     definition; aliased stores define fresh versions of every renamed
-    variable they may touch (the paper's "x4 = foo()"). Every other
-    variable keeps version 0 in the aliased [mdefs]/[muses] lists and
-    gets no phi: in each function a variable is wholly renamed or
-    wholly unversioned ({!Verify} checks it). *)
+    variable they may touch (the paper's "x4 = foo()"), and calls and
+    exit uses list the renamed members of their implicit sets. Every
+    other variable stays implicit there, keeps version 0 in the aliased
+    [mdefs]/[muses] lists and gets no phi: in each function a variable
+    is wholly renamed or wholly unversioned ({!Verify} checks it). *)
 
 open Rp_ir
 

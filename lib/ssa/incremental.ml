@@ -410,8 +410,8 @@ let convert_new_variable ?engine (f : Func.t) (vid : Ids.vid) : unit =
     end
     else r
   in
-  (* only the instructions that mention the variable are rewritten, so
-     every other instruction and block keeps its opcode and stamp *)
+  (* only the instructions that mention the variable, listed or implicit
+     ([Func.expand]), are rewritten: the others keep opcode and stamp *)
   let mentions (op : Instr.opcode) =
     let found = ref false in
     Instr.iter_mem
@@ -419,13 +419,15 @@ let convert_new_variable ?engine (f : Func.t) (vid : Ids.vid) : unit =
       op;
     !found
   in
+  let keep v = v = vid in
   Func.iter_blocks
     (fun b ->
       Block.iter_instrs
-        (fun i ->
-          if mentions i.op then
+        (fun (i : Instr.t) ->
+          let op = Func.expand ~keep f i.op in
+          if mentions op then
             Block.set_op b i
-              (Instr.map_mem_defs def (Instr.map_mem_uses use i.op)))
+              (Instr.map_mem_defs def (Instr.map_mem_uses use op)))
         b)
     f;
   update_for_cloned_resources ?engine f ~cloned_res:!clones

@@ -51,6 +51,7 @@ val update_for_cloned_resources :
     never loads or stores singly at version 0; a pass that gives one of
     them a singleton access converts it with this. Stores and
     may-definitions get fresh versions, uses are renamed to their
-    reaching definitions, phis are placed where needed; the result
-    equals construction from scratch up to renaming. *)
+    reaching definitions, phis are placed where needed, and each call
+    and exit use that holds the variable implicitly lists it; the
+    result equals construction from scratch up to renaming. *)
 val convert_new_variable : ?engine:engine -> Func.t -> Ids.vid -> unit

@@ -10,17 +10,17 @@
    Each variable keeps its entries in parallel arrays sorted by scan
    order: the block id, the instruction, and the variable's
    definitions and uses in it with the opcode they were read from.  A
-   call or pointer access lists one resource per variable it may touch,
-   so reading one variable's operands out of it walks a long list; the
-   entry keeps what the first query read for as long as the instruction
-   keeps that opcode.  Removing an instruction or rewriting its opcode
-   needs no update: a query checks that the instruction is still held
-   by its block (its [at], which the instruction sequences keep), and
-   reads the operands again when the opcode is not the one they came
-   from (opcodes are immutable, so a rewrite is a new one).  An insertion
-   is registered by marking the (variable, block) pair; the next query
-   for the variable re-derives the entries of its marked blocks from
-   the blocks themselves and drops dead entries on the way. *)
+   pointer access lists each variable it may touch, a call or exit use
+   each renamed one, so reading one variable's operands out of it walks
+   a list; the entry keeps what the first query read for as long as the
+   instruction keeps that opcode.  Removing an instruction or rewriting
+   its opcode needs no update: a query checks that the instruction is
+   still held by its block (its [at], which the instruction sequences
+   keep), and reads the operands again when the opcode is not the one
+   they came from (opcodes are immutable, so a rewrite is a new one).
+   An insertion is registered by marking the (variable, block) pair;
+   the next query for the variable re-derives the entries of its marked
+   blocks from the blocks themselves and drops dead entries on the way. *)
 
 open Rp_ir
 

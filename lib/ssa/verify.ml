@@ -7,12 +7,12 @@
    - in each function a memory variable is either renamed or
      unversioned ({!Construct}).  It is renamed when some occurrence
      carries a version; then every occurrence must, version 0 must not
-     appear, and every resource (base, version) has at most one
-     definition.  An unversioned variable occurs only at version 0 in
-     the aliased lists of calls, pointer accesses, dummies and exit
-     uses: a singleton load or store or a memory phi of it is an
-     error, and since all its occurrences name its one live value,
-     its may-definitions are not single assignments,
+     appear (nor stay implicit in a call or exit use, {!Func.expand}),
+     and every resource (base, version) has at most one definition.
+     An unversioned variable occurs only at version 0, in aliased
+     lists or implicitly: a singleton load or store or a memory phi of
+     it is an error, and since all its occurrences name its one live
+     value, its may-definitions are not single assignments,
    - a memory phi joins versions of its target's variable only, so
      every SSA web (paper section 4.2) is made of one variable's
      versions,
@@ -228,9 +228,20 @@ let check (tab : Resource.table) (f : Func.t) : error list =
   in
   let use_pos = ref 0 in
   let reg_use r = check_reg_use ~bid:!bid r ~use_bid:!bid ~use_pos:!use_pos in
-  let body_instr bid k (i : Instr.t) =
+  let is_renamed = Bitset.mem renamed in
+  let body_instr k (i : Instr.t) =
+    let bid = !bid in
     use_pos := k;
     Instr.iter_reg_uses reg_use i.op;
+    (* a renamed member left implicit stands for its version 0 *)
+    (match Func.expand ~keep:is_renamed f i.op with
+    | op when op == i.op -> ()
+    | op ->
+        let at0 (r : Resource.t) = r.ver = 0 && is_renamed r.base in
+        let r = List.find at0 (Instr.mem_defs op @ Instr.mem_uses op) in
+        add_mem
+          (err (loc bid) "renamed %s left implicit"
+             (Resource.var_name tab r.base)));
     match i.op with
     | Instr.Load { src; _ } -> check_mem_use ~bid src ~use_bid:bid ~use_pos:k
     | Instr.Ptr_load { muses; _ }
@@ -256,7 +267,8 @@ let check (tab : Resource.table) (f : Func.t) : error list =
         check_mem_use ~bid r ~use_bid:p ~use_pos:max_pos;
         mem_srcs bid rest
   in
-  let phi_instr bid (i : Instr.t) =
+  let phi_instr (i : Instr.t) =
+    let bid = !bid in
     match i.op with
     | Instr.Rphi { srcs; _ } -> reg_srcs bid srcs
     | Instr.Mphi { srcs; _ } -> mem_srcs bid srcs
@@ -266,12 +278,12 @@ let check (tab : Resource.table) (f : Func.t) : error list =
     (fun b ->
       bid := b.bid;
       let bid = b.bid in
-      Iseq.iteri (body_instr bid) b.body;
+      Iseq.iteri body_instr b.body;
       (match b.term with
       | Block.Br { cond = Instr.Reg r; _ } | Block.Ret (Some (Instr.Reg r)) ->
           check_reg_use ~bid r ~use_bid:bid ~use_pos:max_pos
       | Block.Br _ | Block.Ret _ | Block.Jmp _ -> ());
-      Iseq.iter (phi_instr bid) b.phis)
+      Iseq.iter phi_instr b.phis)
     f;
   structural @ List.rev_append !reg_errors
     (List.rev_append !mem_errors (List.rev !dom_errors))

@@ -1,8 +1,8 @@
 (** SSA invariant checker: single assignment for registers and for the
     resources of renamed memory variables, each memory variable either
     renamed (some occurrence carries a version; then no version-0
-    resource of it appears) or unversioned (only version 0, only in
-    aliased lists: no singleton load or store and no memory phi of it),
+    resource of it appears, listed or implicit) or unversioned (only
+    version 0: no singleton load or store and no memory phi of it),
     memory phis that join versions of their target's variable only,
     every use dominated by its definition (phi sources at the end of
     their predecessor), plus the structural checks of

@@ -29,7 +29,13 @@ let sorted_phis tab (f : Func.t) (b : Block.t) =
 
 let func_text tab (f : Func.t) =
   let blocks = Func.live_blocks f in
-  let instrs (b : Block.t) = sorted_phis tab f b @ Iseq.to_list b.body in
+  (* a call or exit use with its implicit members listed, at version 0 *)
+  let expand (i : Instr.t) =
+    Instr.make i.iid (Func.expand ~keep:(fun _ -> true) f i.op)
+  in
+  let instrs (b : Block.t) =
+    List.map expand (sorted_phis tab f b @ Iseq.to_list b.body)
+  in
   (* canonical numbers by first occurrence *)
   let g = Func.create_func ~name:f.fname in
   let regs = Hashtbl.create 64 in

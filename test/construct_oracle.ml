@@ -13,7 +13,8 @@
 
    Locations unify the two name spaces: even = register, odd = memory
    variable.  A variable is renamed when the function loads or stores
-   it singly. *)
+   it singly; every call and exit use whose implicit set holds it then
+   lists it. *)
 
 open Rp_ir
 open Rp_analysis
@@ -120,6 +121,11 @@ let run ?(engine = Cytron) (f : Func.t) : unit =
   let dom = Dom.compute f in
   Hashtbl.reset f.mver;
   let renamed = renamed_vars f in
+  (* calls and exit uses list their renamed implicit members *)
+  Func.iter_instrs
+    (fun _ (i : Instr.t) ->
+      i.op <- Func.expand ~keep:(Bitset.mem renamed) f i.op)
+    f;
   let is_renamed (r : Resource.t) = Bitset.mem renamed r.base in
   let live_in = location_liveness f renamed in
   (* 1. definition sites per location, and the defined locations *)

@@ -357,6 +357,24 @@ let test_report_order () =
     ]
     (pairs_of_verify (V.check tab f))
 
+(* A call or exit use lists the renamed members of the function's
+   implicit sets; one it leaves implicit is reported once per
+   instruction. *)
+let test_renamed_left_implicit () =
+  let tab, f, x = setup () in
+  let y = Resource.add_var tab ~name:"y" ~kind:Resource.Global ~init:0 in
+  f.Func.clobbers <- [| x; y |];
+  f.Func.exit_vars <- [| x; y |];
+  let b = blocks f 1 in
+  b.(0).Block.term <- Block.Ret None;
+  Cfg.recompute_preds f;
+  call f b.(0) ~mdefs:[ res x 1 ] ~muses:[];
+  call f b.(0) ~mdefs:[] ~muses:[];
+  ignore (add b.(0) f (Instr.Exit_use { muses = [ res x 1 ] }));
+  check "renamed member left implicit"
+    [ ("f/b0", "renamed x left implicit"); ("f/b0", "renamed x left implicit") ]
+    (pairs_of_verify (V.check tab f))
+
 let suite =
   [
     Alcotest.test_case "validate: entry" `Quick test_entry_dead;
@@ -387,4 +405,6 @@ let suite =
       test_report_order;
     Alcotest.test_case "validate: errors of one block, by class" `Quick
       test_validate_order;
+    Alcotest.test_case "verify: a renamed member left implicit" `Quick
+      test_renamed_left_implicit;
   ]

@@ -382,7 +382,8 @@ let alpha tab f =
   Rp_alpha.Alpha.func_text tab f
 
 (* The promotable variables [f] (in SSA form) leaves unversioned, each
-   with the instructions that use it, in scan order. *)
+   with the instructions that use it, in scan order; a call or exit use
+   that holds one implicitly uses it. *)
 let unversioned_uses tab (f : Func.t) =
   let renamed = Hashtbl.create 16 and uses = Hashtbl.create 16 in
   Func.iter_blocks
@@ -398,7 +399,8 @@ let unversioned_uses tab (f : Func.t) =
               if Resource.promotable tab r.base then
                 Hashtbl.replace uses r.base
                   ((b, i) :: Option.value ~default:[] (Hashtbl.find_opt uses r.base)))
-            (List.sort_uniq Resource.compare (Instr.mem_uses i.op)))
+            (List.sort_uniq Resource.compare
+               (Instr.mem_uses (Func.expand ~keep:(fun _ -> true) f i.op))))
         b)
     f;
   Hashtbl.fold
@@ -657,6 +659,52 @@ let test_live_candidates engine () =
     true
     (updates > 500 && built > 0 && died > 0)
 
+(* A global that [main] never loads or stores is held only implicitly,
+   by the call's clobber set and the exit use's set.  Converting it must
+   find both, list it there, verify, and equal construction up to
+   renaming (which [check_conversions] checks). *)
+let test_convert_implicit_only () =
+  let prog =
+    pre_ssa
+      {|
+int g;
+int h;
+void touch() { g = g + 1; }
+int main() {
+  int i;
+  for (i = 0; i < 3; i++) { touch(); h = h + i; }
+  return 0;
+}
+|}
+  in
+  let tab = prog.Func.vartab in
+  let main = Option.get (Func.find_func prog "main") in
+  let g = ref (-1) in
+  Resource.iter_vars
+    (fun v -> if v.Resource.vname = "g" then g := v.Resource.vid)
+    tab;
+  let ssa = Func.clone main in
+  Construct.run ssa;
+  let mentions op =
+    let n = ref 0 in
+    Instr.iter_mem (fun (r : Resource.t) -> if r.base = !g then incr n) op;
+    !n
+  in
+  let listed = ref 0 and implicit = ref 0 in
+  Func.iter_instrs
+    (fun _ (i : Instr.t) ->
+      listed := !listed + mentions i.op;
+      implicit :=
+        !implicit + mentions (Func.expand ~keep:(fun _ -> true) ssa i.op))
+    ssa;
+  Alcotest.(check (pair int int)) "g: listed, and held by the call and the exit"
+    (0, 3) (!listed, !implicit);
+  let pick v uses =
+    Alcotest.(check int) "the converted variable" !g v;
+    List.hd uses
+  in
+  Alcotest.(check int) "conversions" 1 (check_conversions ~ctx:"implicit" ~pick tab main)
+
 let suite =
   [
     Alcotest.test_case "paper example 2 (Cytron IDF)" `Quick
@@ -691,4 +739,6 @@ let suite =
       (test_live_candidates Incremental.Cytron);
     Alcotest.test_case "live candidate phis (workloads, Sreedhar-Gao)" `Quick
       (test_live_candidates Incremental.Sreedhar_gao);
+    Alcotest.test_case "conversion of a variable held only implicitly" `Quick
+      test_convert_implicit_only;
   ]

@@ -46,9 +46,10 @@ let test_lexer_end_of_input () =
   let raises what msg src =
     Alcotest.check_raises what (Lexer.Error msg) (fun () -> ignore (toks src))
   in
-  raises "NUL byte" "1:3: unexpected character \000" "x \000 y";
-  raises "NUL byte first" "1:1: unexpected character \000" "\000";
-  raises "NUL after an operator" "2:2: unexpected character \000" "x\n<\000";
+  raises "NUL byte" "1:3: unexpected character \\x00" "x \000 y";
+  raises "NUL byte first" "1:1: unexpected character \\x00" "\000";
+  raises "NUL after an operator" "2:2: unexpected character \\x00" "x\n<\000";
+  raises "non-ASCII byte" "1:5: unexpected character \\xFF" "int \255";
   Alcotest.(check int) "NUL in comments" 2
     (List.length (toks "// \000\n/* \000 */ x"));
   raises "unterminated comment at the end" "2:3: unterminated comment"
@@ -361,6 +362,8 @@ int main() { touch(); return g1 + g2; }
 |}
   in
   let main = Option.get (Func.find_func prog "main") in
+  Alcotest.(check int) "the clobber set holds both globals" 2
+    (Array.length main.Func.clobbers);
   let found = ref false in
   Func.iter_blocks
     (fun b ->
@@ -369,8 +372,11 @@ int main() { touch(); return g1 + g2; }
           match i.Instr.op with
           | Instr.Call { mdefs; muses; _ } ->
               found := true;
-              Alcotest.(check int) "call defs both globals" 2 (List.length mdefs);
-              Alcotest.(check int) "call uses both globals" 2 (List.length muses)
+              Alcotest.(check int) "call lists no def" 0 (List.length mdefs);
+              Alcotest.(check int) "call lists no use" 0 (List.length muses);
+              Alcotest.(check string) "call prints both globals"
+                "call touch() {def g1, g2} {use g1, g2}"
+                (Pp.instr_to_string prog.Func.vartab main i)
           | _ -> ())
         b.Block.body)
     main;
@@ -414,6 +420,36 @@ let test_lower_validates () =
       List.iter (Validate.assert_ok prog.Func.vartab) prog.Func.funcs)
     Rp_workloads.Registry.all
 
+(* A call or exit use lists nothing after lowering: both sets are held
+   once, on the function, and every member is implicit. *)
+let check_lists_nothing what (prog : Func.prog) =
+  List.iter
+    (fun (f : Func.t) ->
+      Func.iter_instrs
+        (fun b (i : Instr.t) ->
+          match i.op with
+          | Instr.Call { mdefs = []; muses = []; _ } | Instr.Exit_use { muses = [] }
+            ->
+              ()
+          | Instr.Call _ | Instr.Exit_use _ ->
+              Alcotest.failf "%s: %s/b%d lists %s" what f.Func.fname b.Block.bid
+                (Pp.instr_to_string prog.Func.vartab f i)
+          | _ -> ())
+        f)
+    prog.Func.funcs
+
+let test_lowered_lists_nothing () =
+  List.iter
+    (fun (what, options, src) ->
+      check_lists_nothing what (fst (Rp_core.Pipeline.frontend ~options src)))
+    Helpers.equivalence_programs
+
+let prop_lowered_lists_nothing =
+  QCheck.Test.make ~name:"lowered calls and exits list nothing (random programs)"
+    ~count:100 Suite_qcheck.arb_program (fun src ->
+      check_lists_nothing "random" (Lower.compile src);
+      true)
+
 let suite =
   [
     Alcotest.test_case "lexer basics" `Quick test_lexer_basics;
@@ -442,4 +478,7 @@ let suite =
     Alcotest.test_case "lower singleton deref opt" `Quick test_lower_singleton_deref_opt;
     Alcotest.test_case "lower workloads validate" `Quick test_lower_validates;
     Alcotest.test_case "lexer end of input" `Quick test_lexer_end_of_input;
+    Alcotest.test_case "lowered calls and exits list nothing" `Quick
+      test_lowered_lists_nothing;
+    Suite_qcheck.qtest prop_lowered_lists_nothing;
   ]

@@ -354,6 +354,67 @@ int main() {
     (r.P.promote_stats.Pr.webs_store_removal >= 1);
   Alcotest.(check int) "store kept" 0 r.P.promote_stats.Pr.stores_deleted
 
+(* After optimisation, the resources a call or exit use lists are its
+   renamed members: each is versioned and belongs to the function's
+   implicit set. *)
+let check_lists_renamed what (prog : Func.prog) =
+  List.iter
+    (fun (f : Func.t) ->
+      Func.iter_instrs
+        (fun b (i : Instr.t) ->
+          let check set rs =
+            List.iter
+              (fun (r : Resource.t) ->
+                if r.ver = 0 || not (Array.mem r.base set) then
+                  Alcotest.failf "%s: %s/b%d lists %s" what f.Func.fname
+                    b.Block.bid (Pp.instr_to_string prog.Func.vartab f i))
+              rs
+          in
+          match i.op with
+          | Instr.Call { mdefs; muses; _ } ->
+              check f.Func.clobbers mdefs;
+              check f.Func.clobbers muses
+          | Instr.Exit_use { muses } -> check f.Func.exit_vars muses
+          | _ -> ())
+        f)
+    prog.Func.funcs
+
+let test_lists_renamed () =
+  List.iter
+    (fun (what, options, src) ->
+      check_lists_renamed what (fst (P.optimise ~options src)))
+    Helpers.equivalence_programs
+
+let prop_lists_renamed =
+  QCheck.Test.make ~name:"optimised calls and exits list renamed members (random programs)"
+    ~count:100 Suite_qcheck.arb_program (fun src ->
+      check_lists_renamed "random" (fst (P.optimise src));
+      true)
+
+(* The listed resources of one optimise-gen pass (gen120, gen210,
+   gen300, gen420, gen480) after optimisation: those of calls, of exit
+   uses and of pointer accesses, 11 224 in all. *)
+let test_listed_entries_optimise_gen () =
+  let calls = ref 0 and exits = ref 0 and ptrs = ref 0 in
+  let add n l = n := !n + List.length l in
+  List.iter
+    (fun n ->
+      let prog, _ =
+        P.optimise (Rp_workloads.Registry.generated n).Rp_workloads.Registry.source
+      in
+      List.iter
+        (Func.iter_instrs (fun _ (i : Instr.t) ->
+             match i.op with
+             | Instr.Call { mdefs; muses; _ } -> add calls mdefs; add calls muses
+             | Instr.Exit_use { muses } -> add exits muses
+             | Instr.Ptr_load { muses; _ } -> add ptrs muses
+             | Instr.Ptr_store { mdefs; muses; _ } -> add ptrs mdefs; add ptrs muses
+             | _ -> ()))
+        prog.Func.funcs)
+    [ 120; 210; 300; 420; 480 ];
+  Alcotest.(check (list int)) "calls, exit uses, pointer accesses"
+    [ 9592; 942; 690 ] [ !calls; !exits; !ptrs ]
+
 let suite =
   [
     Alcotest.test_case "paper figure 1" `Quick test_fig1;
@@ -373,4 +434,9 @@ let suite =
     Alcotest.test_case "do-while" `Quick test_do_while;
     Alcotest.test_case "weak update keeps store" `Quick
       test_weak_update_keeps_store;
+    Alcotest.test_case "optimised calls and exits list renamed members" `Quick
+      test_lists_renamed;
+    Suite_qcheck.qtest prop_lists_renamed;
+    Alcotest.test_case "listed entries of optimise-gen" `Quick
+      test_listed_entries_optimise_gen;
   ]
