@@ -1,14 +1,25 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation (section 5), plus the two ablations from DESIGN.md.
+   evaluation (section 5), plus the ablations from DESIGN.md.
 
-     dune exec bench/main.exe                -- everything
+     dune exec bench/main.exe                -- every default artifact
      dune exec bench/main.exe -- table1      -- one artifact
      dune exec bench/main.exe -- table2 fig1 -- a selection
-     dune exec bench/main.exe -- quick       -- skip the Bechamel timings
 
    Artifacts: table1 table2 table3 fig1 fig7 fig9 ablation1 ablation2
-              ablation3 ablation4 ablation5 scaling gen interp serve
-              golden pressure gate rgate fgate json bechamel
+              ablation3 ablation4 ablation5 scaling scalrep interp serve
+              json (the default sweep), and the opt-in serve-storm,
+              gate and drift.
+
+   Every timed number goes through one rule (Rounds.interleave): one
+   warm-up run of each subject, then [rounds] interleaved rounds, each
+   number reported as its median with the interquartile range, and a
+   comparison as the median of the per-round ratios.
+
+   "interp" times the four execution engines (tree, flat, reg, fused)
+   on the pipeline's two dynamic runs per workload: the decode or
+   bytecode-compile vs execute split of each run, minor-heap
+   allocation, executed instructions per second, and each engine's
+   execute-time speedup over the tree-walker, paired round by round.
 
    "serve" runs the compile daemon over the in-process loopback
    transport: a cold round (all cache misses) against a warm round of
@@ -16,45 +27,24 @@
    request rate and hit ratios, plus the cold latency of one gen480
    request (the largest single compile the suite exercises).
 
-   "interp" records the flat-decoded engine's throughput on the
-   pipeline's two dynamic runs per workload: decode vs execute split,
-   minor-heap allocation, executed instructions per second, and the
-   speedup over the tree-walking engine baseline baked in below — then
-   the same runs under the register-allocated backend (--interp reg),
-   with its bytecode-compile vs execute split and the execute-only
-   speedup over the flat engine.
-
-   "gate" (opt-in, used by CI) re-times gen240's profile+measure wall
-   clock and fails if it regressed more than 2x over the committed
-   BENCH_promotion.json; run it before "json" rewrites the file.
-
-   "rgate" (opt-in, used by CI) times gen240 under the flat and reg
-   engines fresh and fails when the reg engine's execute path is not
-   at least 2x the flat engine's.
-
-   "fgate" (opt-in, used by CI) times gen240 under the reg engine with
-   and without the superinstruction layer (--interp fused) and fails
-   when fusion's execute path is not at least 1.3x the plain reg
-   engine's.
+   "serve-storm" pushes a mixed request storm (100k by default; a bare
+   number sets the count) through the event-driven daemon, then times
+   the warm throughput of 64 pipelined connections.
 
    "scaling" times the compile-only pipeline (Pipeline.optimise)
    serially and on 2 and 4 domains, per workload, with the speedup.
 
-   "gen" times the compile-only pipeline on generated gen<n> scaling
-   workloads; bare numeric arguments select the sizes
-   (e.g. "gen 120 480").
+   "gate" (used by CI) runs the regression checks: a table of rows,
+   each a median (or median paired ratio) over interleaved rounds
+   against a fixed bound; bare row names select rows.  "drift" (used
+   by CI) compares every deterministic count of each workload (static,
+   dynamic, promotion, pressure) with the committed
+   BENCH_promotion.json and fails on any difference.  Both read the
+   committed artifact, so they must run before "json" rewrites it.
 
-   "golden" re-checks the seed workloads' static load/store counts
-   against the values baked in below and exits non-zero on drift
-   (used by CI).
-
-   "pressure" (opt-in, used by CI) re-checks the Table 3 reproduction:
-   program-wide interference colors before/after promotion per seed
-   workload against the values baked in below, non-zero on drift.
-
-   "json" writes BENCH_promotion.json: the Tables 1/2 data per
-   workload plus wall-clock timings, machine-readable (schema v2, see
-   DESIGN.md).
+   "json" writes BENCH_promotion.json: the Tables 1-3 data per
+   workload plus the sections the timed artifacts of the same
+   invocation filled (schema in DESIGN.md).
 
    Absolute numbers necessarily differ from the paper (the workloads
    are synthetic SPECInt95 stand-ins and the "hardware" is an
@@ -64,7 +54,12 @@
 module P = Rp_core.Pipeline
 module I = Rp_interp.Interp
 module R = Rp_workloads.Registry
+module A = Rp_bench.Artifact
+module Rounds = Rp_bench.Rounds
 open Rp_ir
+
+(* the interleaved rounds behind every timed number *)
+let rounds = 5
 
 let impro before after =
   if before = 0 then 0.0
@@ -411,10 +406,6 @@ let prepare_update_problem k =
     f;
   (prog, f, !clones)
 
-let time_it f =
-  let t0 = Unix.gettimeofday () in
-  f ();
-  Unix.gettimeofday () -. t0
 
 let ablation2 () =
   rule ();
@@ -425,9 +416,11 @@ let ablation2 () =
     " batch (SG) = same, with the Sreedhar-Gao linear-time IDF [SrG95]";
   print_endline
     " per-def    = CSS96-style baseline, one IDF per cloned def (O(m*n))";
-  rule ();
   print_endline
     " rebuild    = reference point: constructing SSA from scratch";
+  Printf.printf " (median of %d interleaved rounds, each on a fresh problem)\n"
+    rounds;
+  rule ();
   let ename = Rp_ssa.Incremental.engine_to_string in
   Printf.printf "%8s %8s %12s %12s %12s %12s\n" "loops" "clones"
     (ename Rp_ssa.Incremental.Cytron)
@@ -436,36 +429,39 @@ let ablation2 () =
   List.iter
     (fun k ->
       let m = ref 0 in
-      let t_batch =
+      let update repair () =
         let _, f, clones = prepare_update_problem k in
         m := Resource.ResSet.cardinal clones;
-        time_it (fun () ->
-            Rp_ssa.Incremental.update_for_cloned_resources f
-              ~cloned_res:clones)
+        [ ("ms", Rounds.wall_ms (fun () -> repair f clones)) ]
       in
-      let t_sg =
-        let _, f, clones = prepare_update_problem k in
-        time_it (fun () ->
-            Rp_ssa.Incremental.update_for_cloned_resources
-              ~engine:Rp_ssa.Incremental.Sreedhar_gao f ~cloned_res:clones)
-      in
-      let t_perdef =
-        let _, f, clones = prepare_update_problem k in
-        time_it (fun () ->
-            Rp_ssa.Per_def_update.update_one_at_a_time f ~cloned_res:clones)
-      in
-      let t_rebuild =
+      let rebuild () =
         (* reference: the cost of building SSA for the function from
            scratch (what a compiler without an incremental updater
            would pay after the transformation) *)
         let prog = Rp_minic.Lower.compile (update_workbench k) in
         let f = Option.get (Func.find_func prog "main") in
         ignore (Rp_analysis.Intervals.normalise f);
-        time_it (fun () -> Rp_ssa.Construct.run f)
+        [ ("ms", Rounds.wall_ms (fun () -> Rp_ssa.Construct.run f)) ]
       in
-      Printf.printf "%8d %8d %9.3f ms %9.3f ms %9.3f ms %9.3f ms\n" k !m
-        (t_batch *. 1000.) (t_sg *. 1000.) (t_perdef *. 1000.)
-        (t_rebuild *. 1000.))
+      let runs =
+        Rounds.interleave ~rounds
+          [
+            update (fun f cloned_res ->
+                Rp_ssa.Incremental.update_for_cloned_resources f ~cloned_res);
+            update (fun f cloned_res ->
+                Rp_ssa.Incremental.update_for_cloned_resources
+                  ~engine:Rp_ssa.Incremental.Sreedhar_gao f ~cloned_res);
+            update (fun f cloned_res ->
+                Rp_ssa.Per_def_update.update_one_at_a_time f ~cloned_res);
+            rebuild;
+          ]
+      in
+      Printf.printf "%8d %8d" k !m;
+      List.iter
+        (fun r ->
+          Printf.printf " %9.3f ms" (Rounds.summary r "ms").Rounds.median)
+        runs;
+      print_newline ())
     [ 10; 40; 160; 400 ]
 
 (* ------------------------------------------------------------------ *)
@@ -606,6 +602,7 @@ let ablation5 () =
     "(dynamic loads+stores on the full input; a small training run is";
   print_endline " normally enough — relative hot/cold ratios are input-stable)"
 
+
 (* ------------------------------------------------------------------ *)
 (* Scaling: the compile-only pipeline, serial vs parallel.  The
    interpreter runs are excluded on purpose — they are the correctness
@@ -618,388 +615,151 @@ let scaling () =
     "Scaling: compile-only pipeline (Pipeline.optimise), serial vs parallel";
   Printf.printf " (this host recommends %d domain(s); speedups need cores)\n"
     (Domain.recommended_domain_count ());
+  Printf.printf
+    " (median of %d interleaved rounds; speedup = median paired ratio)\n"
+    rounds;
   rule ();
   Printf.printf "%-8s %12s %12s %12s %10s\n" "bench" "jobs=1" "jobs=2"
     "jobs=4" "speedup@4";
   let log_sum = ref 0.0 in
   List.iter
     (fun (w : R.workload) ->
-      let time_jobs jobs =
+      let subject jobs () =
         let options = { P.default_options with jobs } in
-        (* one warm-up, then best of three to damp scheduler noise *)
-        ignore (P.optimise ~options w.R.source);
-        let best = ref infinity in
-        for _ = 1 to 3 do
-          let t =
-            time_it (fun () -> ignore (P.optimise ~options w.R.source))
-          in
-          if t < !best then best := t
-        done;
-        !best
+        [
+          ( "ms",
+            Rounds.wall_ms (fun () -> ignore (P.optimise ~options w.R.source)) );
+        ]
       in
-      let t1 = time_jobs 1 and t2 = time_jobs 2 and t4 = time_jobs 4 in
-      let s = t1 /. t4 in
-      log_sum := !log_sum +. log s;
-      Printf.printf "%-8s %9.3f ms %9.3f ms %9.3f ms %9.2fx\n" w.R.name
-        (t1 *. 1000.) (t2 *. 1000.) (t4 *. 1000.) s)
+      match Rounds.interleave ~rounds (List.map subject [ 1; 2; 4 ]) with
+      | [ j1; j2; j4 ] ->
+          let ms r = (Rounds.summary r "ms").Rounds.median in
+          let s = (Rounds.ratio j1 j4 "ms").Rounds.median in
+          log_sum := !log_sum +. log s;
+          Printf.printf "%-8s %9.3f ms %9.3f ms %9.3f ms %9.2fx\n" w.R.name
+            (ms j1) (ms j2) (ms j4) s
+      | _ -> assert false)
     R.all;
   rule ();
   Printf.printf "geometric-mean speedup, jobs=4 over jobs=1: %.2fx\n"
     (exp (!log_sum /. float_of_int (List.length R.all)))
 
 (* ------------------------------------------------------------------ *)
-(* Generated scaling workloads: "bench gen [n ...]" times the
-   compile-only pipeline on synthetic gen<n> programs (deep loop
-   nests, many address-taken scalars — see lib/workloads/gen.ml) so
-   the IR data-structure work shows up at sizes the eight seed
-   programs never reach. *)
+(* Interp: the four execution engines on the pipeline's two dynamic
+   runs (profile and measure) at fuel 80M, interleaved round by round.
+   Per workload and engine: the decode (flat) or bytecode-compile (reg,
+   fused) vs execute split inside each run, the minor-heap allocation
+   of each run, executed instructions per second over the execute
+   time, and the execute-time speedup over the tree-walker.  Execute
+   time is the comparison on purpose: the engines front-load different
+   work (flat decodes; reg compiles — out-of-SSA, coalescing, coloring,
+   emission), so wall-clock totals measure the front-load, not the
+   engine. *)
 
-type gen_result = {
-  g_size : int;
-  g_funcs : int;
-  g_ms : float;
-  g_minor_mwords : float;  (** minor words allocated by one run, in M *)
-  g_loads : int;  (** static loads after promotion, a sanity anchor *)
-  g_stores : int;
-  g_colors : int;  (** interference colors after promotion, summed *)
-  g_maxlive : int;  (** MAXLIVE after promotion, max over functions *)
-}
-
-let gen_results : gen_result list ref = ref []
-
-let default_gen_sizes = [ 60; 120; 240 ]
-
-(* Reference numbers from the tree just before the Iseq/Bitset storage
-   work (list-backed blocks, IntSet dataflow), same container, same
-   best-of-3 protocol — the denominator of the speedup column in
-   EXPERIMENTS.md and BENCH_promotion.json. *)
-let gen_baseline = [ (60, (60.811, 9.87)); (120, (179.400, 27.94));
-                     (240, (595.215, 85.24)); (480, (1831.779, 277.82)) ]
-
-let gen_one (size : int) : gen_result =
-  let w = R.generated size in
-  let options = { P.default_options with jobs = 1 } in
-  (* one warm-up, then best of three, like the scaling artifact *)
-  ignore (P.optimise ~options w.R.source);
-  let best = ref infinity in
-  for _ = 1 to 3 do
-    let t = time_it (fun () -> ignore (P.optimise ~options w.R.source)) in
-    if t < !best then best := t
-  done;
-  let mw0 = Gc.minor_words () in
-  let prog, _ = P.optimise ~options w.R.source in
-  let mwords = (Gc.minor_words () -. mw0) /. 1e6 in
-  let s = Rp_core.Stats.of_prog prog in
-  let colors, maxlive =
-    let module C = Rp_regalloc.Color in
-    List.fold_left
-      (fun (c, m) (f : Func.t) ->
-        let s = C.analyse f ~k:None in
-        (c + s.C.s_colors, max m s.C.s_maxlive))
-      (0, 0) prog.Func.funcs
-  in
-  {
-    g_size = size;
-    g_funcs = List.length prog.Func.funcs;
-    g_ms = !best *. 1000.;
-    g_minor_mwords = mwords;
-    g_loads = s.Rp_core.Stats.loads;
-    g_stores = s.Rp_core.Stats.stores;
-    g_colors = colors;
-    g_maxlive = maxlive;
-  }
-
-let gen sizes =
-  rule ();
-  print_endline
-    "Generated workloads: compile-only pipeline (Pipeline.optimise) on";
-  print_endline
-    " gen<n> — deep loop nests with many address-taken scalars; best-of-3";
-  print_endline " wall clock plus the minor-heap allocation of one run";
-  rule ();
-  Printf.printf "%-8s %6s %12s %14s %8s %8s\n" "bench" "funcs" "compile"
-    "minor alloc" "loads" "stores";
-  let rs = List.map gen_one sizes in
-  List.iter
-    (fun r ->
-      Printf.printf "%-8s %6d %9.3f ms %11.2f Mw %8d %8d\n"
-        ("gen" ^ string_of_int r.g_size)
-        r.g_funcs r.g_ms r.g_minor_mwords r.g_loads r.g_stores)
-    rs;
-  gen_results := rs
-
-(* ------------------------------------------------------------------ *)
-(* Interp: throughput of the flat-decoded execution engine on the
-   pipeline's two dynamic runs (profile and measure) at fuel 80M.  Per
-   workload: the decode vs execute split inside each run, the
-   minor-heap allocation of each run, executed instructions per
-   second, and the speedup over the tree-walking engine recorded just
-   before the flat engine landed. *)
+let engines = [ P.Tree; P.Flat; P.Reg; P.Fused ]
 
 type interp_result = {
   i_name : string;
-  i_profile_ms : float;
-  i_profile_decode_ms : float;
-  i_profile_exec_ms : float;
-  i_measure_ms : float;
-  i_measure_decode_ms : float;
-  i_measure_exec_ms : float;
-  i_profile_mwords : float;  (** minor words of the profile run, in M *)
-  i_measure_mwords : float;
   i_instrs : int;  (** executed instructions, profile + measure *)
-  i_instrs_per_sec : float;  (** over the two runs' execute time only *)
-  (* the register-allocated backend (--interp reg) on the same
-     workload; its "decode" columns are the bytecode compile (slot
-     allocation included), so the compile-vs-exec split stays visible
-     next to the flat engine's decode-vs-exec split *)
-  i_reg_profile_ms : float;
-  i_reg_profile_compile_ms : float;
-  i_reg_profile_exec_ms : float;
-  i_reg_measure_ms : float;
-  i_reg_measure_compile_ms : float;
-  i_reg_measure_exec_ms : float;
-  i_reg_profile_mwords : float;
-  i_reg_measure_mwords : float;
-  i_reg_instrs_per_sec : float;
-  (* the same backend with the peephole superinstruction layer on
-     (--interp fused): compile includes the fusion pass, and the
-     emitter's own counters say how much it rewrote *)
-  i_fused_profile_ms : float;
-  i_fused_profile_compile_ms : float;
-  i_fused_profile_exec_ms : float;
-  i_fused_measure_ms : float;
-  i_fused_measure_compile_ms : float;
-  i_fused_measure_exec_ms : float;
-  i_fused_profile_mwords : float;
-  i_fused_measure_mwords : float;
-  i_fused_instrs_per_sec : float;
   i_fused_ops : int;  (** superinstructions emitted (cbr + bin2) *)
   i_ops_eliminated : int;  (** copies folded away / dead, consts folded *)
+  i_runs : (P.interp_engine * Rounds.runs) list;  (** in [engines] order *)
 }
 
 let interp_results : interp_result list ref = ref []
 
-(* Tree-walker numbers from the commit just before the flat-decoded
-   engine, same container, same fuel (80M), single pipeline run:
-   (profile_ms, measure_ms, profile minor Mwords, measure minor
-   Mwords).  The denominator of the speedup and alloc-drop columns
-   here, in EXPERIMENTS.md and in BENCH_promotion.json. *)
-let interp_baseline =
-  [
-    ("go", (129.62, 96.93, 14.71, 15.08));
-    ("li", (27.83, 28.30, 5.30, 5.35));
-    ("ijpeg", (112.72, 115.58, 18.72, 18.84));
-    ("perl", (76.79, 84.66, 13.36, 14.17));
-    ("m88k", (31.86, 31.90, 5.46, 5.88));
-    ("sc", (39.55, 32.80, 7.44, 7.46));
-    ("compr", (36.61, 36.48, 7.02, 7.14));
-    ("vortex", (38.13, 34.33, 7.12, 7.12));
-    ("gen240", (7.89, 12.33, 0.471, 1.09));
-    ("gen480", (12.08, 16.94, 0.795, 1.56));
-  ]
-
 let interp_one (w : R.workload) : interp_result =
-  (* warm-up (and fill the shared report cache), then record the best
-     of three warm runs per engine, judged by the execute path —
-     first-touch allocation would otherwise dominate the decode column
-     on the generated workloads, and a single-shot execute time on a
-     busy host is dominated by scheduler noise (the rgate/fgate CI
-     gates use the same best-of-three discipline) *)
-  let flat_options = { P.default_options with fuel = 80_000_000 } in
-  let reg_options = { flat_options with P.interp = P.Reg } in
-  let fused_options = { flat_options with P.interp = P.Fused } in
-  let exec_of (r : P.report) =
+  let instrs = ref 0 and fused_ops = ref 0 and ops_eliminated = ref 0 in
+  let subject interp () =
+    let r =
+      P.run ~options:{ P.default_options with fuel = 80_000_000; interp }
+        w.R.source
+    in
+    if not r.P.behaviour_ok then
+      failwith (w.R.name ^ ": promotion changed behaviour!");
     let t k = try List.assoc k r.P.timing with Not_found -> 0.0 in
-    t "profile_exec_ms" +. t "measure_exec_ms"
+    instrs := r.P.baseline.I.counters.I.instrs + r.P.final.I.counters.I.instrs;
+    if interp = P.Fused then begin
+      fused_ops := int_of_float (t "fused_ops");
+      ops_eliminated := int_of_float (t "ops_eliminated")
+    end;
+    let exec_ms = t "profile_exec_ms" +. t "measure_exec_ms" in
+    List.map
+      (fun k -> (k, t k))
+      [
+        "profile_ms"; "profile_decode_ms"; "profile_exec_ms"; "measure_ms";
+        "measure_decode_ms"; "measure_exec_ms";
+      ]
+    @ [
+        ("profile_measure_ms", t "profile_ms" +. t "measure_ms");
+        ("exec_ms", exec_ms);
+        ("profile_minor_mwords", t "profile_minor_words" /. 1e6);
+        ("measure_minor_mwords", t "measure_minor_words" /. 1e6);
+        ("instrs_per_sec", float_of_int !instrs /. (exec_ms /. 1000.0));
+      ]
   in
-  (* interleaved rounds — flat, reg, fused back to back — so a slow
-     patch of machine time hits all three engines alike instead of
-     biasing whichever engine owned that window *)
-  let bflat = ref None and breg = ref None and bfused = ref None in
-  let round best options =
-    let r = P.run ~options w.R.source in
-    match !best with
-    | Some b when exec_of b <= exec_of r -> ()
-    | _ -> best := Some r
-  in
-  ignore (report_for w);
-  ignore (P.run ~options:reg_options w.R.source);
-  ignore (P.run ~options:fused_options w.R.source);
-  for _ = 1 to 5 do
-    round bflat flat_options;
-    round breg reg_options;
-    round bfused fused_options
-  done;
-  let r = Option.get !bflat in
-  let t k = try List.assoc k r.P.timing with Not_found -> 0.0 in
-  let instrs =
-    r.P.baseline.I.counters.I.instrs + r.P.final.I.counters.I.instrs
-  in
-  let exec_ms = t "profile_exec_ms" +. t "measure_exec_ms" in
-  let rr = Option.get !breg in
-  let rt k = try List.assoc k rr.P.timing with Not_found -> 0.0 in
-  let reg_exec_ms = rt "profile_exec_ms" +. rt "measure_exec_ms" in
-  let fr = Option.get !bfused in
-  let ft k = try List.assoc k fr.P.timing with Not_found -> 0.0 in
-  let fused_exec_ms = ft "profile_exec_ms" +. ft "measure_exec_ms" in
+  let runs = Rounds.interleave ~rounds (List.map subject engines) in
   {
     i_name = w.R.name;
-    i_profile_ms = t "profile_ms";
-    i_profile_decode_ms = t "profile_decode_ms";
-    i_profile_exec_ms = t "profile_exec_ms";
-    i_measure_ms = t "measure_ms";
-    i_measure_decode_ms = t "measure_decode_ms";
-    i_measure_exec_ms = t "measure_exec_ms";
-    i_profile_mwords = t "profile_minor_words" /. 1e6;
-    i_measure_mwords = t "measure_minor_words" /. 1e6;
-    i_instrs = instrs;
-    i_instrs_per_sec =
-      (if exec_ms <= 0.0 then 0.0
-       else float_of_int instrs /. (exec_ms /. 1000.0));
-    i_reg_profile_ms = rt "profile_ms";
-    i_reg_profile_compile_ms = rt "profile_decode_ms";
-    i_reg_profile_exec_ms = rt "profile_exec_ms";
-    i_reg_measure_ms = rt "measure_ms";
-    i_reg_measure_compile_ms = rt "measure_decode_ms";
-    i_reg_measure_exec_ms = rt "measure_exec_ms";
-    i_reg_profile_mwords = rt "profile_minor_words" /. 1e6;
-    i_reg_measure_mwords = rt "measure_minor_words" /. 1e6;
-    i_reg_instrs_per_sec =
-      (if reg_exec_ms <= 0.0 then 0.0
-       else float_of_int instrs /. (reg_exec_ms /. 1000.0));
-    i_fused_profile_ms = ft "profile_ms";
-    i_fused_profile_compile_ms = ft "profile_decode_ms";
-    i_fused_profile_exec_ms = ft "profile_exec_ms";
-    i_fused_measure_ms = ft "measure_ms";
-    i_fused_measure_compile_ms = ft "measure_decode_ms";
-    i_fused_measure_exec_ms = ft "measure_exec_ms";
-    i_fused_profile_mwords = ft "profile_minor_words" /. 1e6;
-    i_fused_measure_mwords = ft "measure_minor_words" /. 1e6;
-    i_fused_instrs_per_sec =
-      (if fused_exec_ms <= 0.0 then 0.0
-       else float_of_int instrs /. (fused_exec_ms /. 1000.0));
-    i_fused_ops = int_of_float (ft "fused_ops");
-    i_ops_eliminated = int_of_float (ft "ops_eliminated");
+    i_instrs = !instrs;
+    i_fused_ops = !fused_ops;
+    i_ops_eliminated = !ops_eliminated;
+    i_runs = List.combine engines runs;
   }
 
 let interp () =
   rule ();
   print_endline
-    "Interp: flat-decoded engine, the pipeline's profile + measure runs";
+    "Interp: the four engines on the pipeline's profile + measure runs";
+  Printf.printf
+    " (median of %d interleaved rounds; prep = decode or bytecode compile;\n"
+    rounds;
   print_endline
-    " (decode/exec split per run; speedup and alloc drop vs the tree-walker";
-  print_endline "  baseline recorded in bench/main.ml)";
+    "  vs tree = median paired ratio of execute times; fused/elim = the";
+  print_endline "  superinstructions emitted and the ops folded away)";
   rule ();
-  Printf.printf "%-8s %18s %18s %10s %9s %8s %7s\n" "bench"
-    "profile (dec+exec)" "measure (dec+exec)" "alloc" "Minstr/s" "speedup"
-    "alloc/";
+  Printf.printf "%-8s %-6s %16s %16s %15s %10s %9s %8s\n" "bench" "engine"
+    "profile prep+ex" "measure prep+ex" "exec ms (IQR)" "alloc" "Minstr/s"
+    "vs tree";
   let rs =
     List.map interp_one (R.all @ [ R.generated 240; R.generated 480 ])
   in
   List.iter
     (fun i ->
-      let speedup, adrop =
-        match List.assoc_opt i.i_name interp_baseline with
-        | Some (bp, bm, bpw, bmw) ->
-            ( (bp +. bm) /. (i.i_profile_ms +. i.i_measure_ms),
-              (bpw +. bmw) /. (i.i_profile_mwords +. i.i_measure_mwords) )
-        | None -> (0.0, 0.0)
-      in
-      Printf.printf
-        "%-8s %6.2f (%4.2f+%5.2f) %6.2f (%4.2f+%5.2f) %7.3f Mw %9.1f %7.1fx \
-         %5.0fx\n"
-        i.i_name i.i_profile_ms i.i_profile_decode_ms i.i_profile_exec_ms
-        i.i_measure_ms i.i_measure_decode_ms i.i_measure_exec_ms
-        (i.i_profile_mwords +. i.i_measure_mwords)
-        (i.i_instrs_per_sec /. 1e6)
-        speedup adrop)
-    rs;
-  rule ();
-  print_endline
-    "Interp: register-allocated backend (--interp reg), same runs";
-  print_endline
-    " (compile = out-of-SSA + coalescing + coloring + bytecode emission;";
-  print_endline
-    "  the speedup column compares execute time only — the engines";
-  print_endline "  front-load different work before executing)";
-  rule ();
-  Printf.printf "%-8s %18s %18s %10s %9s %9s\n" "bench"
-    "profile (cmp+exec)" "measure (cmp+exec)" "alloc" "Minstr/s"
-    "exec-spd";
-  List.iter
-    (fun i ->
-      let flat_exec = i.i_profile_exec_ms +. i.i_measure_exec_ms in
-      let reg_exec = i.i_reg_profile_exec_ms +. i.i_reg_measure_exec_ms in
-      Printf.printf
-        "%-8s %6.2f (%4.2f+%5.2f) %6.2f (%4.2f+%5.2f) %7.3f Mw %9.1f %8.1fx\n"
-        i.i_name i.i_reg_profile_ms i.i_reg_profile_compile_ms
-        i.i_reg_profile_exec_ms i.i_reg_measure_ms
-        i.i_reg_measure_compile_ms i.i_reg_measure_exec_ms
-        (i.i_reg_profile_mwords +. i.i_reg_measure_mwords)
-        (i.i_reg_instrs_per_sec /. 1e6)
-        (if reg_exec <= 0.0 then 0.0 else flat_exec /. reg_exec))
-    rs;
-  rule ();
-  print_endline
-    "Interp: superinstruction layer (--interp fused), same runs";
-  print_endline
-    " (compile additionally runs the peephole emitter; fused = cbr + bin2";
-  print_endline
-    "  superinstructions emitted, elim = copies/consts folded away; the";
-  print_endline "  speedup column compares execute time against --interp reg)";
-  rule ();
-  Printf.printf "%-8s %18s %18s %9s %7s %7s %9s\n" "bench"
-    "profile (cmp+exec)" "measure (cmp+exec)" "Minstr/s" "fused" "elim"
-    "vs reg";
-  List.iter
-    (fun i ->
-      let reg_exec = i.i_reg_profile_exec_ms +. i.i_reg_measure_exec_ms in
-      let fused_exec =
-        i.i_fused_profile_exec_ms +. i.i_fused_measure_exec_ms
-      in
-      Printf.printf
-        "%-8s %6.2f (%4.2f+%5.2f) %6.2f (%4.2f+%5.2f) %8.1f %7d %7d %8.2fx\n"
-        i.i_name i.i_fused_profile_ms i.i_fused_profile_compile_ms
-        i.i_fused_profile_exec_ms i.i_fused_measure_ms
-        i.i_fused_measure_compile_ms i.i_fused_measure_exec_ms
-        (i.i_fused_instrs_per_sec /. 1e6)
-        i.i_fused_ops i.i_ops_eliminated
-        (if fused_exec <= 0.0 then 0.0 else reg_exec /. fused_exec))
+      let tree = List.assoc P.Tree i.i_runs in
+      List.iter
+        (fun (e, runs) ->
+          let m k = (Rounds.summary runs k).Rounds.median in
+          let exec = Rounds.summary runs "exec_ms" in
+          Printf.printf
+            "%-8s %-6s %6.2f+%8.2f %6.2f+%8.2f %8.2f (%4.2f) %7.3f Mw %9.1f \
+             %7.2fx%s\n"
+            i.i_name (P.interp_engine_to_string e) (m "profile_decode_ms")
+            (m "profile_exec_ms") (m "measure_decode_ms") (m "measure_exec_ms")
+            exec.Rounds.median exec.Rounds.iqr
+            (m "profile_minor_mwords" +. m "measure_minor_mwords")
+            (m "instrs_per_sec" /. 1e6)
+            (Rounds.ratio tree runs "exec_ms").Rounds.median
+            (if e = P.Fused then
+               Printf.sprintf "  fused/elim %d/%d" i.i_fused_ops
+                 i.i_ops_eliminated
+             else ""))
+        i.i_runs)
     rs;
   interp_results := rs
 
 (* ------------------------------------------------------------------ *)
 (* Serve: throughput of the compile daemon over the loopback transport.
-   A cold round (every seed workload once, all cache misses) against a
-   warm round (concurrent clients replaying the same requests, all
-   cache hits) — the cache is the daemon's whole performance story, so
-   the artifact records both rounds' latency distributions, the warm
-   round's request rate and both hit ratios. *)
+   Each round starts a fresh daemon and plays a cold round (every seed
+   workload once, all cache misses) against a warm round (concurrent
+   clients replaying the same requests, all cache hits) — the cache is
+   the daemon's whole performance story, so the artifact records both
+   rounds' latency distributions, the warm round's request rate and
+   both hit ratios, each over the rounds. *)
 
-type serve_result = {
-  sv_clients : int;
-  sv_cold_reqs : int;
-  sv_warm_reqs : int;
-  sv_cold_mean_ms : float;
-  sv_cold_p50_ms : float;
-  sv_cold_p99_ms : float;
-  sv_warm_mean_ms : float;
-  sv_warm_p50_ms : float;
-  sv_warm_p99_ms : float;
-  sv_warm_rps : float;
-  sv_cold_hit_ratio : float;
-  sv_warm_hit_ratio : float;
-  sv_cold_gen480_ms : float;
-      (** one cold gen480 request — the largest single compile the
-          suite exercises, kept out of the cold distribution above *)
-}
+let serve_clients = 4
 
-let serve_results : serve_result option ref = ref None
-
-let percentile sorted p =
-  let n = Array.length sorted in
-  if n = 0 then 0.0
-  else sorted.(min (n - 1) (int_of_float (ceil (p *. float_of_int n)) - 1))
+let serve_results : Rounds.runs option ref = ref None
 
 (* the one request-corpus builder shared by "serve" and "serve-storm":
    every benched compile request goes through here *)
@@ -1012,35 +772,22 @@ let compile_request ?deadline_s ?(trace = true) ?(fuel = 80_000_000) target =
     deadline_s;
   }
 
-let seed_corpus () =
-  List.map
-    (fun (w : R.workload) -> (w, compile_request (`Workload w.R.name)))
-    R.all
-
-let serve () =
-  (* earlier sections (the interpreter sweeps especially) leave a large
-     major heap behind; compact so the daemon's latency numbers measure
-     the daemon, not the previous benchmark's garbage *)
-  Gc.compact ();
-  rule ();
-  print_endline
-    "Serve: compile daemon over the in-process loopback transport";
-  print_endline
-    " (cold round = every workload once, misses; warm round = 4 concurrent";
-  print_endline "  clients replaying the same requests, hits)";
-  rule ();
+let serve_round () =
   let module Mux = Rp_serve.Mux in
   let module Client = Rp_serve.Client in
   let module Proto = Rp_serve.Protocol in
-  let clients = 4 in
   let mx =
     Mux.create
-      ~config:{ Mux.default_config with Mux.max_inflight = clients * 2 }
+      ~config:{ Mux.default_config with Mux.max_inflight = serve_clients * 2 }
       ()
   in
   Mux.start mx;
   Fun.protect ~finally:(fun () -> Mux.stop mx) @@ fun () ->
-  let corpus = seed_corpus () in
+  let corpus =
+    List.map
+      (fun (w : R.workload) -> compile_request (`Workload w.R.name))
+      R.all
+  in
   let timed_compile c req =
     let t0 = Unix.gettimeofday () in
     (match Client.compile c req with
@@ -1061,69 +808,74 @@ let serve () =
   let cold, cold_gen480 =
     let c = Client.of_conn (Mux.loopback mx) in
     Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
-    let seeds = List.map (fun (_, req) -> timed_compile c req) corpus in
-    let g = timed_compile c (compile_request (`Workload (R.generated 480).R.name)) in
-    (seeds, g)
+    let seeds = List.map (timed_compile c) corpus in
+    let g =
+      timed_compile c (compile_request (`Workload (R.generated 480).R.name))
+    in
+    (Array.of_list seeds, g)
   in
   let s1 = Rp_serve.Cache.stats (Mux.cache mx) in
-  (* warm round: [clients] threads, each replaying the full list *)
+  (* warm round: [serve_clients] threads, each replaying the full list *)
   let warm_t0 = Unix.gettimeofday () in
   let warm =
-    let results = Array.make clients [] in
+    let results = Array.make serve_clients [] in
     let threads =
-      List.init clients (fun i ->
+      List.init serve_clients (fun i ->
           Thread.create
             (fun () ->
               let c = Client.of_conn (Mux.loopback mx) in
               Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
-              results.(i) <- List.map (fun (_, req) -> timed_compile c req) corpus)
+              results.(i) <- List.map (timed_compile c) corpus)
             ())
     in
     List.iter Thread.join threads;
-    List.concat (Array.to_list results)
+    Array.of_list (List.concat (Array.to_list results))
   in
   let warm_s = Unix.gettimeofday () -. warm_t0 in
   let s2 = Rp_serve.Cache.stats (Mux.cache mx) in
-  let summarise l =
-    let a = Array.of_list l in
-    Array.sort compare a;
-    let mean = Array.fold_left ( +. ) 0.0 a /. float_of_int (Array.length a) in
-    (mean, percentile a 0.50, percentile a 0.99)
-  in
-  let cold_mean, cold_p50, cold_p99 = summarise cold in
-  let warm_mean, warm_p50, warm_p99 = summarise warm in
-  let r =
-    {
-      sv_clients = clients;
-      sv_cold_reqs = List.length cold;
-      sv_warm_reqs = List.length warm;
-      sv_cold_mean_ms = cold_mean;
-      sv_cold_p50_ms = cold_p50;
-      sv_cold_p99_ms = cold_p99;
-      sv_warm_mean_ms = warm_mean;
-      sv_warm_p50_ms = warm_p50;
-      sv_warm_p99_ms = warm_p99;
-      sv_warm_rps = float_of_int (List.length warm) /. warm_s;
-      sv_cold_hit_ratio = hit_ratio s0 s1;
-      sv_warm_hit_ratio = hit_ratio s1 s2;
-      sv_cold_gen480_ms = cold_gen480;
-    }
-  in
+  let mean a = Array.fold_left ( +. ) 0.0 a /. float_of_int (Array.length a) in
+  [
+    ("cold_mean_ms", mean cold);
+    ("cold_p50_ms", Rounds.percentile cold 0.50);
+    ("cold_p99_ms", Rounds.percentile cold 0.99);
+    ("cold_hit_ratio", hit_ratio s0 s1);
+    ("cold_gen480_ms", cold_gen480);
+    ("warm_mean_ms", mean warm);
+    ("warm_p50_ms", Rounds.percentile warm 0.50);
+    ("warm_p99_ms", Rounds.percentile warm 0.99);
+    ("warm_req_per_s", float_of_int (Array.length warm) /. warm_s);
+    ("warm_hit_ratio", hit_ratio s1 s2);
+    ("warm_speedup", mean cold /. mean warm);
+  ]
+
+let serve () =
+  rule ();
+  print_endline
+    "Serve: compile daemon over the in-process loopback transport";
+  print_endline
+    " (cold round = every workload once, misses; warm round = 4 concurrent";
+  Printf.printf
+    "  clients replaying the same requests, hits; a fresh daemon per round,\n\
+    \  median of %d interleaved rounds)\n"
+    rounds;
+  rule ();
+  let r = List.hd (Rounds.interleave ~rounds [ serve_round ]) in
   serve_results := Some r;
+  let m k = (Rounds.summary r k).Rounds.median in
   Printf.printf "%-6s %5s %12s %12s %12s %10s %6s\n" "round" "reqs" "mean"
     "p50" "p99" "req/s" "hits";
   Printf.printf "%-6s %5d %9.3f ms %9.3f ms %9.3f ms %10s %5.0f%%\n" "cold"
-    r.sv_cold_reqs r.sv_cold_mean_ms r.sv_cold_p50_ms r.sv_cold_p99_ms "-"
-    (r.sv_cold_hit_ratio *. 100.);
+    (List.length R.all) (m "cold_mean_ms") (m "cold_p50_ms") (m "cold_p99_ms")
+    "-"
+    (m "cold_hit_ratio" *. 100.);
   Printf.printf "%-6s %5d %9.3f ms %9.3f ms %9.3f ms %10.1f %5.0f%%\n" "warm"
-    r.sv_warm_reqs r.sv_warm_mean_ms r.sv_warm_p50_ms r.sv_warm_p99_ms
-    r.sv_warm_rps
-    (r.sv_warm_hit_ratio *. 100.);
-  Printf.printf "warm-over-cold mean speedup: %.1fx\n"
-    (r.sv_cold_mean_ms /. r.sv_warm_mean_ms);
-  Printf.printf "cold gen480 request: %.3f ms (miss; excluded from the rows \
-                 above)\n"
-    r.sv_cold_gen480_ms
+    (serve_clients * List.length R.all)
+    (m "warm_mean_ms") (m "warm_p50_ms") (m "warm_p99_ms") (m "warm_req_per_s")
+    (m "warm_hit_ratio" *. 100.);
+  Printf.printf "warm-over-cold mean speedup: %.1fx\n" (m "warm_speedup");
+  Printf.printf
+    "cold gen480 request: %.3f ms (miss; excluded from the rows above)\n"
+    (m "cold_gen480_ms")
 
 (* ------------------------------------------------------------------ *)
 (* Serve-storm: production-shaped traffic against the event-driven mux
@@ -1131,20 +883,16 @@ let serve () =
    tail, duplicate bursts (single-flight dedup), oversized frames
    (stream poisoning + reconnect) and sub-millisecond deadlines — is
    shuffled deterministically and driven over 64 pipelined connections.
-   The summary records the latency distribution, outcome counts, the
-   cache-hit ratio per completion-time decile, and the warm throughput
-   of 64 pipelined connections against a prewarmed cache. *)
-
-let json_file = "BENCH_promotion.json"
+   The summary records the latency distribution over the requests,
+   outcome counts and the cache-hit ratio per completion-time decile;
+   then the warm throughput of 64 pipelined connections against a
+   prewarmed cache is timed over interleaved rounds. *)
 
 type storm_outcome = O_report | O_cached | O_timeout | O_busy | O_protocol | O_other
 
 type storm_summary = {
   st_reqs : int;
-  st_duration_s : float;
-  st_rps : float;
-  st_mean_ms : float;
-  st_p50_ms : float;
+  st_latency : Rounds.spread;  (** over the storm's requests *)
   st_p99_ms : float;
   st_reports : int;
   st_cached : int;
@@ -1156,12 +904,17 @@ type storm_summary = {
   st_hit_curve : float array;
       (** cached share of report-class responses per completion-time
           decile — the warming trajectory of the cache under load *)
-  st_warm_conns : int;
-  st_warm_reqs : int;
-  st_mux_rps : float;
+  st_warm64 : Rounds.runs;
 }
 
 let storm_results : storm_summary option ref = ref None
+
+let storm_conns = 64
+
+let storm_window = 16
+
+(* requests per connection in one warm64 round *)
+let warm64_per_conn = 100
 
 (* a tiny distinct MiniC program per index: a global accumulator kept
    live across a call inside a loop, so promotion has real work, with
@@ -1304,6 +1057,60 @@ let drive_conn ~connect ~items ~record ~window =
   drain ();
   (!conn).Proto.close ()
 
+
+let storm_payload req =
+  let module Proto = Rp_serve.Protocol in
+  Rp_obs.Json.to_string ~minify:true (Proto.request_to_json (Proto.Compile req))
+
+let tiny_req i =
+  compile_request ~trace:false ~fuel:10_000_000 (`Source (tiny_source i))
+
+(* the 24 warm sources every connection replays *)
+let warm_payloads = lazy (Array.init 24 (fun i -> storm_payload (tiny_req i)))
+
+(* One warm64 round: a fresh daemon, every warm source once to fill its
+   cache, then [storm_conns] connections each replaying
+   [warm64_per_conn] warm requests with [storm_window] pipelining; all
+   replies must be cache hits. *)
+let warm64_round () =
+  let module Mux = Rp_serve.Mux in
+  let warm_payloads = Lazy.force warm_payloads in
+  let m =
+    Mux.create ~config:{ Mux.default_config with Mux.max_inflight = 128 } ()
+  in
+  Mux.start m;
+  Fun.protect ~finally:(fun () -> Mux.stop m) @@ fun () ->
+  let connect () = Mux.loopback m in
+  drive_conn ~connect
+    ~items:(Array.to_list (Array.map (fun p -> Req ("warm", p)) warm_payloads))
+    ~record:(fun _ _ _ -> ())
+    ~window:1;
+  let items =
+    List.init warm64_per_conn (fun i ->
+        Req ("warm", warm_payloads.(i mod Array.length warm_payloads)))
+  in
+  let t0 = Unix.gettimeofday () in
+  let threads =
+    List.init storm_conns (fun _ ->
+        Thread.create
+          (fun () ->
+            drive_conn ~connect ~items
+              ~record:(fun _ payload _ ->
+                match classify_response payload with
+                | O_cached -> ()
+                | _ -> failwith "storm warm64: expected a cached report")
+              ~window:storm_window)
+          ())
+  in
+  List.iter Thread.join threads;
+  [
+    ( "mux_req_per_s",
+      float_of_int (storm_conns * warm64_per_conn)
+      /. (Unix.gettimeofday () -. t0) );
+  ]
+
+let warm64 () = List.hd (Rounds.interleave ~rounds [ warm64_round ])
+
 let serve_storm ?(n = 100_000) () =
   Gc.compact ();
   rule ();
@@ -1311,22 +1118,12 @@ let serve_storm ?(n = 100_000) () =
     "Serve-storm: %d mixed requests against the event-driven mux daemon\n" n;
   print_endline
     " (64 pipelined connections; warm / cold / duplicate / oversized /";
-  print_endline
-    "  deadline classes; then a warm 64-conn throughput round)";
+  Printf.printf
+    "  deadline classes; then warm 64-conn throughput, %d rounds)\n" rounds;
   rule ();
   let module Mux = Rp_serve.Mux in
   let module Proto = Rp_serve.Protocol in
   let module Client = Rp_serve.Client in
-  let module J = Rp_obs.Json in
-  let getenv_int k dflt =
-    match int_of_string_opt (try Sys.getenv k with Not_found -> "") with
-    | Some v when v > 0 -> v
-    | _ -> dflt
-  in
-  (* env overrides for harness experiments; the defaults are the
-     recorded configuration *)
-  let conns = getenv_int "STORM_CONNS" 64
-  and window = getenv_int "STORM_WINDOW" 16 in
   (* the byte-identity oracle: a direct pipeline run, computed before
      any daemon owns the process-global obs state *)
   let oracle_w = List.hd R.all in
@@ -1339,20 +1136,12 @@ let serve_storm ?(n = 100_000) () =
     s
   in
   (* the traffic mix *)
-  let serialize req =
-    J.to_string ~minify:true (Proto.request_to_json (Proto.Compile req))
-  in
-  let tiny_req i =
-    compile_request ~trace:false ~fuel:10_000_000 (`Source (tiny_source i))
-  in
   let n_overs = 16 and n_dead = 16 and n_dup = 64 in
   let n_cold = min 512 (max 32 (n / 16)) in
   let n_warm = max 0 (n - n_cold - n_dup - n_overs - n_dead) in
-  let warm_payloads =
-    Array.init 24 (fun i -> serialize (tiny_req i))
-  in
+  let warm_payloads = Lazy.force warm_payloads in
   let dead_payload =
-    serialize
+    storm_payload
       (compile_request ~deadline_s:0.001 (`Workload (R.generated 60).R.name))
   in
   let items =
@@ -1360,15 +1149,17 @@ let serve_storm ?(n = 100_000) () =
       [
         Array.init n_warm (fun i ->
             Req ("warm", warm_payloads.(i mod Array.length warm_payloads)));
-        Array.init n_cold (fun i -> Req ("cold", serialize (tiny_req (1000 + i))));
-        Array.init n_dup (fun i -> Req ("dup", serialize (tiny_req (5000 + (i mod 8)))));
+        Array.init n_cold (fun i -> Req ("cold", storm_payload (tiny_req (1000 + i))));
+        Array.init n_dup (fun i -> Req ("dup", storm_payload (tiny_req (5000 + (i mod 8)))));
         Array.init n_dead (fun _ -> Req ("deadline", dead_payload));
         Array.init n_overs (fun _ -> Overs);
       ]
   in
   shuffle 0x5EED1 items;
-  let parts = Array.make conns [] in
-  Array.iteri (fun i it -> parts.(i mod conns) <- it :: parts.(i mod conns)) items;
+  let parts = Array.make storm_conns [] in
+  Array.iteri
+    (fun i it -> parts.(i mod storm_conns) <- it :: parts.(i mod storm_conns))
+    items;
   let parts = Array.map List.rev parts in
   (* the storm proper *)
   let mux =
@@ -1377,10 +1168,10 @@ let serve_storm ?(n = 100_000) () =
       ()
   in
   Mux.start mux;
-  let records = Array.make conns [] in
+  let records = Array.make storm_conns [] in
   let t0 = Unix.gettimeofday () in
   let threads =
-    List.init conns (fun i ->
+    List.init storm_conns (fun i ->
         Thread.create
           (fun () ->
             let local = ref [] in
@@ -1391,7 +1182,7 @@ let serve_storm ?(n = 100_000) () =
                 local :=
                   (Unix.gettimeofday (), lat, classify_response payload, cls)
                   :: !local)
-              ~window;
+              ~window:storm_window;
             records.(i) <- !local)
           ())
   in
@@ -1415,16 +1206,11 @@ let serve_storm ?(n = 100_000) () =
   | _ -> failwith "storm: cached oracle reply not byte-identical");
   Client.close oc;
   let dedup_joins =
-    let doc = Mux.stats_doc mux in
-    let rec jfind key = function
-      | J.Obj kvs -> (
-          match List.assoc_opt key kvs with
-          | Some v -> Some v
-          | None -> List.find_map (fun (_, v) -> jfind key v) kvs)
-      | J.Arr vs -> List.find_map (jfind key) vs
-      | _ -> None
-    in
-    match jfind "dedup_joins" doc with Some (J.Int i) -> i | _ -> 0
+    match
+      A.num (A.find (Mux.stats_doc mux) [ "serve"; "responses"; "dedup_joins" ])
+    with
+    | Some v -> int_of_float v
+    | None -> 0
   in
   Mux.stop mux;
   let merged =
@@ -1432,10 +1218,6 @@ let serve_storm ?(n = 100_000) () =
     |> List.sort (fun (a, _, _, _) (b, _, _, _) -> compare a b)
   in
   let lats = Array.of_list (List.map (fun (_, l, _, _) -> l) merged) in
-  Array.sort compare lats;
-  let mean =
-    Array.fold_left ( +. ) 0.0 lats /. float_of_int (max 1 (Array.length lats))
-  in
   let count o = List.length (List.filter (fun (_, _, x, _) -> x = o) merged) in
   let hit_curve =
     let total = List.length merged in
@@ -1465,64 +1247,26 @@ let serve_storm ?(n = 100_000) () =
       Printf.printf "%-10s %8d %8d %8d %8d %8d %8d\n" cls (List.length rows)
         (c O_report) (c O_cached) (c O_timeout) (c O_busy) (c O_protocol))
     classes;
+  let latency = Rounds.spread lats and p99 = Rounds.percentile lats 0.99 in
   Printf.printf
-    "storm: %d responses in %.2f s (%.0f req/s), p50 %.3f ms, p99 %.3f ms, \
-     %d dedup joins\n"
+    "storm: %d responses in %.2f s (%.0f req/s), latency median %.3f ms \
+     (IQR %.3f), p99 %.3f ms, %d dedup joins\n"
     (List.length merged) duration
     (float_of_int (List.length merged) /. duration)
-    (percentile lats 0.50) (percentile lats 0.99) dedup_joins;
+    latency.Rounds.median latency.Rounds.iqr p99 dedup_joins;
   Printf.printf "hit curve (cached share per completion decile): %s\n"
     (String.concat " "
        (Array.to_list (Array.map (Printf.sprintf "%.2f") hit_curve)));
-  (* warm throughput round: prewarmed cache, [conns] connections,
-     window-16 pipelining *)
-  let per_conn = max 50 (n / 400) in
-  let warm_reqs =
-    List.init per_conn (fun i ->
-        Req ("warm", warm_payloads.(i mod Array.length warm_payloads)))
-  in
-  let mux_rps =
-    let m =
-      Mux.create
-        ~config:{ Mux.default_config with Mux.max_inflight = 128 }
-        ()
-    in
-    Mux.start m;
-    Fun.protect ~finally:(fun () -> Mux.stop m) @@ fun () ->
-    let connect () = Mux.loopback m in
-    (* prewarm: every warm source once, sequentially *)
-    drive_conn ~connect
-      ~items:
-        (Array.to_list (Array.map (fun p -> Req ("warm", p)) warm_payloads))
-      ~record:(fun _ _ _ -> ())
-      ~window:1;
-    let t0 = Unix.gettimeofday () in
-    let threads =
-      List.init conns (fun _ ->
-          Thread.create
-            (fun () ->
-              drive_conn ~connect ~items:warm_reqs
-                ~record:(fun _ payload _ ->
-                  match classify_response payload with
-                  | O_cached -> ()
-                  | _ -> failwith "storm warm64: expected a cached report")
-                ~window)
-            ())
-    in
-    List.iter Thread.join threads;
-    float_of_int (conns * per_conn) /. (Unix.gettimeofday () -. t0)
-  in
-  Printf.printf "warm64 (%d conns x %d reqs): mux %.0f req/s\n" conns per_conn
-    mux_rps;
+  let warm = warm64 () in
+  let rps = Rounds.summary warm "mux_req_per_s" in
+  Printf.printf "warm64 (%d conns x %d reqs): mux %.0f req/s (IQR %.0f)\n"
+    storm_conns warm64_per_conn rps.Rounds.median rps.Rounds.iqr;
   storm_results :=
     Some
       {
         st_reqs = List.length merged;
-        st_duration_s = duration;
-        st_rps = float_of_int (List.length merged) /. duration;
-        st_mean_ms = mean;
-        st_p50_ms = percentile lats 0.50;
-        st_p99_ms = percentile lats 0.99;
+        st_latency = latency;
+        st_p99_ms = p99;
         st_reports = count O_report;
         st_cached = count O_cached;
         st_timeouts = count O_timeout;
@@ -1531,337 +1275,8 @@ let serve_storm ?(n = 100_000) () =
         st_other = count O_other;
         st_dedup_joins = dedup_joins;
         st_hit_curve = hit_curve;
-        st_warm_conns = conns;
-        st_warm_reqs = conns * per_conn;
-        st_mux_rps = mux_rps;
+        st_warm64 = warm;
       }
-
-(* Storm regression gate (CI, opt-in): the warm 64-connection
-   throughput just measured must stay within 3x of the committed
-   artifact's mux throughput (3x absorbs CI runner noise).  Reads the
-   committed BENCH_promotion.json, so it must run before "json"
-   rewrites it. *)
-let storm_gate () =
-  rule ();
-  print_endline
-    "Storm-gate: warm64 mux throughput vs the committed artifact";
-  rule ();
-  let module J = Rp_obs.Json in
-  let fail msg =
-    Printf.printf "storm-gate FAILED: %s\n" msg;
-    exit 1
-  in
-  let r =
-    match !storm_results with
-    | Some r -> r
-    | None -> fail "serve-storm did not run in this invocation"
-  in
-  let assoc k = function J.Obj l -> List.assoc_opt k l | _ -> None in
-  let num = function
-    | Some (J.Float f) -> Some f
-    | Some (J.Int i) -> Some (float_of_int i)
-    | _ -> None
-  in
-  let committed_rps =
-    let text =
-      try In_channel.with_open_text json_file In_channel.input_all
-      with Sys_error e -> fail ("cannot read " ^ json_file ^ ": " ^ e)
-    in
-    match J.parse text with
-    | Error e -> fail (json_file ^ ": " ^ e)
-    | Ok doc -> (
-        match assoc "serve_storm" doc with
-        | Some (J.Obj _ as storm) -> (
-            match num (assoc "mux_req_per_s" (Option.value ~default:J.Null (assoc "warm64" storm))) with
-            | Some v -> v
-            | None -> fail (json_file ^ ": serve_storm.warm64 lacks mux_req_per_s"))
-        | _ -> fail (json_file ^ ": no serve_storm section"))
-  in
-  Printf.printf "warm64: fresh mux %.0f req/s; committed mux %.0f req/s\n"
-    r.st_mux_rps committed_rps;
-  if r.st_mux_rps < committed_rps /. 3.0 then
-    fail
-      (Printf.sprintf "mux %.0f req/s is below a third of the committed %.0f"
-         r.st_mux_rps committed_rps);
-  print_endline "storm-gate passed"
-
-(* ------------------------------------------------------------------ *)
-(* Golden check: the seed workloads' static load/store counts.  These
-   are promotion *results* (Table 1 data), so any drift means the
-   optimiser changed behaviour — CI fails on it.  Update the table
-   deliberately when a PR intends to change promotion decisions. *)
-
-let golden_static =
-  (* name, (loads before, loads after, stores before, stores after) *)
-  [
-    ("go", (14, 15, 8, 8));
-    ("li", (17, 18, 13, 14));
-    ("ijpeg", (28, 21, 7, 7));
-    ("perl", (29, 31, 18, 18));
-    ("m88k", (12, 17, 7, 7));
-    ("sc", (13, 10, 11, 12));
-    ("compr", (10, 9, 4, 4));
-    ("vortex", (9, 9, 5, 5));
-    (* the stencil family: scalar-only static counts barely move by
-       design (all the traffic is aliased array ops; the --scalrep
-       numbers live in the "scalrep" artifact section) *)
-    ("blur", (3, 3, 1, 1));
-    ("dot", (0, 0, 0, 0));
-    ("lpc", (3, 3, 1, 1));
-  ]
-
-let golden () =
-  rule ();
-  print_endline
-    "Golden check: static load/store counts vs the values recorded in";
-  print_endline " bench/main.ml (CI fails this artifact on any drift)";
-  rule ();
-  let drift = ref false in
-  List.iter
-    (fun (w : R.workload) ->
-      let r = report_for w in
-      let sb = r.P.static_before and sa = r.P.static_after in
-      let module S = Rp_core.Stats in
-      let lb, la, stb, sta = List.assoc w.R.name golden_static in
-      let ok =
-        sb.S.loads = lb && sa.S.loads = la && sb.S.stores = stb
-        && sa.S.stores = sta
-      in
-      if not ok then drift := true;
-      Printf.printf
-        "%-8s loads %2d -> %2d (golden %2d -> %2d)  stores %2d -> %2d \
-         (golden %2d -> %2d)  %s\n"
-        w.R.name sb.S.loads sa.S.loads lb la sb.S.stores sa.S.stores stb sta
-        (if ok then "ok" else "DRIFT"))
-    R.all;
-  if !drift then begin
-    print_endline "golden check FAILED: static counts drifted";
-    exit 1
-  end
-  else print_endline "golden check passed"
-
-(* ------------------------------------------------------------------ *)
-(* Pressure golden check: Table 3's program-wide colors before/after
-   promotion per seed workload, against the values recorded here.
-   Colors are a promotion *result* (the interference graph changes
-   exactly when promotion decisions change), so CI fails on drift;
-   update the table deliberately when a PR intends to change them. *)
-
-let pressure_sums (r : P.report) : int * int =
-  let module C = Rp_regalloc.Color in
-  List.fold_left
-    (fun (b, a) (fp : P.func_pressure) ->
-      (b + fp.P.fp_before.C.s_colors, a + fp.P.fp_after.C.s_colors))
-    (0, 0) r.P.pressure
-
-let golden_pressure =
-  (* name, (colors before, colors after) — summed over functions.
-     li/vortex ticked up when the interference build gained the
-     parameter edges (parameters are defined in parallel at entry, so
-     they interfere with everything live into the entry block). *)
-  [
-    ("go", (20, 22));
-    ("li", (26, 27));
-    ("ijpeg", (24, 36));
-    ("perl", (21, 23));
-    ("m88k", (21, 25));
-    ("sc", (14, 17));
-    ("compr", (8, 9));
-    ("vortex", (15, 15));
-    ("blur", (10, 11));
-    ("dot", (12, 12));
-    ("lpc", (11, 12));
-  ]
-
-let pressure_golden () =
-  rule ();
-  print_endline
-    "Pressure golden check: Table 3 program-wide interference colors vs the";
-  print_endline " values recorded in bench/main.ml (CI fails on any drift)";
-  rule ();
-  let drift = ref false in
-  List.iter
-    (fun (w : R.workload) ->
-      let cb, ca = pressure_sums (report_for w) in
-      let gb, ga = List.assoc w.R.name golden_pressure in
-      let ok = cb = gb && ca = ga in
-      if not ok then drift := true;
-      Printf.printf "%-8s colors %2d -> %2d (golden %2d -> %2d)  %s\n" w.R.name
-        cb ca gb ga
-        (if ok then "ok" else "DRIFT"))
-    R.all;
-  if !drift then begin
-    print_endline "pressure golden check FAILED: Table 3 colors drifted";
-    exit 1
-  end
-  else print_endline "pressure golden check passed"
-
-(* ------------------------------------------------------------------ *)
-(* JSON artifact: the per-workload table data of Tables 1/2, machine
-   readable — the file the repo's bench trajectory is built from. *)
-
-(* ------------------------------------------------------------------ *)
-(* Regression gate: fresh gen240 profile+measure wall clock against
-   the committed BENCH_promotion.json.  CI runs this on the checked-in
-   artifact (so it must run BEFORE "json" rewrites the file) and fails
-   if the dynamic-measurement path got more than 2x slower.  The 2x
-   margin absorbs host noise; a real engine regression (the flat
-   engine is 5-10x faster than the tree-walker) blows straight
-   through it. *)
-
-let gate () =
-  rule ();
-  print_endline
-    "Gate: gen240 profile_ms+measure_ms vs the committed BENCH_promotion.json";
-  print_endline " (CI fails this artifact on a >2x regression)";
-  rule ();
-  let module J = Rp_obs.Json in
-  let fail msg =
-    Printf.printf "gate FAILED: %s\n" msg;
-    exit 1
-  in
-  let assoc k = function J.Obj l -> List.assoc_opt k l | _ -> None in
-  let num = function
-    | Some (J.Float f) -> Some f
-    | Some (J.Int i) -> Some (float_of_int i)
-    | _ -> None
-  in
-  let committed_ms =
-    let text =
-      try In_channel.with_open_text json_file In_channel.input_all
-      with Sys_error e -> fail ("cannot read " ^ json_file ^ ": " ^ e)
-    in
-    match J.parse text with
-    | Error e -> fail (json_file ^ ": " ^ e)
-    | Ok doc -> (
-        let entry =
-          match assoc "interp" doc with
-          | Some (J.Arr entries) ->
-              List.find_opt
-                (fun e -> assoc "name" e = Some (J.Str "gen240"))
-                entries
-          | _ -> None
-        in
-        match entry with
-        | None -> fail (json_file ^ ": no interp entry for gen240")
-        | Some e -> (
-            match (num (assoc "profile_ms" e), num (assoc "measure_ms" e)) with
-            | Some p, Some m -> p +. m
-            | _ -> fail "gen240 interp entry lacks profile_ms/measure_ms"))
-  in
-  (* best of three fresh runs, so one scheduler hiccup can't fail CI *)
-  let src = (R.generated 240).R.source in
-  let options = { P.default_options with fuel = 80_000_000 } in
-  let one () =
-    let r = P.run ~options src in
-    List.assoc "profile_ms" r.P.timing +. List.assoc "measure_ms" r.P.timing
-  in
-  ignore (one ());
-  let fresh = ref infinity in
-  for _ = 1 to 3 do
-    let t = one () in
-    if t < !fresh then fresh := t
-  done;
-  Printf.printf
-    "gen240 profile+measure: committed %.3f ms, fresh (best of 3) %.3f ms \
-     (%.2fx)\n"
-    committed_ms !fresh (!fresh /. committed_ms);
-  if !fresh > 2.0 *. committed_ms then
-    fail
-      (Printf.sprintf "%.3f ms exceeds 2x the committed %.3f ms" !fresh
-         committed_ms)
-  else print_endline "gate passed"
-
-(* Time gen240's execute path under engines [a] and [b] for the
-   speedup gates: one warm-up run each, then [rounds] interleaved a/b
-   rounds, so slow patches of machine time hit both sides alike.
-   Execute time only, on purpose: the engines front-load different
-   work (flat decodes, reg compiles — out-of-SSA, coalescing, coloring,
-   emission), so wall-clock totals measure the front-load, not the
-   engine.  Returns each engine's fastest (execute, decode/compile)
-   pair, so a compile-time regression is still visible in the log, and
-   the best single round's a/b execute ratio. *)
-let time_engine_pair ~rounds a b =
-  (* level the major heap first — when gates share a process the
-     earlier ones leave garbage that taxes whichever engine runs
-     later (same reason serve () compacts) *)
-  Gc.compact ();
-  let src = (R.generated 240).R.source in
-  let one interp =
-    let options = { P.default_options with fuel = 80_000_000; interp } in
-    let r = P.run ~options src in
-    let t k = try List.assoc k r.P.timing with Not_found -> 0.0 in
-    ( t "profile_exec_ms" +. t "measure_exec_ms",
-      t "profile_decode_ms" +. t "measure_decode_ms" )
-  in
-  ignore (one a);
-  ignore (one b);
-  let best_a = ref (infinity, 0.0) and best_b = ref (infinity, 0.0) in
-  let paired = ref 0.0 in
-  for _ = 1 to rounds do
-    let ra = one a in
-    if fst ra < fst !best_a then best_a := ra;
-    let rb = one b in
-    if fst rb < fst !best_b then best_b := rb;
-    if fst rb > 0.0 && fst ra /. fst rb > !paired then
-      paired := fst ra /. fst rb
-  done;
-  (!best_a, !best_b, !paired)
-
-(* Reg-vs-flat speedup gate for the register-allocated backend: fail
-   when the reg engine's best execute time over three rounds is not at
-   least 2x faster than the flat engine's. *)
-
-let rgate () =
-  rule ();
-  print_endline
-    "Rgate: gen240 reg-vs-flat execute speedup (CI fails under 2x)";
-  rule ();
-  let (flat_exec, flat_dec), (reg_exec, reg_cmp), _ =
-    time_engine_pair ~rounds:3 P.Flat P.Reg
-  in
-  let speedup = if reg_exec <= 0.0 then 0.0 else flat_exec /. reg_exec in
-  Printf.printf
-    "gen240 exec: flat %.3f ms (decode %.3f), reg %.3f ms (compile %.3f) — \
-     %.2fx\n"
-    flat_exec flat_dec reg_exec reg_cmp speedup;
-  if speedup < 2.0 then begin
-    Printf.printf "rgate FAILED: reg execute speedup %.2fx is below 2x\n"
-      speedup;
-    exit 1
-  end
-  else print_endline "rgate passed"
-
-(* Fused-vs-reg speedup gate: the superinstruction layer against the
-   plain register backend over five rounds.  The compile column shows
-   what the peephole pass adds to bytecode emission.  1.3x is
-   deliberately below the ~1.5x the layer delivers on gen240 so
-   scheduler noise cannot flake CI.  The gate passes if either the
-   min-vs-min ratio or the best single fairly-paired round clears the
-   bar — the true ratio sits near the bar, and on a busy host
-   min-vs-min alone flaps when one engine's minimum lands in a quiet
-   window the other never saw. *)
-
-let fgate () =
-  rule ();
-  print_endline
-    "Fgate: gen240 fused-vs-reg execute speedup (CI fails under 1.3x)";
-  rule ();
-  let (reg_exec, reg_cmp), (fused_exec, fused_cmp), paired =
-    time_engine_pair ~rounds:5 P.Reg P.Fused
-  in
-  let minmin = if fused_exec <= 0.0 then 0.0 else reg_exec /. fused_exec in
-  let speedup = Float.max minmin paired in
-  Printf.printf
-    "gen240 exec: reg %.3f ms (compile %.3f), fused %.3f ms (compile %.3f) — \
-     %.2fx (min/min %.2fx, best paired round %.2fx)\n"
-    reg_exec reg_cmp fused_exec fused_cmp speedup minmin paired;
-  if speedup < 1.3 then begin
-    Printf.printf "fgate FAILED: fused execute speedup %.2fx is below 1.3x\n"
-      speedup;
-    exit 1
-  end
-  else print_endline "fgate passed"
 
 (* ------------------------------------------------------------------ *)
 (* The scalar-replacement measurement: the stencil/DSP family with
@@ -1915,118 +1330,125 @@ let scalrep_table () =
         sa (cut lb la) (cut sb sa))
     scalrep_family
 
-let json_artifact () =
-  let module J = Rp_obs.Json in
+(* ------------------------------------------------------------------ *)
+(* JSON artifact: the per-workload data of Tables 1-3, machine
+   readable — the file the repo's bench trajectory is built from, and
+   the golden that "drift" holds fresh counts to. *)
+
+let pressure_sums (r : P.report) : int * int =
+  let module C = Rp_regalloc.Color in
+  List.fold_left
+    (fun (b, a) (fp : P.func_pressure) ->
+      (b + fp.P.fp_before.C.s_colors, a + fp.P.fp_after.C.s_colors))
+    (0, 0) r.P.pressure
+
+(* one workload's entry: deterministic counts only, so "drift" can
+   compare it with the committed artifact field by field *)
+let workload_json (w : R.workload) : A.J.t =
+  let module J = A.J in
   let module S = Rp_core.Stats in
-  let workload_json (w : R.workload) : J.t =
-    let r = report_for w in
-    let paper = paper_numbers_for w.R.name in
-    let counts (c : I.counters) =
-      J.Obj [ ("loads", J.Int c.I.loads); ("stores", J.Int c.I.stores) ]
-    in
-    let static (c : S.counts) =
-      J.Obj (List.map (fun (k, v) -> (k, J.Int v)) (S.to_alist c))
-    in
+  let r = report_for w in
+  let counts (c : I.counters) =
+    J.Obj [ ("loads", J.Int c.I.loads); ("stores", J.Int c.I.stores) ]
+  in
+  let static (c : S.counts) =
+    J.Obj (List.map (fun (k, v) -> (k, J.Int v)) (S.to_alist c))
+  in
+  J.Obj
+    [
+      ("name", J.Str w.R.name);
+      ("behaviour_ok", J.Bool r.P.behaviour_ok);
+      ( "static",
+        J.Obj
+          [
+            ("before", static r.P.static_before);
+            ("after", static r.P.static_after);
+          ] );
+      ( "dynamic",
+        J.Obj
+          [
+            ("before", counts r.P.dynamic_before);
+            ("after", counts r.P.dynamic_after);
+          ] );
+      ( "improvement_pct",
+        J.Obj
+          [
+            ( "static_loads",
+              J.Float (impro r.P.static_before.S.loads r.P.static_after.S.loads)
+            );
+            ( "static_stores",
+              J.Float
+                (impro r.P.static_before.S.stores r.P.static_after.S.stores) );
+            ( "dynamic_loads",
+              J.Float
+                (impro r.P.dynamic_before.I.loads r.P.dynamic_after.I.loads) );
+            ( "dynamic_stores",
+              J.Float
+                (impro r.P.dynamic_before.I.stores r.P.dynamic_after.I.stores)
+            );
+          ] );
+      ( "paper_improvement_pct",
+        match paper_numbers_for w.R.name with
+        | None -> J.Null
+        | Some (_, pl, ps, dl, ds) ->
+            J.Obj
+              [
+                ("static_loads", J.Float pl);
+                ("static_stores", J.Float ps);
+                ("dynamic_loads", J.Float dl);
+                ("dynamic_stores", J.Float ds);
+              ] );
+      ( "promotion",
+        J.Obj
+          (List.map
+             (fun (k, v) -> (k, J.Int v))
+             (Rp_core.Promote.to_alist r.P.promote_stats)) );
+      ( "pressure",
+        (* the Table 3 reproduction: interference colors and MAXLIVE
+           before/after promotion, program-wide and per routine *)
+        let module C = Rp_regalloc.Color in
+        let cb, ca = pressure_sums r in
+        let maxlive sel =
+          List.fold_left
+            (fun m (fp : P.func_pressure) -> max m (sel fp).C.s_maxlive)
+            0 r.P.pressure
+        in
+        J.Obj
+          [
+            ("colors_before", J.Int cb);
+            ("colors_after", J.Int ca);
+            ("maxlive_before", J.Int (maxlive (fun fp -> fp.P.fp_before)));
+            ("maxlive_after", J.Int (maxlive (fun fp -> fp.P.fp_after)));
+            ( "functions",
+              J.Arr
+                (List.map
+                   (fun (fp : P.func_pressure) ->
+                     J.Obj
+                       [
+                         ("name", J.Str fp.P.fp_name);
+                         ("colors_before", J.Int fp.P.fp_before.C.s_colors);
+                         ("colors_after", J.Int fp.P.fp_after.C.s_colors);
+                         ("maxlive_before", J.Int fp.P.fp_before.C.s_maxlive);
+                         ("maxlive_after", J.Int fp.P.fp_after.C.s_maxlive);
+                       ])
+                   r.P.pressure) );
+          ] );
+    ]
+
+(* every measure of [runs] as a spread *)
+let runs_json (runs : Rounds.runs) =
+  List.map (fun (k, _) -> (k, A.spread_json (Rounds.summary runs k))) runs
+
+let json_artifact () =
+  let module J = A.J in
+  let doc =
     J.Obj
       [
-        ("name", J.Str w.R.name);
-        ("behaviour_ok", J.Bool r.P.behaviour_ok);
-        ( "static",
-          J.Obj
-            [
-              ("before", static r.P.static_before);
-              ("after", static r.P.static_after);
-            ] );
-        ( "dynamic",
-          J.Obj
-            [
-              ("before", counts r.P.dynamic_before);
-              ("after", counts r.P.dynamic_after);
-            ] );
-        ( "improvement_pct",
-          J.Obj
-            [
-              ( "static_loads",
-                J.Float (impro r.P.static_before.S.loads r.P.static_after.S.loads)
-              );
-              ( "static_stores",
-                J.Float
-                  (impro r.P.static_before.S.stores r.P.static_after.S.stores)
-              );
-              ( "dynamic_loads",
-                J.Float
-                  (impro r.P.dynamic_before.I.loads r.P.dynamic_after.I.loads)
-              );
-              ( "dynamic_stores",
-                J.Float
-                  (impro r.P.dynamic_before.I.stores r.P.dynamic_after.I.stores)
-              );
-            ] );
-        ( "paper_improvement_pct",
-          match paper with
-          | None -> J.Null
-          | Some (_, pl, ps, dl, ds) ->
-              J.Obj
-                [
-                  ("static_loads", J.Float pl);
-                  ("static_stores", J.Float ps);
-                  ("dynamic_loads", J.Float dl);
-                  ("dynamic_stores", J.Float ds);
-                ] );
-        ( "promotion",
-          J.Obj
-            (List.map
-               (fun (k, v) -> (k, J.Int v))
-               (Rp_core.Promote.to_alist r.P.promote_stats)) );
-        ( "pressure",
-          (* the Table 3 reproduction: interference colors and MAXLIVE
-             before/after promotion, program-wide and per routine *)
-          let module C = Rp_regalloc.Color in
-          let cb, ca = pressure_sums r in
-          let maxlive sel =
-            List.fold_left
-              (fun m (fp : P.func_pressure) -> max m (sel fp).C.s_maxlive)
-              0 r.P.pressure
-          in
-          J.Obj
-            [
-              ("colors_before", J.Int cb);
-              ("colors_after", J.Int ca);
-              ("maxlive_before", J.Int (maxlive (fun fp -> fp.P.fp_before)));
-              ("maxlive_after", J.Int (maxlive (fun fp -> fp.P.fp_after)));
-              ( "functions",
-                J.Arr
-                  (List.map
-                     (fun (fp : P.func_pressure) ->
-                       J.Obj
-                         [
-                           ("name", J.Str fp.P.fp_name);
-                           ("colors_before", J.Int fp.P.fp_before.C.s_colors);
-                           ("colors_after", J.Int fp.P.fp_after.C.s_colors);
-                           ("maxlive_before", J.Int fp.P.fp_before.C.s_maxlive);
-                           ("maxlive_after", J.Int fp.P.fp_after.C.s_maxlive);
-                         ])
-                     r.P.pressure) );
-            ] );
-        ( "timing",
-          J.Obj (List.map (fun (k, v) -> (k, J.Float v)) r.P.timing) );
-      ]
-  in
-  let workloads = List.map workload_json R.all in
-  (* top-level timing: the pipeline wall-clock summed over workloads *)
-  let total_ms =
-    List.fold_left
-      (fun acc (w : R.workload) ->
-        acc +. (try List.assoc "total_ms" (report_for w).P.timing with
-                Not_found -> 0.0))
-      0.0 R.all
-  in
-  let doc =
-    Rp_obs.Report.make ~tool:"bench"
-      ~timing:[ ("total_ms", total_ms) ]
-      [
+        ("schema_version", J.Int A.schema_version);
+        ("tool", J.Str "bench");
         ("artifact", J.Str "promotion_tables");
-        ("workloads", J.Arr workloads);
+        ("rounds", J.Int rounds);
+        ("workloads", J.Arr (List.map workload_json R.all));
         ( "scalrep",
           (* the stencil/DSP family with --scalrep off vs on; counts
              include aliased array traffic, which scalar-only promotion
@@ -2081,147 +1503,66 @@ let json_artifact () =
                              ] );
                    ])
                scalrep_family) );
-        ( "generated",
-          (* filled when the "gen" artifact ran in this invocation *)
-          J.Arr
-            (List.map
-               (fun g ->
-                 J.Obj
-                   ([
-                      ("name", J.Str ("gen" ^ string_of_int g.g_size));
-                      ("size", J.Int g.g_size);
-                      ("funcs", J.Int g.g_funcs);
-                      ("optimise_ms", J.Float g.g_ms);
-                      ("minor_mwords", J.Float g.g_minor_mwords);
-                      ("static_loads_after", J.Int g.g_loads);
-                      ("static_stores_after", J.Int g.g_stores);
-                      ("colors_after", J.Int g.g_colors);
-                      ("maxlive_after", J.Int g.g_maxlive);
-                    ]
-                   @
-                   match List.assoc_opt g.g_size gen_baseline with
-                   | Some (bms, bmw) ->
-                       [
-                         ("pre_iseq_optimise_ms", J.Float bms);
-                         ("pre_iseq_minor_mwords", J.Float bmw);
-                         ("speedup", J.Float (bms /. g.g_ms));
-                       ]
-                   | None -> []))
-               !gen_results) );
         ( "interp",
           (* filled when the "interp" artifact ran in this invocation *)
           J.Arr
             (List.map
                (fun i ->
+                 let tree = List.assoc P.Tree i.i_runs in
                  J.Obj
-                   ([
-                      ("name", J.Str i.i_name);
-                      ("profile_ms", J.Float i.i_profile_ms);
-                      ("profile_decode_ms", J.Float i.i_profile_decode_ms);
-                      ("profile_exec_ms", J.Float i.i_profile_exec_ms);
-                      ("measure_ms", J.Float i.i_measure_ms);
-                      ("measure_decode_ms", J.Float i.i_measure_decode_ms);
-                      ("measure_exec_ms", J.Float i.i_measure_exec_ms);
-                      ("profile_minor_mwords", J.Float i.i_profile_mwords);
-                      ("measure_minor_mwords", J.Float i.i_measure_mwords);
-                      ("instrs", J.Int i.i_instrs);
-                      ("instrs_per_sec", J.Float i.i_instrs_per_sec);
-                      ("reg_profile_ms", J.Float i.i_reg_profile_ms);
-                      ( "reg_profile_compile_ms",
-                        J.Float i.i_reg_profile_compile_ms );
-                      ("reg_profile_exec_ms", J.Float i.i_reg_profile_exec_ms);
-                      ("reg_measure_ms", J.Float i.i_reg_measure_ms);
-                      ( "reg_measure_compile_ms",
-                        J.Float i.i_reg_measure_compile_ms );
-                      ("reg_measure_exec_ms", J.Float i.i_reg_measure_exec_ms);
-                      ( "reg_profile_minor_mwords",
-                        J.Float i.i_reg_profile_mwords );
-                      ( "reg_measure_minor_mwords",
-                        J.Float i.i_reg_measure_mwords );
-                      ("reg_instrs_per_sec", J.Float i.i_reg_instrs_per_sec);
-                      ( "reg_exec_speedup_vs_flat",
-                        let fe = i.i_profile_exec_ms +. i.i_measure_exec_ms in
-                        let re =
-                          i.i_reg_profile_exec_ms +. i.i_reg_measure_exec_ms
-                        in
-                        J.Float (if re <= 0.0 then 0.0 else fe /. re) );
-                      ("fused_profile_ms", J.Float i.i_fused_profile_ms);
-                      ( "fused_profile_compile_ms",
-                        J.Float i.i_fused_profile_compile_ms );
-                      ( "fused_profile_exec_ms",
-                        J.Float i.i_fused_profile_exec_ms );
-                      ("fused_measure_ms", J.Float i.i_fused_measure_ms);
-                      ( "fused_measure_compile_ms",
-                        J.Float i.i_fused_measure_compile_ms );
-                      ( "fused_measure_exec_ms",
-                        J.Float i.i_fused_measure_exec_ms );
-                      ( "fused_profile_minor_mwords",
-                        J.Float i.i_fused_profile_mwords );
-                      ( "fused_measure_minor_mwords",
-                        J.Float i.i_fused_measure_mwords );
-                      ( "fused_instrs_per_sec",
-                        J.Float i.i_fused_instrs_per_sec );
-                      ("fused_ops", J.Int i.i_fused_ops);
-                      ("ops_eliminated", J.Int i.i_ops_eliminated);
-                      ( "fused_exec_speedup_vs_reg",
-                        let re =
-                          i.i_reg_profile_exec_ms +. i.i_reg_measure_exec_ms
-                        in
-                        let fe =
-                          i.i_fused_profile_exec_ms
-                          +. i.i_fused_measure_exec_ms
-                        in
-                        J.Float (if fe <= 0.0 then 0.0 else re /. fe) );
-                    ]
-                   @
-                   match List.assoc_opt i.i_name interp_baseline with
-                   | Some (bp, bm, bpw, bmw) ->
-                       [
-                         ("tree_profile_ms", J.Float bp);
-                         ("tree_measure_ms", J.Float bm);
-                         ("tree_profile_minor_mwords", J.Float bpw);
-                         ("tree_measure_minor_mwords", J.Float bmw);
-                         ( "speedup",
-                           J.Float
-                             ((bp +. bm)
-                             /. (i.i_profile_ms +. i.i_measure_ms)) );
-                         ( "alloc_drop",
-                           J.Float
-                             ((bpw +. bmw)
-                             /. (i.i_profile_mwords +. i.i_measure_mwords)) );
-                       ]
-                   | None -> []))
+                   [
+                     ("name", J.Str i.i_name);
+                     ("instrs", J.Int i.i_instrs);
+                     ( "engines",
+                       J.Obj
+                         (List.map
+                            (fun (e, runs) ->
+                              ( P.interp_engine_to_string e,
+                                J.Obj
+                                  (runs_json runs
+                                  @ [
+                                      ( "exec_speedup_vs_tree",
+                                        A.spread_json
+                                          (Rounds.ratio tree runs "exec_ms") );
+                                    ]
+                                  @
+                                  if e = P.Fused then
+                                    [
+                                      ("fused_ops", J.Int i.i_fused_ops);
+                                      ( "ops_eliminated",
+                                        J.Int i.i_ops_eliminated );
+                                    ]
+                                  else []) ))
+                            i.i_runs) );
+                   ])
                !interp_results) );
         ( "serve",
           (* filled when the "serve" artifact ran in this invocation *)
           match !serve_results with
           | None -> J.Null
           | Some r ->
+              let section prefix keys =
+                J.Obj
+                  (List.map
+                     (fun k ->
+                       (k, A.spread_json (Rounds.summary r (prefix ^ k))))
+                     keys)
+              in
               J.Obj
                 [
-                  ("clients", J.Int r.sv_clients);
+                  ("clients", J.Int serve_clients);
+                  ("cold_requests", J.Int (List.length R.all));
+                  ("warm_requests", J.Int (serve_clients * List.length R.all));
                   ( "cold",
-                    J.Obj
-                      [
-                        ("requests", J.Int r.sv_cold_reqs);
-                        ("mean_ms", J.Float r.sv_cold_mean_ms);
-                        ("p50_ms", J.Float r.sv_cold_p50_ms);
-                        ("p99_ms", J.Float r.sv_cold_p99_ms);
-                        ("hit_ratio", J.Float r.sv_cold_hit_ratio);
-                        ("gen480_ms", J.Float r.sv_cold_gen480_ms);
-                      ] );
+                    section "cold_"
+                      [ "mean_ms"; "p50_ms"; "p99_ms"; "hit_ratio"; "gen480_ms" ]
+                  );
                   ( "warm",
-                    J.Obj
-                      [
-                        ("requests", J.Int r.sv_warm_reqs);
-                        ("mean_ms", J.Float r.sv_warm_mean_ms);
-                        ("p50_ms", J.Float r.sv_warm_p50_ms);
-                        ("p99_ms", J.Float r.sv_warm_p99_ms);
-                        ("req_per_s", J.Float r.sv_warm_rps);
-                        ("hit_ratio", J.Float r.sv_warm_hit_ratio);
-                      ] );
+                    section "warm_"
+                      [ "mean_ms"; "p50_ms"; "p99_ms"; "req_per_s"; "hit_ratio" ]
+                  );
                   ( "warm_speedup",
-                    J.Float (r.sv_cold_mean_ms /. r.sv_warm_mean_ms) );
+                    A.spread_json (Rounds.summary r "warm_speedup") );
                 ] );
         ( "serve_storm",
           (* filled when the "serve-storm" artifact ran in this invocation *)
@@ -2231,11 +1572,13 @@ let json_artifact () =
               J.Obj
                 [
                   ("requests", J.Int r.st_reqs);
-                  ("duration_s", J.Float r.st_duration_s);
-                  ("req_per_s", J.Float r.st_rps);
-                  ("mean_ms", J.Float r.st_mean_ms);
-                  ("p50_ms", J.Float r.st_p50_ms);
-                  ("p99_ms", J.Float r.st_p99_ms);
+                  ( "latency_ms",
+                    J.Obj
+                      [
+                        ("median", J.Float r.st_latency.Rounds.median);
+                        ("iqr", J.Float r.st_latency.Rounds.iqr);
+                        ("p99", J.Float r.st_p99_ms);
+                      ] );
                   ( "outcomes",
                     J.Obj
                       [
@@ -2253,90 +1596,165 @@ let json_artifact () =
                          (Array.map (fun x -> J.Float x) r.st_hit_curve)) );
                   ( "warm64",
                     J.Obj
-                      [
-                        ("conns", J.Int r.st_warm_conns);
-                        ("requests", J.Int r.st_warm_reqs);
-                        ("mux_req_per_s", J.Float r.st_mux_rps);
-                      ] );
+                      ([
+                         ("conns", J.Int storm_conns);
+                         ("requests", J.Int (storm_conns * warm64_per_conn));
+                       ]
+                      @ runs_json r.st_warm64) );
                 ] );
       ]
   in
-  Out_channel.with_open_text json_file (fun oc ->
+  Out_channel.with_open_text A.file (fun oc ->
       output_string oc (J.to_string doc));
   rule ();
-  Printf.printf "wrote %s (%d workloads)\n" json_file (List.length R.all)
+  Printf.printf "wrote %s (%d workloads)\n" A.file (List.length R.all)
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks *)
+(* Gate and drift: what CI checks against the committed artifact.  Both
+   read BENCH_promotion.json, so they must run before "json" rewrites
+   it. *)
 
-let promote_once (w : R.workload) () =
-  let prog, trees = P.prepare w.R.source in
-  List.iter
-    (fun (f : Func.t) ->
-      match List.assoc_opt f.Func.fname trees with
-      | Some tree ->
-          Rp_analysis.Freq.estimate f tree;
-          ignore (Rp_core.Promote.promote_function f prog.Func.vartab tree)
-      | None -> ())
-    prog.Func.funcs
+let committed =
+  lazy
+    (match A.read A.file with
+    | Ok doc -> doc
+    | Error e ->
+        Printf.printf "cannot check against the artifact: %s\n" e;
+        exit 1)
 
-let bechamel () =
-  rule ();
-  print_endline
-    "Bechamel: one Test per table artifact, timing the pass that computes";
-  print_endline " it (frontend+SSA+promotion; the data itself printed above)";
-  rule ();
-  let open Bechamel in
-  let open Toolkit in
-  let tests =
-    [
-      Test.make ~name:"table1.static-counts"
-        (Staged.stage (promote_once (Option.get (R.find "go"))));
-      Test.make ~name:"table2.dynamic-counts"
-        (Staged.stage (promote_once (Option.get (R.find "ijpeg"))));
-      Test.make ~name:"table3.register-pressure"
-        (Staged.stage (fun () ->
-             let prog, _ = P.prepare (Option.get (R.find "go")).R.source in
-             List.iter
-               (fun f -> ignore (Rp_regalloc.Color.analyse f ~k:None))
-               prog.Func.funcs));
-      Test.make ~name:"fig1.promote"
-        (Staged.stage (promote_once (Option.get (R.find "compr"))));
-      Test.make ~name:"fig9-10.ssa-update"
-        (Staged.stage (fun () ->
-             let _, f, clones = prepare_update_problem 40 in
-             Rp_ssa.Incremental.update_for_cloned_resources f
-               ~cloned_res:clones));
-    ]
+let need what = function
+  | Some v -> v
+  | None ->
+      Printf.printf "%s has no %s\n" A.file what;
+      exit 1
+
+(* A gate row: a spread over interleaved rounds whose median is held
+   against a bound (a floor when [at_least], else a ceiling). *)
+type gate_row = {
+  name : string;
+  what : string;
+  at_least : bool;
+  bound : unit -> float;
+  stat : unit -> Rounds.spread;
+}
+
+let gate_rows () =
+  (* gen240 under the four engines, timed exactly as "interp" times
+     it: the artifact's numbers come from the same rounds *)
+  let gen240 = lazy (interp_one (R.generated 240)).i_runs in
+  let engine e = List.assoc e (Lazy.force gen240) in
+  (* the warm64 rounds "serve-storm" just timed, if it ran *)
+  let warm =
+    lazy
+      (match !storm_results with Some r -> r.st_warm64 | None -> warm64 ())
   in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:100 ~quota:(Time.second 0.5) ~kde:(Some 100) ()
+  [
+    {
+      name = "flat-wall";
+      what = "gen240 flat profile+measure ms, <= 2x artifact";
+      at_least = false;
+      bound =
+        (fun () ->
+          let entry =
+            Option.bind
+              (A.find (Lazy.force committed) [ "interp" ])
+              (A.named "gen240")
+          in
+          2.0
+          *. need "gen240 flat profile_measure_ms median"
+               (Option.bind entry (fun e ->
+                    A.median e [ "engines"; "flat"; "profile_measure_ms" ])));
+      stat = (fun () -> Rounds.summary (engine P.Flat) "profile_measure_ms");
+    };
+    {
+      name = "reg-vs-flat";
+      what = "gen240 execute ms, flat over reg, >= 2x";
+      at_least = true;
+      bound = (fun () -> 2.0);
+      stat = (fun () -> Rounds.ratio (engine P.Flat) (engine P.Reg) "exec_ms");
+    };
+    {
+      name = "fused-vs-reg";
+      what = "gen240 execute ms, reg over fused, >= 1.3x";
+      at_least = true;
+      bound = (fun () -> 1.3);
+      stat = (fun () -> Rounds.ratio (engine P.Reg) (engine P.Fused) "exec_ms");
+    };
+    {
+      name = "warm64";
+      what = "warm64 mux req/s, >= 1/3 of artifact";
+      at_least = true;
+      bound =
+        (fun () ->
+          need "warm64 mux_req_per_s median"
+            (A.median (Lazy.force committed)
+               [ "serve_storm"; "warm64"; "mux_req_per_s" ])
+          /. 3.0);
+      stat = (fun () -> Rounds.summary (Lazy.force warm) "mux_req_per_s");
+    };
+  ]
+
+(* Run the rows named in [args], or every row when none is named. *)
+let gate args =
+  rule ();
+  print_endline "Gate: each row's median over interleaved rounds vs its bound";
+  Printf.printf " (%d rounds after a warm-up; CI fails on any failed row)\n"
+    rounds;
+  rule ();
+  let rows = gate_rows () in
+  let rows =
+    match List.filter (fun r -> List.mem r.name args) rows with
+    | [] -> rows
+    | named -> named
   in
-  List.iter
-    (fun test ->
-      let raw = Benchmark.all cfg instances test in
-      let ols =
-        Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-      in
-      let results = Analyze.all ols Instance.monotonic_clock raw in
-      Hashtbl.iter
-        (fun name ols ->
-          match Analyze.OLS.estimates ols with
-          | Some [ est ] ->
-              Printf.printf "%-28s %12.2f ms/run\n" name (est /. 1e6)
-          | Some _ | None -> Printf.printf "%-28s (no estimate)\n" name)
-        results)
-    tests
+  let failed =
+    List.filter
+      (fun row ->
+        let bound = row.bound () in
+        let s = row.stat () in
+        let ok =
+          if row.at_least then s.Rounds.median >= bound
+          else s.Rounds.median <= bound
+        in
+        Printf.printf "%-12s %-46s median %9.3f (IQR %7.3f) %s %9.3f  %s\n"
+          row.name row.what s.Rounds.median s.Rounds.iqr
+          (if row.at_least then ">=" else "<=")
+          bound
+          (if ok then "ok" else "FAILED");
+        not ok)
+      rows
+  in
+  if failed <> [] then begin
+    Printf.printf "gate FAILED: %s\n"
+      (String.concat ", " (List.map (fun r -> r.name) failed));
+    exit 1
+  end
+  else print_endline "gate passed"
+
+let drift () =
+  rule ();
+  Printf.printf
+    "Drift: each workload's deterministic counts (%s) vs the committed %s\n"
+    (String.concat ", " A.drift_keys)
+    A.file;
+  print_endline " (CI fails on any difference)";
+  rule ();
+  match
+    A.drift ~committed:(Lazy.force committed)
+      ~fresh:(List.map workload_json R.all)
+  with
+  | [] -> Printf.printf "drift passed: %d workloads match\n" (List.length R.all)
+  | diffs ->
+      List.iter print_endline diffs;
+      Printf.printf "drift FAILED: %d count(s) differ\n" (List.length diffs);
+      exit 1
 
 (* ------------------------------------------------------------------ *)
 
 let () =
   let args = Array.to_list Sys.argv |> List.tl in
-  let quick = List.mem "quick" args in
-  let args = List.filter (fun a -> a <> "quick") args in
-  (* bare numbers are sizes for the "gen" artifact *)
-  let gen_sizes = List.filter_map int_of_string_opt args in
+  (* a bare number is the serve-storm request count *)
+  let storm_n = List.find_map int_of_string_opt args in
   let args = List.filter (fun a -> int_of_string_opt a = None) args in
   let want name = args = [] || List.mem name args in
   if want "table1" then table1 ();
@@ -2352,29 +1770,14 @@ let () =
   if want "ablation5" then ablation5 ();
   if want "scaling" then scaling ();
   if want "scalrep" then scalrep_table ();
-  if want "gen" then
-    gen (if gen_sizes = [] then default_gen_sizes else gen_sizes);
   if want "interp" then interp ();
   if want "serve" then serve ();
-  (* serve-storm is opt-in (it pushes ~100k requests); a bare number
-     names the request count when "gen" is not also requested *)
-  if List.mem "serve-storm" args then
-    serve_storm
-      ~n:
-        (match gen_sizes with
-        | n :: _ when not (List.mem "gen" args) -> n
-        | _ -> 100_000)
-      ();
-  (* opt-in CI gates, not part of the default sweep; "gate" and
-     "storm-gate" read the committed artifact, so they must run before
-     "json" rewrites it *)
-  if List.mem "gate" args then gate ();
-  if List.mem "rgate" args then rgate ();
-  if List.mem "fgate" args then fgate ();
-  if List.mem "storm-gate" args then storm_gate ();
+  (* the opt-in artifact and checks: serve-storm pushes ~100k
+     requests; gate and drift read the committed artifact, so they run
+     before "json" rewrites it *)
+  if List.mem "serve-storm" args then serve_storm ?n:storm_n ();
+  if List.mem "gate" args then gate args;
+  if List.mem "drift" args then drift ();
   if want "json" then json_artifact ();
-  if List.mem "golden" args then golden ();
-  if List.mem "pressure" args then pressure_golden ();
-  if want "bechamel" && not quick then bechamel ();
   rule ();
   print_endline "done; see EXPERIMENTS.md for the paper-vs-measured discussion"

@@ -146,12 +146,6 @@ type report = {
   timing : (string * float) list;
 }
 
-(* The promoter's engine choice also drives initial SSA construction;
-   the two modules declare structurally identical types. *)
-let construct_engine = function
-  | Incremental.Cytron -> Construct.Cytron
-  | Incremental.Sreedhar_gao -> Construct.Sreedhar_gao
-
 (* Fan one task per function out through the pool.  Each task's spans
    are captured on whichever domain executes it and grafted back in
    program order once the batch joins, so the collected trace — and
@@ -183,11 +177,11 @@ let record_ir_size (prog : Func.prog) =
   Metrics.set_gauge "ir.instrs" (float_of_int instrs);
   Metrics.set_gauge "ir.phis" (float_of_int phis)
 
-(* One function's debug check: the structural validator always, the
-   SSA verifier once the program is in SSA form. *)
+(* One function's debug check: the structural validator before SSA,
+   the SSA verifier (which runs the structural checks first) once the
+   program is in SSA form. *)
 let check_func ~(ssa : bool) vartab (f : Func.t) =
-  Validate.assert_ok vartab f;
-  if ssa then Verify.assert_ok vartab f
+  if ssa then Verify.assert_ok vartab f else Validate.assert_ok vartab f
 
 (* A whole-program checkpoint after pass [after], fanned out per
    function (the checks emit no spans, so no capture is needed).  Cost
@@ -248,8 +242,7 @@ let prepare_in pool ~(options : options) (src : string) :
   checkpoint pool options ~ssa:false "normalise" prog;
   Trace.with_span "construct_ssa" (fun () ->
       par_iter_funcs pool
-        (Construct.run
-           ~engine:(construct_engine options.promote.Promote.engine))
+        (Construct.run ~engine:options.promote.Promote.engine)
         prog.Func.funcs);
   Trace.with_span "verify_ssa" (fun () ->
       par_iter_funcs pool (Verify.assert_ok prog.Func.vartab) prog.Func.funcs);

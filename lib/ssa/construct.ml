@@ -263,7 +263,7 @@ let live_in (f : Func.t) ~gen ~kill =
 
 (* ------------------------------------------------------------------ *)
 
-type idf_engine = Cytron | Sreedhar_gao
+type idf_engine = Incremental.engine = Cytron | Sreedhar_gao
 
 (* Convert [f], which must not already contain phi instructions, into
    pruned SSA form. *)

@@ -12,7 +12,7 @@
 
 open Rp_ir
 
-type idf_engine = Cytron | Sreedhar_gao
+type idf_engine = Incremental.engine = Cytron | Sreedhar_gao
 
 (** Convert a function that contains no phi instructions into pruned
     SSA form, in place. Placement runs over the function's global names
